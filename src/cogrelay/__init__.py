@@ -32,26 +32,17 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     IllConditionedError,
-    InfeasibleError,
     NumericError,
 )
 from .montecarlo import McEstimate, mc_ber, mc_capacity, mc_outage
 from .numerics import (
     NewtonOptions,
     NewtonResult,
-    erfc,
-    erfcx,
     newton_system,
     quad_semiinfinite,
     solve_linear,
 )
-from .outage import (
-    OutageResult,
-    diversity_coding_gain,
-    outage_asymptotic,
-    outage_exact,
-    outage_report,
-)
+from .outage import diversity_coding_gain, outage_asymptotic, outage_exact
 from .placement import (
     PlacementResult,
     ber_min,
@@ -74,16 +65,14 @@ from .scenario import (
 
 __all__ = [
     "__version__",
-    "ConfigError", "ConvergenceError", "IllConditionedError",
-    "InfeasibleError", "NumericError",
+    "ConfigError", "ConvergenceError", "IllConditionedError", "NumericError",
     "Scenario", "HopStatistics", "scenario_from_config",
     "average_channel_power", "hop_geometry", "derive_hop_statistics",
     "alphas", "db_to_linear", "linear_to_db",
-    "NewtonOptions", "NewtonResult", "erfc", "erfcx",
-    "quad_semiinfinite", "solve_linear", "newton_system",
+    "NewtonOptions", "NewtonResult", "quad_semiinfinite", "solve_linear",
+    "newton_system",
     "snr_pdf", "snr_cdf", "sample_hop_snr", "substream",
-    "OutageResult", "outage_exact", "outage_asymptotic",
-    "diversity_coding_gain", "outage_report",
+    "outage_exact", "outage_asymptotic", "diversity_coding_gain",
     "QamConstants", "qam_constants", "instantaneous_ber", "hop_ber",
     "e2e_ber", "e2e_ber_iid", "e2e_ber_asymptotic",
     "PartialFractionExpansion", "min_snr_pdf", "partial_fraction_expand",

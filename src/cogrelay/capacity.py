@@ -8,10 +8,7 @@ pole and multiplicity.
 Numerical notes, earned the hard way:
 
 * Expansion coefficients are computed by residue calculus through a
-  log-derivative recurrence.  Solving a collocation (probe-point)
-  linear system instead is also supported, but its Vandermonde-like
-  matrix becomes numerically singular once the poles span a few decades,
-  so the residue route is the default.
+  log-derivative recurrence.
 * Near-coincident poles are merged into one pole of higher multiplicity
   before expanding; unmerged near-duplicates would produce gigantic
   cancelling coefficients.
@@ -32,8 +29,7 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from .errors import IllConditionedError, NumericError
-from .numerics import solve_linear
+from .errors import NumericError
 
 _LN2 = math.log(2.0)
 _SERIES_RADIUS = 0.5       # switch between series and closed-form kernel
@@ -100,25 +96,16 @@ class PartialFractionExpansion:
 def partial_fraction_expand(
     alphas: Sequence[float],
     cluster_tol: float = 1e-6,
-    method: str = "residue",
 ) -> PartialFractionExpansion:
     """Expand the weakest-hop SNR density into partial fractions.
 
     Scale parameters within relative cluster_tol of each other are
-    merged into a single pole with summed multiplicity.  method
-    "residue" (default) computes the coefficients exactly from residue
-    calculus; "probe" solves the collocation linear system at K probe
-    points, redrawing the points up to 3 times if the system is too
-    ill-conditioned.
+    merged into a single pole with summed multiplicity; the coefficients
+    come from residue calculus.
     """
     al = _checked_alphas(alphas)
     betas, mults = _cluster_poles(al, cluster_tol)
-    if method == "residue":
-        coeffs = _residue_coefficients(betas, mults)
-    elif method == "probe":
-        coeffs = _probe_coefficients(betas, mults)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    coeffs = _residue_coefficients(betas, mults)
     return PartialFractionExpansion(
         betas=tuple(betas),
         multiplicities=tuple(int(r) for r in mults),
@@ -272,49 +259,6 @@ def _residue_coefficients(betas: np.ndarray, mults: np.ndarray):
         ]
         coeffs.append(row)
     return coeffs
-
-
-def _probe_coefficients(betas: np.ndarray, mults: np.ndarray):
-    """Coefficients from a K x K collocation system at probe points.
-
-    First attempt uses points u*(1 + max pole); failures redraw
-    log-uniform points over the pole range up to 3 times before giving
-    up.  Kept as an independent cross-check of the residue route; it is
-    only well-conditioned for narrow pole spreads.
-    """
-    k = int(mults.sum())
-    cols = [(n, l) for n in range(len(betas)) for l in range(1, mults[n] + 1)]
-    attempts = [(1.0 + betas.max()) * np.arange(1, k + 1)]
-    rng = np.random.default_rng(k)
-    lo, hi = 0.1 * min(betas.min(), 1.0), 10.0 * max(betas.max(), 1.0)
-    for _ in range(3):
-        attempts.append(np.sort(np.exp(rng.uniform(np.log(lo), np.log(hi), k))))
-    last_exc = None
-    for probes in attempts:
-        if len(np.unique(probes)) != k:
-            continue
-        matrix = np.array(
-            [[1.0 / (p + betas[n]) ** (l + 1) for n, l in cols] for p in probes]
-        )
-        rhs = np.array(
-            [
-                np.prod(1.0 / (p + betas) ** mults)
-                * np.sum(mults / (p + betas))
-                for p in probes
-            ]
-        )
-        try:
-            solution, _ = solve_linear(matrix, rhs)
-        except IllConditionedError as exc:
-            last_exc = exc
-            continue
-        coeffs = [[0.0] * int(r) for r in mults]
-        for value, (n, l) in zip(solution, cols):
-            coeffs[n][l - 1] = float(value)
-        return coeffs
-    raise NumericError(
-        "probe-point expansion stayed ill-conditioned after 3 redraws"
-    ) from last_exc
 
 
 # ---------------------------------------------------------------------------

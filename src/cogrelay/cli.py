@@ -109,7 +109,10 @@ def parse_sweep(text: str) -> tuple[str, list]:
     if "," in rest:
         if name != "hop_count":
             raise ConfigError("list-valued sweeps are only supported for hop_count")
-        return name, [int(v) for v in rest.split(",")]
+        try:
+            return name, [int(v) for v in rest.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad hop_count list {rest!r}") from exc
     parts = rest.split(":")
     if len(parts) != 3:
         raise ConfigError(f"sweep range must be START:STOP:STEP, got {rest!r}")
@@ -250,6 +253,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_optimize(args) -> int:
     scenario, _ = load_scenario(args.config)
+    if args.grid_resolution < 1:
+        raise ConfigError("grid resolution must be >= 1")
     k = scenario.hop_count
     eta = scenario.path_loss_exponent
     constants = qam_constants(scenario.qam_order)

@@ -20,7 +20,3 @@ class ConvergenceError(NumericError):
 
 class IllConditionedError(NumericError):
     """A linear system is singular or too ill-conditioned to solve."""
-
-
-class InfeasibleError(NumericError):
-    """An iterate left the feasible region and could not be recovered."""

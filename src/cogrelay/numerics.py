@@ -1,11 +1,9 @@
-"""Special functions and generic numeric kernels.
+"""Generic numeric kernels.
 
-erfc/erfcx are thin validated fronts over scipy.special; the
-semi-infinite quadrature and the dense solve wrap scipy/numpy with the
-error contracts the rest of the library relies on.  The damped Newton
-iteration is written here because the placement system needs residual
-backtracking and iterate projection that off-the-shelf root finders do
-not expose.
+The semi-infinite quadrature and the dense solve wrap scipy/numpy with
+the error contracts the rest of the library relies on.  newton_system
+is a damped Newton iteration with an optional analytic Jacobian, iterate
+projection and a step-size stopping test.
 """
 
 from __future__ import annotations
@@ -15,26 +13,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
 from .errors import ConvergenceError, IllConditionedError, NumericError
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 2/sqrt(pi) * int_x^inf exp(-t^2) dt."""
-    return float(special.erfc(x))
-
-
-def erfcx(x: float) -> float:
-    """Scaled complementary error function exp(x^2)*erfc(x) for x >= 0.
-
-    Never overflows: for large x it decays like 1/(x*sqrt(pi)).
-    """
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("erfcx requires x >= 0")
-    return float(special.erfcx(x))
 
 
 def quad_semiinfinite(f: Callable[[float], float], tol: float = 1e-10) -> float:
@@ -92,10 +75,13 @@ class NewtonOptions:
     tol: float = 1e-10        # residual sup-norm for convergence
     max_iter: int = 100
     damping: float = 1.0      # initial step fraction, halved on backtracking
+    xtol: float = 0.0         # or converged once a step is this small relative to x
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.tol < 0 or self.xtol < 0:
+            raise ValueError("tol and xtol must be non-negative")
+        if self.tol == 0 and self.xtol == 0:
+            raise ValueError("tol or xtol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0 < self.damping <= 1:
@@ -135,7 +121,10 @@ def newton_system(
 ) -> NewtonResult:
     """Damped Newton iteration for f(x) = 0.
 
-    The step is scaled by options.damping and halved (up to 60 times)
+    Converged when the residual sup-norm is at most options.tol, or when
+    a full Newton step is at most options.xtol times the sup-norm of x;
+    that last step is kept only if it lowers the residual.  Otherwise the
+    step is scaled by options.damping and halved (up to 60 times)
     whenever the residual sup-norm does not decrease.  `project`, when
     given, maps every trial iterate back into the feasible region before
     the residual is evaluated.
@@ -159,6 +148,15 @@ def newton_system(
             raise
         except np.linalg.LinAlgError as exc:  # pragma: no cover - solve_linear guards
             raise NumericError(str(exc)) from exc
+        if np.max(np.abs(step)) <= opts.xtol * np.max(np.abs(x)):
+            # converged; at the rounding floor a last step can only add noise
+            cand = x + step
+            if project is not None:
+                cand = project(cand)
+            cand_norm = np.max(np.abs(np.asarray(f(cand), dtype=float)))
+            if cand_norm < norm:
+                x, norm = cand, cand_norm
+            return NewtonResult(x=x, residual_norm=float(norm), iterations=it + 1)
         lam = opts.damping
         for _ in range(60):
             cand = x + lam * step

@@ -3,18 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 Pair = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class OutageResult:
-    op_exact: float
-    op_asymptotic: float
-    diversity_order: float
-    coding_gain: float
 
 
 def outage_exact(alphas: Sequence[float], gamma_th: float) -> float:
@@ -63,20 +54,6 @@ def diversity_coding_gain(
         raise ValueError("gamma_th must be positive for a finite coding gain")
     ratio_sum = sum(li / ld for ld, li in lambda_pairs)
     return 1.0, 1.0 / (gamma_th * ratio_sum)
-
-
-def outage_report(
-    lambda_pairs: Sequence[Pair], ip_over_n0: float, gamma_th: float
-) -> OutageResult:
-    """All outage metrics for one parameter point."""
-    alphas = [(ld / li) * ip_over_n0 for ld, li in lambda_pairs]
-    gd, gc = diversity_coding_gain(lambda_pairs, gamma_th)
-    return OutageResult(
-        op_exact=outage_exact(alphas, gamma_th),
-        op_asymptotic=outage_asymptotic(lambda_pairs, ip_over_n0, gamma_th),
-        diversity_order=gd,
-        coding_gain=gc,
-    )
 
 
 def _check_pairs(lambda_pairs) -> None:

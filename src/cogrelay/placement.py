@@ -1,9 +1,10 @@
 """Relay placement on the linear network.
 
 solve_equal_ratio implements the balanced-ratio optimality condition:
-all hops share the same data-to-interference distance ratio, with hop
-lengths found by a damped Newton iteration started from the uniform
-layout.  direct_search minimizes the underlying objective
+all hops share the same data-to-interference distance ratio rho, which
+makes the layout a forward recursion in rho and the sum-to-one
+constraint a scalar equation, solved by a 1-D Newton iteration on the
+common ratio.  direct_search minimizes the underlying objective
 sum_k (d_data_k / d_interf_k)^eta over the simplex directly; it is a
 diagnostic, because the balanced-ratio point is a stationary point of
 an arithmetic-geometric mean bound whose product term itself varies
@@ -20,10 +21,13 @@ import numpy as np
 from scipy import optimize
 
 from .ber import QamConstants
-from .errors import ConfigError, ConvergenceError, InfeasibleError, NumericError
-from .numerics import NewtonOptions, NewtonResult, newton_system
+from .errors import ConfigError
+from .numerics import NewtonOptions, newton_system
 
-_D_MIN = 1e-6  # feasibility floor for hop lengths during iteration
+_D_MIN = 1e-6  # smallest hop length direct_search considers
+# A short tail of hops can be far more sensitive to rho than the hop sum
+# is, so the common-ratio Newton stops on the step in rho, not on the sum.
+_RHO_OPTIONS = NewtonOptions(tol=0.0, xtol=1e-8)
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,9 @@ class PlacementResult:
     """Solved relay layout.
 
     d_data sums to one; ratio is the common d_data/d_interference value;
-    residual_norm is the sup-norm of the solved (scaled) system.  op_min
-    and ber_min are filled in by the corresponding evaluators.
+    residual_norm bounds how far the layout is from summing to one and
+    from equal ratios.  op_min and ber_min are filled in by the
+    corresponding evaluators.
     """
 
     d_data: tuple[float, ...]
@@ -81,28 +86,27 @@ def placement_objective(d_data, pu_coord, eta: float) -> float:
     return sum((d / di) ** eta for d, di in zip(d_data, dists))
 
 
-def solve_equal_ratio(
-    hop_count: int,
-    pu_coord,
-    options: Optional[NewtonOptions] = None,
-) -> PlacementResult:
+def solve_equal_ratio(hop_count: int, pu_coord) -> PlacementResult:
     """Hop lengths making every d_data/d_interference ratio equal.
 
-    Solves, for k = 2..K and with the sum-to-one constraint eliminated
-    by substitution, the system
+    With common ratio rho every hop is rho times its transmitter's
+    distance to the primary receiver,
 
-        (x_p - sum_{p<k} d_p)^2 + y_p^2 = (x_p^2 + y_p^2) (d_k/d_1)^2,
+        d_k = rho * hypot(x_p - pos_k, y_p),   pos_{k+1} = pos_k + d_k,
 
-    by Newton from the uniform layout d_k = 1/K.  Each equation is
-    normalized by x_p^2 + y_p^2 so the residual tolerance is meaningful
-    for arbitrarily distant primary receivers.  On non-convergence the
-    start point is perturbed (up to 5 restarts).
+    so the layout is a forward recursion in rho and the sum-to-one
+    constraint is the scalar equation pos_{K+1}(rho) = 1.  Newton solves
+    it from the uniform layout's ratio, with d pos/d rho carried through
+    the same recursion, until rho settles.  residual_norm is checked at
+    the returned layout: max(|sum d - 1|, max_k |r_k/r_1 - 1|) over the
+    ratios r_k.  Raises ConvergenceError when rho does not settle, which
+    has been seen only for primary receivers about 1e-12 off the segment.
     """
     if hop_count < 1:
         raise ConfigError("hop_count must be >= 1")
     px, py = _check_pu(pu_coord)
-    opts = options or NewtonOptions()
     if hop_count == 1:
+        # exact: rho * hypot with rho = 1/hypot need not round to 1.0
         d_i = math.hypot(px, py)
         return PlacementResult(
             d_data=(1.0,),
@@ -112,57 +116,42 @@ def solve_equal_ratio(
             iterations=0,
         )
 
-    rho2 = px * px + py * py
-    k = hop_count
+    def walk(rho: float):
+        """Hop and interference lengths at rho, pos_{K+1} - 1 and its
+        derivative in rho."""
+        d, d_i = [], []
+        pos = dpos = 0.0
+        for _ in range(hop_count):
+            h = math.hypot(px - pos, py)
+            dh = (pos - px) / h * dpos
+            d.append(rho * h)
+            d_i.append(h)
+            # pos - 1 before adding the hop keeps a short last hop's digits
+            miss = (pos - 1.0) + d[-1]
+            pos += d[-1]
+            dpos += h + rho * dh
+        return d, d_i, miss, dpos
 
-    def assemble(u: np.ndarray) -> np.ndarray:
-        return np.concatenate([u, [1.0 - u.sum()]])
-
-    def residuals(u: np.ndarray) -> np.ndarray:
-        d = assemble(u)
-        prefix = np.concatenate([[0.0], np.cumsum(d)[:-1]])
-        return ((px - prefix[1:]) ** 2 + py * py) / rho2 - (d[1:] / d[0]) ** 2
-
-    def project(u: np.ndarray) -> np.ndarray:
-        u = np.clip(u, _D_MIN, 1.0 - _D_MIN)
-        total = u.sum()
-        if 1.0 - total < _D_MIN:
-            u *= (1.0 - _D_MIN) / total
-        return u
-
-    uniform = np.full(k - 1, 1.0 / k)
-    last_exc: Exception | None = None
-    for attempt in range(6):
-        if attempt == 0:
-            start = uniform
-        else:
-            rng = np.random.default_rng(attempt)
-            start = project(uniform * (1.0 + 0.2 * rng.uniform(-1, 1, k - 1)))
-        try:
-            result = newton_system(
-                residuals, start, options=opts, project=project
-            )
-        except (ConvergenceError, NumericError) as exc:
-            last_exc = exc
-            continue
-        d = assemble(result.x)
-        if np.any(d <= 2.0 * _D_MIN):
-            last_exc = InfeasibleError(
-                f"hop length collapsed to the feasibility floor: {d}"
-            )
-            continue
-        return _finish(d, (px, py), result)
-    raise last_exc if last_exc is not None else ConvergenceError("no attempt ran")
-
-
-def _finish(d: np.ndarray, pu, newton: NewtonResult) -> PlacementResult:
-    dists = interference_distances(d, pu)
-    ratios = [dd / di for dd, di in zip(d, dists)]
+    uniform_d_i = [math.hypot(px - k / hop_count, py) for k in range(hop_count)]
+    with np.errstate(all="ignore"):  # overshooting iterates backtrack
+        newton = newton_system(
+            lambda r: np.array([walk(r[0])[2]]),
+            [1.0 / math.fsum(uniform_d_i)],
+            options=_RHO_OPTIONS,
+            jacobian=lambda r: np.array([[walk(r[0])[3]]]),
+            project=lambda r: np.maximum(r, np.finfo(float).tiny),
+        )
+    rho = float(newton.x[0])
+    d, d_i, _, _ = walk(rho)
+    ratios = [dd / di for dd, di in zip(d, d_i)]
+    residual = max(
+        abs(sum(d) - 1.0), max(abs(r / ratios[0] - 1.0) for r in ratios)
+    )
     return PlacementResult(
-        d_data=tuple(float(v) for v in d),
-        d_interference=tuple(float(v) for v in dists),
-        ratio=float(ratios[0]),
-        residual_norm=newton.residual_norm,
+        d_data=tuple(d),
+        d_interference=tuple(d_i),
+        ratio=rho,
+        residual_norm=residual,
         iterations=newton.iterations,
     )
 
@@ -220,6 +209,11 @@ def direct_search(
     """
     if not 1 <= hop_count <= 4:
         raise ConfigError("direct search supports 1 to 4 hops")
+    if grid_resolution < hop_count - 1:
+        # coarser grids hold no layout with every hop positive
+        raise ConfigError(
+            f"grid resolution must be >= {hop_count - 1} for {hop_count} hops"
+        )
     px, py = _check_pu(pu_coord)
     if eta < 2:
         raise ValueError("eta must be >= 2")

@@ -73,8 +73,6 @@ class Scenario:
     qam_order: int = 4
     relay_x_positions: Optional[tuple[float, ...]] = None
     lambda_overrides: Optional[tuple[tuple[float, float], ...]] = None
-    source_coord: Coord = (0.0, 0.0)
-    dest_coord: Coord = (1.0, 0.0)
 
     def __post_init__(self):
         k = self.hop_count
@@ -106,11 +104,6 @@ class Scenario:
                 raise ConfigError(f"expected {k} lambda override pairs, got {len(ov)}")
             if any(d <= 0 or i <= 0 for d, i in ov):
                 raise ConfigError("lambda overrides must be positive")
-        elif self.source_coord != (0.0, 0.0) or self.dest_coord != (1.0, 0.0):
-            raise ConfigError(
-                "geometry-derived scenarios use the normalized segment "
-                "(0,0)-(1,0); supply lambda_overrides to decouple from geometry"
-            )
 
     @property
     def node_positions(self) -> tuple[float, ...]:

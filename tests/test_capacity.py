@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from cogrelay import (
-    NumericError,
     capacity_pole_integral,
     ergodic_capacity_iid,
     ergodic_capacity_ind,
@@ -109,23 +108,6 @@ def test_reconstruction_invariant_random_sets(seed):
     for g in 10.0 ** rng.uniform(-2, 3, 32):
         direct = _pdf_oracle(g, alphas)
         assert e.reconstruct(g) == pytest.approx(direct, rel=1e-8)
-
-
-def test_probe_method_agrees_on_narrow_spreads():
-    alphas = [0.8, 1.7, 3.1]
-    a = partial_fraction_expand(alphas, method="residue")
-    b = partial_fraction_expand(alphas, method="probe")
-    for ca, cb in zip(a.coefficients, b.coefficients):
-        assert list(cb) == pytest.approx(list(ca), rel=1e-8)
-
-
-def test_probe_method_reports_ill_conditioning_on_wide_spreads():
-    # poles spanning eight decades keep every probe collocation matrix
-    # numerically singular through all redraws; this is why "residue"
-    # is the default
-    alphas = [1e-4, 1e-3, 1e-2, 1e2, 1e3, 1e4]
-    with pytest.raises(NumericError):
-        partial_fraction_expand(alphas, method="probe")
 
 
 def test_simple_pole_coefficients_vanish():

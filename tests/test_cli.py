@@ -198,6 +198,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["analyze", "--config", str(bad)]) == 1
+    for argv in (
+        ["analyze", "--config", cfg, "--sweep", "hop_count=1,x"],
+        ["optimize", "--config", cfg, "--grid-resolution", "0"],
+        ["optimize", "--config", cfg, "--grid-resolution", "-3"],
+        # a one-point grid holds no three-hop layout with every hop positive
+        ["optimize", "--config", cfg, "--grid-resolution", "1"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
     def explode(*args, **kwargs):
         raise NumericError("synthetic failure")

@@ -3,17 +3,19 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import erfc, erfcx
 
 from cogrelay import (
     ConvergenceError,
     IllConditionedError,
     NewtonOptions,
-    erfc,
-    erfcx,
     newton_system,
     quad_semiinfinite,
     solve_linear,
 )
+
+# The BER kernels call scipy.special.erfc/erfcx directly; the first tests
+# pin the accuracy and overflow behaviour those kernels rely on.
 
 
 def test_erfc_reference_points():
@@ -55,11 +57,6 @@ def test_erfcx_never_overflows_and_matches_erfc():
     for x in np.linspace(0, 26, 27):
         if math.exp(-x * x) > 0:
             assert erfcx(x) * math.exp(-(x * x)) == pytest.approx(erfc(x), rel=1e-12)
-
-
-def test_erfcx_rejects_negative():
-    with pytest.raises(ValueError):
-        erfcx(-0.5)
 
 
 def test_quad_semiinfinite_known_integrals():
@@ -110,6 +107,15 @@ def test_newton_honors_declared_tolerance():
     opts = NewtonOptions(tol=1e-13, max_iter=60)
     res = newton_system(lambda x: np.array([math.tanh(x[0]) - 0.5]), [2.0], opts)
     assert res.residual_norm <= opts.tol
+
+
+def test_newton_step_tolerance_settles_the_root():
+    # tol=0 leaves only the step test, which runs the root to rounding level
+    opts = NewtonOptions(tol=0.0, xtol=1e-8)
+    res = newton_system(lambda x: np.array([math.tanh(x[0]) - 0.5]), [2.0], opts)
+    assert res.x[0] == pytest.approx(math.atanh(0.5), rel=1e-15)
+    with pytest.raises(ValueError):
+        NewtonOptions(tol=0.0, xtol=0.0)
 
 
 def test_newton_reports_nonconvergence():

@@ -7,7 +7,6 @@ from cogrelay import (
     diversity_coding_gain,
     outage_asymptotic,
     outage_exact,
-    outage_report,
 )
 
 
@@ -90,10 +89,3 @@ def test_iid_reduction():
         1.0 - (alpha / (gth + alpha)) ** k, rel=1e-14
     )
 
-
-def test_report_bundles_everything():
-    pairs = [(2.0, 1.0), (4.0, 1.0)]
-    rep = outage_report(pairs, 100.0, 1.0)
-    assert rep.op_exact <= rep.op_asymptotic
-    assert rep.diversity_order == 1.0
-    assert rep.coding_gain == pytest.approx(4.0 / 3.0)

@@ -1,10 +1,10 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from cogrelay import (
     ConfigError,
-    NewtonOptions,
     Scenario,
     ber_min,
     derive_hop_statistics,
@@ -66,10 +66,55 @@ def test_far_primary_gives_uniform_spacing():
         assert d == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
-def test_tight_tolerance_respected():
-    opts = NewtonOptions(tol=1e-13, max_iter=200)
-    p = solve_equal_ratio(4, PU, options=opts)
-    assert p.residual_norm <= 1e-13
+def _reference_layout(k, pu):
+    """50-digit balanced layout: bisection on the common ratio rho."""
+    px, py = mp.mpf(pu[0]), mp.mpf(pu[1])
+
+    def layout(rho):
+        pos, out = mp.mpf(0), []
+        for _ in range(k):
+            out.append(rho * mp.hypot(px - pos, py))
+            pos += out[-1]
+        return out
+
+    lo, hi = mp.mpf(0), mp.mpf(1)
+    while mp.fsum(layout(hi)) < 1:
+        lo, hi = hi, 2 * hi
+    for _ in range(mp.mp.prec + 8):
+        mid = (lo + hi) / 2
+        if mp.fsum(layout(mid)) < 1:
+            lo = mid
+        else:
+            hi = mid
+    return layout((lo + hi) / 2)
+
+
+_REFERENCE_PUS = [
+    (-0.5, 0.2),     # behind the source
+    (-1.0, 1e-3),
+    (1.5, 0.3),      # past the destination
+    (1.001, 1e-3),
+    (0.5, 1e-3),     # near the segment
+    (0.5, 1e-6),
+    (1.0, 1e-6),     # next to the destination: a very short last hop
+]
+
+
+@pytest.mark.parametrize(
+    "k,pu",
+    [
+        pytest.param(k, pu, id=f"K{k}-pu({pu[0]:g},{pu[1]:g})")
+        for k, pu in [(k, pu) for k in (2, 3, 8, 16, 32, 64) for pu in _REFERENCE_PUS]
+        + [(32, (0.0858, 1e-3))]
+    ],
+)
+def test_matches_high_precision_reference(k, pu):
+    p = solve_equal_ratio(k, pu)
+    assert p.residual_norm <= 1e-10
+    with mp.workdps(50):
+        reference = _reference_layout(k, pu)
+        errors = [float(abs(mp.mpf(d) / r - 1)) for d, r in zip(p.d_data, reference)]
+    assert max(errors) <= 1e-9
 
 
 def test_degenerate_primary_position_rejected():
