@@ -2,8 +2,8 @@
 
 The semi-infinite quadrature and the dense solve wrap scipy/numpy with
 the error contracts the rest of the library relies on.  newton_system
-is a damped Newton iteration with an optional analytic Jacobian, iterate
-projection and a step-size stopping test.
+is a damped Newton iteration with an optional analytic Jacobian and
+iterate projection.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from scipy import integrate
 from .errors import ConvergenceError, IllConditionedError, NumericError
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
+# Newton steps this small relative to x mean x has settled; at the
+# rounding floor of f they no longer lower the residual.
+_STEP_RTOL = 1e-8
 
 
 def quad_semiinfinite(f: Callable[[float], float], tol: float = 1e-10) -> float:
@@ -72,16 +75,13 @@ def solve_linear(a, b) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class NewtonOptions:
-    tol: float = 1e-10        # residual sup-norm for convergence
+    tol: float = 1e-10        # residual sup-norm for convergence (0: until x settles)
     max_iter: int = 100
     damping: float = 1.0      # initial step fraction, halved on backtracking
-    xtol: float = 0.0         # or converged once a step is this small relative to x
 
     def __post_init__(self):
-        if self.tol < 0 or self.xtol < 0:
-            raise ValueError("tol and xtol must be non-negative")
-        if self.tol == 0 and self.xtol == 0:
-            raise ValueError("tol or xtol must be positive")
+        if self.tol < 0:
+            raise ValueError("tol must be non-negative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0 < self.damping <= 1:
@@ -122,15 +122,16 @@ def newton_system(
     """Damped Newton iteration for f(x) = 0.
 
     Converged when the residual sup-norm is at most options.tol, or when
-    a full Newton step is at most options.xtol times the sup-norm of x;
-    that last step is kept only if it lowers the residual.  Otherwise the
-    step is scaled by options.damping and halved (up to 60 times)
+    x has settled: a Newton step at most 1e-8 times the sup-norm of x
+    that no longer lowers the residual (the rounding floor).  Otherwise
+    the step is scaled by options.damping and halved (up to 60 times)
     whenever the residual sup-norm does not decrease.  `project`, when
     given, maps every trial iterate back into the feasible region before
     the residual is evaluated.
 
-    Raises ConvergenceError if max_iter is exhausted, and propagates
-    IllConditionedError for a singular Jacobian.
+    Raises ConvergenceError if max_iter is exhausted before the residual
+    reaches tol or x settles, and propagates IllConditionedError for a
+    singular Jacobian.
     """
     opts = options or NewtonOptions()
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -138,6 +139,7 @@ def newton_system(
         x = project(x)
     fx = np.atleast_1d(np.asarray(f(x), dtype=float))
     norm = np.max(np.abs(fx))
+    settled = False
     for it in range(opts.max_iter):
         if norm <= opts.tol:
             return NewtonResult(x=x, residual_norm=float(norm), iterations=it)
@@ -148,15 +150,7 @@ def newton_system(
             raise
         except np.linalg.LinAlgError as exc:  # pragma: no cover - solve_linear guards
             raise NumericError(str(exc)) from exc
-        if np.max(np.abs(step)) <= opts.xtol * np.max(np.abs(x)):
-            # converged; at the rounding floor a last step can only add noise
-            cand = x + step
-            if project is not None:
-                cand = project(cand)
-            cand_norm = np.max(np.abs(np.asarray(f(cand), dtype=float)))
-            if cand_norm < norm:
-                x, norm = cand, cand_norm
-            return NewtonResult(x=x, residual_norm=float(norm), iterations=it + 1)
+        settled = np.max(np.abs(step)) <= _STEP_RTOL * np.max(np.abs(x))
         lam = opts.damping
         for _ in range(60):
             cand = x + lam * step
@@ -166,9 +160,12 @@ def newton_system(
             cand_norm = np.max(np.abs(f_cand))
             if cand_norm < norm or not np.isfinite(norm):
                 break
+            if settled:
+                # rounding floor: no step lowers the residual any more
+                return NewtonResult(x=x, residual_norm=float(norm), iterations=it + 1)
             lam *= 0.5
         x, fx, norm = cand, f_cand, cand_norm
-    if norm <= opts.tol:
+    if norm <= opts.tol or settled:
         return NewtonResult(x=x, residual_norm=float(norm), iterations=opts.max_iter)
     raise ConvergenceError(
         f"newton_system: residual {norm:.3e} > tol {opts.tol:g} "

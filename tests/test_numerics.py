@@ -109,13 +109,14 @@ def test_newton_honors_declared_tolerance():
     assert res.residual_norm <= opts.tol
 
 
-def test_newton_step_tolerance_settles_the_root():
+def test_newton_zero_tolerance_stops_at_rounding_floor():
     # tol=0 leaves only the step test, which runs the root to rounding level
-    opts = NewtonOptions(tol=0.0, xtol=1e-8)
-    res = newton_system(lambda x: np.array([math.tanh(x[0]) - 0.5]), [2.0], opts)
+    res = newton_system(
+        lambda x: np.array([math.tanh(x[0]) - 0.5]), [2.0], NewtonOptions(tol=0.0)
+    )
     assert res.x[0] == pytest.approx(math.atanh(0.5), rel=1e-15)
     with pytest.raises(ValueError):
-        NewtonOptions(tol=0.0, xtol=0.0)
+        NewtonOptions(tol=-1e-10)
 
 
 def test_newton_reports_nonconvergence():

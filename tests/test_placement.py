@@ -5,6 +5,7 @@ import pytest
 
 from cogrelay import (
     ConfigError,
+    ConvergenceError,
     Scenario,
     ber_min,
     derive_hop_statistics,
@@ -115,6 +116,13 @@ def test_matches_high_precision_reference(k, pu):
         reference = _reference_layout(k, pu)
         errors = [float(abs(mp.mpf(d) / r - 1)) for d, r in zip(p.d_data, reference)]
     assert max(errors) <= 1e-9
+
+
+def test_unreachable_unit_sum_raises():
+    # 1e-9 off the segment no double rho brings 64 hops within 1e-10 of
+    # summing to one: the two nearest miss by -2.6e-8 and 1.6e-8
+    with pytest.raises(ConvergenceError):
+        solve_equal_ratio(64, (0.5, 1e-9))
 
 
 def test_degenerate_primary_position_rejected():
