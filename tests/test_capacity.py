@@ -1,16 +1,20 @@
 import math
+from decimal import Decimal, localcontext
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from cogrelay import (
+    alphas as scenario_alphas,
     capacity_pole_integral,
     ergodic_capacity_iid,
     ergodic_capacity_ind,
     min_snr_pdf,
     partial_fraction_expand,
     per_hop_capacity,
+    scenario_from_config,
     snr_pdf,
 )
 
@@ -43,6 +47,89 @@ def _kernel_oracle(order, pole):
         0.0, np.inf, epsabs=1e-16, epsrel=1e-12, limit=1000,
     )
     return val
+
+
+def _reconstruct(expansion, gamma):
+    """Evaluate a partial-fraction expansion at gamma (test oracle).
+
+    Redone from 50-digit residues when the float64 terms cancel too
+    heavily to trust, as happens when poles lie just outside the merge
+    tolerance of each other.
+    """
+    vals = [
+        expansion.prefactor * a / (gamma + beta) ** (l + 1)
+        for beta, l, a in expansion.terms()
+    ]
+    total = math.fsum(vals)
+    if max(abs(v) for v in vals) <= 1e6 * abs(total):
+        return total
+    with mp.workdps(50):
+        coeffs = _residue_coefficients_mp(expansion.betas, expansion.multiplicities)
+        g = mp.mpf(gamma)
+        total = mp.fsum(
+            coeffs[n][l - 1] / (g + mp.mpf(beta)) ** (l + 1)
+            for n, beta in enumerate(expansion.betas)
+            for l in range(1, expansion.multiplicities[n] + 1)
+        )
+        return float(mp.mpf(expansion.prefactor) * total)
+
+
+def _residue_coefficients_mp(betas, mults):
+    """The residue recurrence of capacity._residue_coefficients in mpmath."""
+    coeffs = []
+    for n, b_n in enumerate(map(mp.mpf, betas)):
+        r_n = mults[n]
+        others = [(mp.mpf(b), r) for m, (b, r) in enumerate(zip(betas, mults)) if m != n]
+        h = [mp.mpf(0)] * r_n
+        h[0] = mp.fprod((bm - b_n) ** (-rm) for bm, rm in others)
+        logder = [mp.mpf(0)] * r_n
+        for j in range(1, r_n):
+            fact = mp.factorial(j - 1)
+            logder[j] = -mp.fsum(
+                rm * (-1) ** (j - 1) * fact / (bm - b_n) ** j for bm, rm in others
+            )
+        for i in range(r_n - 1):
+            h[i + 1] = mp.fsum(
+                mp.binomial(i, j) * h[j] * logder[i + 1 - j] for j in range(i + 1)
+            )
+        coeffs.append(
+            [l * h[r_n - l] / mp.factorial(r_n - l) for l in range(1, r_n + 1)]
+        )
+    return coeffs
+
+
+def _survival_reference(alphas, dps=40):
+    """(1/(K ln 2)) int_0^inf S(g)/(1+g) dg, S(g) = prod_k alpha_k/(g+alpha_k),
+    by mpmath's tanh-sinh quadrature in t = ln g at dps digits.
+
+    S is multiplied out in decimal arithmetic at dps + 5 digits, several
+    times faster than mpf for 64 hops.  Beyond 300 e-folds past the poles
+    and 0 the integrand is below e^-300 of its peak and is taken as 0.
+    mp.quad's tolerance is absolute, so the integrand is scaled by
+    1/min(1, alpha) to make the integral of order one.  Tanh-sinh degree
+    5 agrees with the converged 40-digit rule to 4e-28 on the cases below.
+    """
+    logs = [math.log(a) for a in alphas]
+    scale = min(1.0, min(alphas))
+    lo, hi = min(min(logs), 0.0) - 300, max(max(logs), 0.0) + 300
+    start = min(logs) - math.log(len(alphas)) - 4
+    points = {0.0} | {start + 8 * j for j in range(int((max(logs) + 24 - start) / 8) + 1)}
+    with mp.workdps(dps), localcontext() as ctx:
+        ctx.prec = dps + 5
+        exact = [Decimal(float(a)) for a in alphas]
+        numerator = math.prod(exact, start=Decimal(1)) / Decimal(scale)
+
+        def integrand(t):
+            if not lo < t < hi:
+                return mp.mpf(0)
+            g = Decimal(mp.nstr(mp.exp(t), dps + 5))
+            denominator = 1 + g
+            for a in exact:
+                denominator *= g + a
+            return mp.mpf(str(numerator * g / denominator))
+
+        value = mp.quad(integrand, [-mp.inf, *sorted(points), mp.inf], maxdegree=5)
+        return value * scale / (len(alphas) * mp.log(2))
 
 
 def test_min_snr_pdf_reductions():
@@ -78,7 +165,7 @@ def test_expansion_two_distinct_poles_hand_residues():
     assert e.prefactor == pytest.approx(2.0)
     for g in (0.0, 0.7, 3.0, 40.0):
         direct = 2 * (2 * g + 3) / ((g + 1) ** 2 * (g + 2) ** 2)
-        assert e.reconstruct(g) == pytest.approx(direct, rel=1e-12)
+        assert _reconstruct(e, g) == pytest.approx(direct, rel=1e-12)
 
 
 def test_expansion_iid_triple_pole():
@@ -107,7 +194,7 @@ def test_reconstruction_invariant_random_sets(seed):
     e = partial_fraction_expand(alphas)
     for g in 10.0 ** rng.uniform(-2, 3, 32):
         direct = _pdf_oracle(g, alphas)
-        assert e.reconstruct(g) == pytest.approx(direct, rel=1e-8)
+        assert _reconstruct(e, g) == pytest.approx(direct, rel=1e-8)
 
 
 def test_simple_pole_coefficients_vanish():
@@ -217,3 +304,40 @@ def test_kernel_deep_orders_near_unit_pole(order, pole):
     assert capacity_pole_integral(order, pole) == pytest.approx(
         _kernel_oracle(order, pole), rel=1e-8
     )
+
+
+@pytest.mark.parametrize("order", [16, 33, 64])
+@pytest.mark.parametrize("pole", [1.6, 3.0, 10.0, 40.0])
+def test_kernel_high_orders_away_from_unit_pole(order, pole):
+    # the closed form log(pole)/delta^l - tail cancels here (by 4e12 at
+    # l=64, pole=3); the positive remainder series must take over
+    # the integrand is scaled by pole^(l+1): mp.quad's tolerance is absolute
+    with mp.workdps(30):
+        ref = mp.quad(
+            lambda g: mp.log1p(g) / (1 + g / pole) ** (order + 1), [0, 1, pole, mp.inf]
+        ) / (mp.mpf(pole) ** (order + 1) * mp.log(2))
+    assert capacity_pole_integral(order, pole) == pytest.approx(float(ref), rel=1e-12, abs=0)
+
+
+def _check_against_survival_integral(alphas):
+    cap = ergodic_capacity_ind(alphas)
+    ref = _survival_reference(alphas)
+    assert abs(cap - ref) <= 1e-12 * ref
+    assert cap <= min(per_hop_capacity(a, len(alphas)) for a in alphas)
+
+
+@pytest.mark.parametrize("hops", [2, 16, 33, 64])
+@pytest.mark.parametrize("db", [-300, -150, 0, 30, 150, 300])
+def test_capacity_relative_accuracy_across_range(db, hops):
+    # alpha from about 1e-30 to 1e30 at the default geometry; long chains
+    # overflow the residue coefficients and prod(alpha) and take the
+    # survival quadrature
+    config = {"hop_count": hops, "ip_over_n0_db": db}
+    _check_against_survival_integral(scenario_alphas(scenario_from_config(config)))
+
+
+@pytest.mark.parametrize("spacing", [0.0, 1e-5], ids=["equal", "clustered"])
+def test_capacity_relative_accuracy_deep_clusters(spacing):
+    # 64 equal poles are one pole of order 64; poles 1e-5 apart stay
+    # distinct and their residues overflow
+    _check_against_survival_integral(list(3.0 * (1.0 + spacing * np.arange(64))))

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import pytest
 
@@ -189,6 +191,26 @@ def test_mc_output_contents(tmp_path, capsys):
     assert "# seed: 1" in out and "# trials: 5000" in out
 
 
+@pytest.mark.parametrize("db", [0.0, 30.0, -150.0])
+def test_deep_chain_capacity_finite_and_quiet(tmp_path, capsys, db):
+    cfg = _write_config(tmp_path, ip_over_n0_db=db)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([
+            "analyze", "--config", cfg, "--sweep", "hop_count=1:64:1",
+            "--outputs", "op_exact,ber_exact,capacity,per_hop_capacity_min",
+            "--no-timestamp",
+        ]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    _, rows = _rows(out)
+    assert len(rows) == 64
+    for r in rows:
+        cap = float(r["capacity"])
+        assert 0.0 < cap < math.inf, r
+        assert cap <= float(r["per_hop_capacity_min"]) * (1 + 1e-12), r
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path)
     assert main(["mc", "--config", cfg, "--trials", "0"]) == 1
@@ -198,6 +220,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["analyze", "--config", str(bad)]) == 1
+    # long chains deep below the noise floor used to end in a traceback
+    deep = _write_config(tmp_path, "deep.json", ip_over_n0_db=-150.0)
+    assert main(["analyze", "--config", deep, "--sweep", "hop_count=33,64"]) == 0
     for argv in (
         ["analyze", "--config", cfg, "--sweep", "hop_count=1,x"],
         ["optimize", "--config", cfg, "--grid-resolution", "0"],
