@@ -27,7 +27,7 @@ from .capacity import (
     partial_fraction_expand,
     per_hop_capacity,
 )
-from .channel import sample_hop_snr, snr_cdf, snr_pdf, substream
+from .channel import snr_cdf, snr_pdf, substream
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -71,7 +71,7 @@ __all__ = [
     "alphas", "db_to_linear", "linear_to_db",
     "NewtonOptions", "NewtonResult", "quad_semiinfinite", "solve_linear",
     "newton_system",
-    "snr_pdf", "snr_cdf", "sample_hop_snr", "substream",
+    "snr_pdf", "snr_cdf", "substream",
     "outage_exact", "outage_asymptotic", "diversity_coding_gain",
     "QamConstants", "qam_constants", "instantaneous_ber", "hop_ber",
     "e2e_ber", "e2e_ber_iid", "e2e_ber_asymptotic",

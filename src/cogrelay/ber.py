@@ -68,10 +68,16 @@ def instantaneous_ber(gamma, constants: QamConstants):
     if np.any(g < 0):
         raise ValueError("gamma must be non-negative")
     acc = np.zeros_like(g)
+    term = np.empty_like(g)  # one scratch array for every summand
     for _, _, _, omega, phi in constants.terms:
-        acc += phi * special.erfc(np.sqrt(omega * g))
-    out = np.clip(acc / constants.denominator, 0.0, 1.0)
-    return float(out) if np.isscalar(gamma) else out
+        np.multiply(omega, g, out=term)
+        np.sqrt(term, out=term)
+        special.erfc(term, out=term)
+        term *= phi
+        acc += term
+    acc /= constants.denominator
+    np.clip(acc, 0.0, 1.0, out=acc)
+    return float(acc) if np.isscalar(gamma) else acc
 
 
 def hop_ber(alpha: float, constants: QamConstants) -> float:

@@ -20,10 +20,10 @@ Numerical notes, earned the hard way:
   instead from the survival integral (1/(K ln 2)) int S(g)/(1+g) dg,
   S(g) = prod_k alpha_k/(g+alpha_k), by the trapezoid rule in ln g.
   This route is taken when a term is not finite (long chains overflow
-  the residue coefficients), when the terms cancel by more than
-  _CANCEL_LIMIT (poles just outside the merge tolerance of each other),
-  or when the result is not in (0, inf) (the prefactor prod(alpha)
-  overflowed or underflowed).
+  the residue coefficients, or a pole kernel leaves the float64 range),
+  when the terms cancel by more than _CANCEL_LIMIT (poles just outside
+  the merge tolerance of each other), or when the result is not in
+  (0, inf) (the prefactor prod(alpha) overflowed or underflowed).
 """
 
 from __future__ import annotations
@@ -105,12 +105,29 @@ def partial_fraction_expand(
 
 
 def capacity_pole_integral(order: int, pole: float) -> float:
-    """Kernel int_0^inf log2(1+g)/(pole+g)^(order+1) dg, always positive."""
+    """Kernel int_0^inf log2(1+g)/(pole+g)^(order+1) dg, always positive.
+
+    Raises NumericError when that value is outside the float64 range,
+    as it is at high orders for poles far from 1.
+    """
     l = order
     if not isinstance(l, int) or l < 1:
         raise ValueError("order must be a positive integer")
     if pole <= 0:
         raise ValueError("pole must be positive")
+    try:  # Python floats raise on overflow where numpy's would only warn
+        value = _pole_kernel(l, float(pole))
+    except (ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise NumericError(
+            f"capacity kernel of order {l} at pole {float(pole):.6g} "
+            "is outside the float64 range"
+        )
+    return value
+
+
+def _pole_kernel(l: int, pole: float) -> float:
     delta = pole - 1.0
     if delta == 0.0:
         return 1.0 / (l * l * _LN2)
@@ -178,9 +195,12 @@ def ergodic_capacity_ind(
     # overflow is judged from the values, so numpy need not warn about it
     with np.errstate(all="ignore"):
         expansion = partial_fraction_expand(al, cluster_tol)
-        total = _trusted_sum([
-            a * capacity_pole_integral(l, beta) for beta, l, a in expansion.terms()
-        ])
+        try:
+            total = _trusted_sum([
+                a * capacity_pole_integral(l, beta) for beta, l, a in expansion.terms()
+            ])
+        except NumericError:  # a kernel is outside the float64 range
+            total = None
         if total is not None:
             capacity = expansion.prefactor / k * total
             if 0.0 < capacity < math.inf:
@@ -189,12 +209,13 @@ def ergodic_capacity_ind(
 
 
 def ergodic_capacity_iid(alpha: float, hop_count: int) -> float:
-    """Ergodic capacity for identical hops: alpha^K * kernel(K, alpha)."""
+    """Ergodic capacity for identical hops, alpha^K * kernel(K, alpha),
+    as the special case of ergodic_capacity_ind."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if hop_count < 1:
         raise ValueError("hop_count must be >= 1")
-    return alpha ** hop_count * capacity_pole_integral(hop_count, alpha)
+    return ergodic_capacity_ind([alpha] * hop_count)
 
 
 def per_hop_capacity(alpha_k: float, hop_count: int) -> float:

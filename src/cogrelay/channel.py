@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_TINY = 1e-300  # guard against a zero interference-channel draw
-
 
 def snr_pdf(gamma, alpha: float):
     """Density alpha/(gamma+alpha)^2 of the per-hop SNR."""
@@ -48,23 +46,14 @@ def substream(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def sample_exponential(rng: np.random.Generator, mean: float, size=None):
-    """Inverse-CDF exponential draws -mean*ln(U) with U uniform on (0, 1]."""
+def sample_exponential(rng: np.random.Generator, mean: float, size):
+    """Inverse-CDF exponential draws -mean*ln(U) with U uniform on (0, 1].
+
+    Computed in place in the buffer of uniforms.
+    """
     u = rng.random(size)
     # rng.random() is uniform on [0, 1); 1-u is uniform on (0, 1].
-    return -mean * np.log1p(-u)
-
-
-def sample_hop_snr(
-    rng: np.random.Generator,
-    lambda_d: float,
-    lambda_i: float,
-    ip_over_n0: float,
-    size=None,
-):
-    """Draw per-hop SNR values (I_p/N_0) * X/Y, X~Exp(lambda_d), Y~Exp(lambda_i)."""
-    if lambda_d <= 0 or lambda_i <= 0 or ip_over_n0 <= 0:
-        raise ValueError("parameters must be positive")
-    x = sample_exponential(rng, lambda_d, size)
-    y = np.maximum(sample_exponential(rng, lambda_i, size), _TINY)
-    return ip_over_n0 * x / y
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= -mean
+    return u

@@ -211,13 +211,31 @@ def _parse_outputs(text: Optional[str]) -> tuple[str, ...]:
     return tuple(name for name in OUTPUT_ORDER if name in requested)
 
 
+def _setting(args, config: dict, name: str, default: int, minimum: int) -> int:
+    """The --name flag, else the config's name, else default; >= minimum."""
+    value = getattr(args, name)
+    if value is None:
+        try:
+            value = int(config.get(name, default))
+        except (TypeError, ValueError):
+            raise ConfigError(f"config {name} must be an integer") from None
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+    return value
+
+
+def _mc_settings(args, config: dict) -> tuple[int, int]:
+    """Checked trials and seed of a command with Monte-Carlo flags."""
+    if args.chunks < 1:
+        raise ConfigError("chunks must be >= 1")
+    trials = _setting(args, config, "trials", 100_000, minimum=1)
+    return trials, _setting(args, config, "seed", 0, minimum=0)
+
+
 def cmd_analyze(args) -> int:
     scenario, config = load_scenario(args.config)
     outputs = _parse_outputs(args.outputs)
-    trials = args.trials if args.trials is not None else int(config.get("trials", 100_000))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    trials, seed = _mc_settings(args, config)
     if args.sweep:
         variable, values = parse_sweep(args.sweep)
     else:
@@ -332,7 +350,7 @@ def _profile_distances(name: str, scenario: Scenario, config: dict, seed: int):
 
 def cmd_profiles(args) -> int:
     scenario, config = load_scenario(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _setting(args, config, "seed", 0, minimum=0)
     if args.profiles:
         names = [n.strip() for n in args.profiles.split(",") if n.strip()]
     elif config.get("profiles"):
@@ -373,12 +391,7 @@ def cmd_profiles(args) -> int:
 
 def cmd_mc(args) -> int:
     scenario, config = load_scenario(args.config)
-    trials = args.trials if args.trials is not None else int(config.get("trials", 100_000))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if args.chunks < 1:
-        raise ConfigError("chunks must be >= 1")
+    trials, seed = _mc_settings(args, config)
     estimates = [
         ("mc_op", mc_outage(scenario, trials, seed, args.chunks)),
         ("mc_ber", mc_ber(scenario, trials, seed, args.chunks)),

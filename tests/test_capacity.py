@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from cogrelay import (
+    NumericError,
     alphas as scenario_alphas,
     capacity_pole_integral,
     ergodic_capacity_iid,
@@ -341,3 +343,21 @@ def test_capacity_relative_accuracy_deep_clusters(spacing):
     # 64 equal poles are one pole of order 64; poles 1e-5 apart stay
     # distinct and their residues overflow
     _check_against_survival_integral(list(3.0 * (1.0 + spacing * np.arange(64))))
+
+
+@pytest.mark.parametrize("hops", [16, 64])
+@pytest.mark.parametrize("alpha", [1e-30, 1e30])
+def test_iid_capacity_at_extreme_alpha(alpha, hops):
+    # alpha ** K and the order-K kernel leave the float64 range here
+    cap = ergodic_capacity_iid(alpha, hops)
+    ref = _survival_reference([alpha] * hops)
+    assert abs(cap - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize(
+    "order, pole", [(16, 1e-30), (64, 1e30), (64, np.float64(1e30))],
+    ids=["overflow", "underflow", "numpy-underflow"],
+)
+def test_kernel_outside_float64_range_raises(order, pole):
+    with pytest.raises(NumericError, match=re.escape(f"order {order} at pole {pole:.6g}")):
+        capacity_pole_integral(order, pole)

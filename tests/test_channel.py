@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from cogrelay import quad_semiinfinite, sample_hop_snr, snr_cdf, snr_pdf, substream
+from cogrelay import Scenario, mc_outage, quad_semiinfinite, snr_cdf, snr_pdf, substream
+from cogrelay.channel import sample_exponential
+
+
+def _hop_snr(rng, lambda_d, lambda_i, ip_over_n0, size):
+    """Per-hop SNR draws (I_p/N_0) * X/Y the way the Monte-Carlo blocks
+    make them: one call draws the X then the Y exponentials."""
+    x, y = sample_exponential(rng, 1.0, (2, size))
+    return ip_over_n0 * (x * lambda_d) / np.maximum(y * lambda_i, 1e-300)
 
 
 def test_pdf_values():
@@ -43,7 +51,7 @@ def test_sampler_matches_cdf_kolmogorov_smirnov():
     rng = substream(2024, 0)
     lam_d, lam_i, ip = 2.0, 5.0, 10.0
     alpha = lam_d / lam_i * ip
-    draws = np.sort(sample_hop_snr(rng, lam_d, lam_i, ip, size=1_000_000))
+    draws = np.sort(_hop_snr(rng, lam_d, lam_i, ip, 1_000_000))
     n = draws.size
     model = draws / (draws + alpha)
     empirical_hi = np.arange(1, n + 1) / n
@@ -55,11 +63,20 @@ def test_sampler_matches_cdf_kolmogorov_smirnov():
 
 
 def test_sampler_deterministic_per_seed_and_stream():
-    a = sample_hop_snr(substream(7, 3), 1.0, 1.0, 1.0, size=100)
-    b = sample_hop_snr(substream(7, 3), 1.0, 1.0, 1.0, size=100)
-    c = sample_hop_snr(substream(7, 4), 1.0, 1.0, 1.0, size=100)
+    a = _hop_snr(substream(7, 3), 1.0, 1.0, 1.0, 100)
+    b = _hop_snr(substream(7, 3), 1.0, 1.0, 1.0, 100)
+    c = _hop_snr(substream(7, 4), 1.0, 1.0, 1.0, 100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_helper_draws_what_a_monte_carlo_block_draws():
+    # one hop, one block: mc_outage counts exactly the helper's draws below t
+    lam_d, lam_i, ip, t = 2.0, 5.0, 10.0, 3.0
+    scn = Scenario(hop_count=1, ip_over_n0=ip, gamma_th=t,
+                   lambda_overrides=((lam_d, lam_i),))
+    draws = _hop_snr(substream(31, 0), lam_d, lam_i, ip, 50_000)
+    assert mc_outage(scn, 50_000, 31).value == np.count_nonzero(draws < t) / 50_000
 
 
 def test_sample_mean_diverges():
@@ -67,7 +84,7 @@ def test_sample_mean_diverges():
     grew = 0
     for seed in range(20):
         rng = substream(seed, 0)
-        draws = sample_hop_snr(rng, 1.0, 1.0, 1.0, size=1_000_000)
+        draws = _hop_snr(rng, 1.0, 1.0, 1.0, 1_000_000)
         if draws.mean() > draws[:1000].mean():
             grew += 1
     assert grew >= 18

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from cogrelay import NumericError, hop_ber, outage_exact, qam_constants
+from cogrelay import NumericError, hop_ber, montecarlo, outage_exact, qam_constants
 from cogrelay.cli import main
 
 
@@ -223,12 +223,23 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # long chains deep below the noise floor used to end in a traceback
     deep = _write_config(tmp_path, "deep.json", ip_over_n0_db=-150.0)
     assert main(["analyze", "--config", deep, "--sweep", "hop_count=33,64"]) == 0
+    negative_seed = _write_config(tmp_path, "negative_seed.json", seed=-5)
+    bad_seed = _write_config(tmp_path, "bad_seed.json", seed="x")
     for argv in (
         ["analyze", "--config", cfg, "--sweep", "hop_count=1,x"],
         ["optimize", "--config", cfg, "--grid-resolution", "0"],
         ["optimize", "--config", cfg, "--grid-resolution", "-3"],
         # a one-point grid holds no three-hop layout with every hop positive
         ["optimize", "--config", cfg, "--grid-resolution", "1"],
+        ["analyze", "--config", cfg, "--outputs", "mc_op", "--chunks", "0"],
+        ["mc", "--config", cfg, "--chunks", "-1"],
+        ["mc", "--config", cfg, "--seed", "-1"],
+        ["analyze", "--config", cfg, "--outputs", "mc_op", "--seed", "-1"],
+        ["profiles", "--config", cfg, "--profiles", "random", "--seed", "-1"],
+        ["mc", "--config", negative_seed],
+        ["analyze", "--config", negative_seed, "--outputs", "mc_ber"],
+        ["profiles", "--config", negative_seed, "--profiles", "random"],
+        ["mc", "--config", bad_seed],
     ):
         capsys.readouterr()
         assert main(argv) == 1, argv
@@ -239,4 +250,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("cogrelay.cli.solve_equal_ratio", explode)
     assert main(["optimize", "--config", cfg]) == 2
+    # a numeric failure inside a Monte-Carlo worker thread exits 2 as well
+    # (4 blocks in 2 chunks: blocks 2 and 3 are the worker's)
+    substream = montecarlo.substream
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(
+        montecarlo, "substream",
+        lambda seed, index: explode() if index >= 2 else substream(seed, index),
+    )
     capsys.readouterr()
+    assert main(["mc", "--config", cfg, "--trials", "200000", "--chunks", "2"]) == 2
+    assert capsys.readouterr().err == "numeric failure: synthetic failure\n"

@@ -1,6 +1,11 @@
+import os
+import sys
+import threading
+
 import pytest
 
 from cogrelay import (
+    NumericError,
     Scenario,
     e2e_ber,
     ergodic_capacity_ind,
@@ -8,6 +13,7 @@ from cogrelay import (
     mc_ber,
     mc_capacity,
     mc_outage,
+    montecarlo,
     outage_exact,
     qam_constants,
 )
@@ -67,17 +73,83 @@ def test_capacity_matches_closed_form():
 
 
 def test_determinism_and_chunk_invariance():
-    scn = Scenario(hop_count=2, ip_over_n0=10.0)
-    base = mc_outage(scn, 300_000, 99, chunks=1)
-    again = mc_outage(scn, 300_000, 99, chunks=1)
-    assert base == again
-    for chunks in (4, 16):
-        other = mc_outage(scn, 300_000, 99, chunks=chunks)
-        assert other.value == base.value
-        assert other.std_error == base.std_error
-    for fn in (mc_ber, mc_capacity):
-        vals = {fn(scn, 150_000, 5, chunks=c).value for c in (1, 4, 16)}
-        assert len(vals) == 1
+    scn = Scenario(hop_count=2, ip_over_n0=10.0, qam_order=16)
+    for trials in (1000, 300_001):  # 300_001 ends in a short block
+        for fn in (mc_outage, mc_ber, mc_capacity):
+            base = fn(scn, trials, 99, chunks=1)
+            assert fn(scn, trials, 99, chunks=1) == base
+            for chunks in (2, 3, 16):
+                other = fn(scn, trials, 99, chunks=chunks)
+                assert other.value == base.value, (fn.__name__, trials, chunks)
+                assert other.std_error == base.std_error, (fn.__name__, trials, chunks)
+
+
+def _record_threads(monkeypatch):
+    """Thread idents of every block's substream call, in call order."""
+    idents = []
+    substream = montecarlo.substream
+
+    def recording(seed, index):
+        idents.append(threading.get_ident())
+        return substream(seed, index)
+
+    monkeypatch.setattr(montecarlo, "substream", recording)
+    return idents
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_chunks_run_blocks_on_several_threads(monkeypatch):
+    idents = _record_threads(monkeypatch)
+    mc_outage(Scenario(hop_count=3, ip_over_n0=10.0), 4 * montecarlo.BLOCK_TRIALS, 3, chunks=2)
+    assert len(idents) == 4
+    assert len(set(idents)) >= 2
+
+
+@pytest.mark.parametrize("cpus, chunks, threads", [(2, 1, 1), (1, 16, 1), (2, 16, 2), (4, 3, 3)])
+def test_worker_threads_capped_by_cpu_and_chunk_count(monkeypatch, cpus, chunks, threads):
+    # reported CPUs are patched, so no test asks for more threads than it may start
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    idents = _record_threads(monkeypatch)
+    before = threading.active_count()
+    mc_capacity(Scenario(hop_count=2, ip_over_n0=10.0), 6 * montecarlo.BLOCK_TRIALS, 3, chunks)
+    assert len(idents) == 6
+    assert len(set(idents)) <= threads
+    assert threading.get_ident() in idents  # the caller runs blocks too
+    assert threading.active_count() == before  # every worker has exited
+
+
+def test_more_workers_than_cores_match_the_serial_result(monkeypatch):
+    # eight workers switching every microsecond: a lost or misplaced block
+    # partial would change the estimate
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    scn = Scenario(hop_count=3, ip_over_n0=10.0, qam_order=16)
+    trials = 8 * montecarlo.BLOCK_TRIALS + 5
+    serial = mc_ber(scn, trials, 4, chunks=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = mc_ber(scn, trials, 4, chunks=9)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    main = threading.get_ident()
+    raised_in = []
+    substream = montecarlo.substream
+
+    def failing(seed, index):
+        if index == 3:  # the second chunk's first block, run by the worker
+            raised_in.append(threading.get_ident())
+            raise NumericError("synthetic worker failure")
+        return substream(seed, index)
+
+    monkeypatch.setattr(montecarlo, "substream", failing)
+    with pytest.raises(NumericError, match="synthetic worker failure"):
+        mc_ber(Scenario(hop_count=2, ip_over_n0=10.0), 5 * montecarlo.BLOCK_TRIALS, 1, chunks=2)
+    assert raised_in and raised_in[0] != main
 
 
 def test_different_seeds_differ():
