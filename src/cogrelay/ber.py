@@ -3,19 +3,25 @@
 The per-hop average over the fading law has a closed form whose raw
 shape contains exp(w*a)*erfc(sqrt(w*a)); it is evaluated through the
 scaled complementary error function so it cannot overflow even for
-astronomically large SNR scale parameters.
+astronomically large SNR scale parameters, and through its asymptotic
+series where that form cancels.  The per-hop forms work element by
+element; the end-to-end forms take a chain's hops along the last axis,
+with any leading axes as points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import special
 
 _SQRT_PI = math.sqrt(math.pi)
+# From x^2 = w*alpha = 100 on, 1 - sqrt(pi) x erfcx(x) is summed as its
+# asymptotic series; 12 terms keep the relative error below 4e-14 there.
+_TAIL_X2 = 100.0
+_TAIL_FACTORS = tuple(range(23, 1, -2))  # 2m - 1 for m = 12, ..., 2
 
 
 @dataclass(frozen=True)
@@ -63,52 +69,86 @@ def qam_constants(qam_order: int) -> QamConstants:
 
 
 def instantaneous_ber(gamma, constants: QamConstants):
-    """BER of the AWGN channel at instantaneous SNR gamma (scalar or array)."""
+    """BER of the AWGN channel at instantaneous SNR gamma (scalar or array).
+
+    Terms sharing an omega share one erfc evaluation; the terms are still
+    added in their table order, so the sum keeps its rounding.
+    """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be non-negative")
+    last_use = {omega: i for i, (_, _, _, omega, _) in enumerate(constants.terms)}
+    erfcs: dict = {}  # erfc(sqrt(omega*g)) of omegas that later terms reuse
     acc = np.zeros_like(g)
-    term = np.empty_like(g)  # one scratch array for every summand
-    for _, _, _, omega, phi in constants.terms:
-        np.multiply(omega, g, out=term)
-        np.sqrt(term, out=term)
-        special.erfc(term, out=term)
-        term *= phi
+    for i, (_, _, _, omega, phi) in enumerate(constants.terms):
+        term = erfcs.pop(omega, None)
+        if term is None:
+            term = np.multiply(omega, g, out=np.empty_like(g))
+            np.sqrt(term, out=term)
+            special.erfc(term, out=term)
+        if last_use[omega] > i:  # kept for a later term: scale a copy
+            erfcs[omega] = term
+            if phi != 1.0:
+                term = term * phi
+        else:
+            term *= phi
         acc += term
     acc /= constants.denominator
     np.clip(acc, 0.0, 1.0, out=acc)
     return float(acc) if np.isscalar(gamma) else acc
 
 
-def hop_ber(alpha: float, constants: QamConstants) -> float:
-    """Average BER of one hop with SNR scale parameter alpha.
+def hop_ber(alpha, constants: QamConstants):
+    """Average BER of one hop with SNR scale parameter alpha, element by
+    element for an array.
 
-    Each summand 1 - sqrt(pi*w*alpha)*erfcx(sqrt(w*alpha)) is the fading
-    average of erfc(sqrt(w*gamma)); erfcx keeps it finite for any alpha.
+    Each summand 1 - sqrt(pi)*x*erfcx(x), x = sqrt(w*alpha), is the
+    fading average of erfc(sqrt(w*gamma)); erfcx keeps it finite for any
+    alpha.  It cancels as x grows, so from x^2 = 100 on the summand is
+    the asymptotic series sum_{m>=1} (-1)^(m+1) (2m-1)!!/(2x^2)^m
+    (Abramowitz & Stegun 7.1.23) instead.
     """
-    if alpha <= 0:
+    al = np.asarray(alpha, dtype=float)
+    if np.any(al <= 0):
         raise ValueError("alpha must be positive")
+    flat = al.reshape(-1)
     acc = 0.0
+    term = np.empty_like(flat)
     for _, _, _, omega, phi in constants.terms:
-        root = math.sqrt(omega * alpha)
-        acc += phi * (1.0 - _SQRT_PI * root * special.erfcx(root))
-    value = acc / constants.denominator
-    if -1e-15 <= value < 0.0:  # cancellation hygiene near alpha -> inf
-        return 0.0
-    return value
+        x2 = omega * flat
+        tail = x2 >= _TAIL_X2
+        root = np.sqrt(x2[~tail])
+        term[~tail] = 1.0 - _SQRT_PI * root * special.erfcx(root)
+        term[tail] = _erfcx_tail(x2[tail])
+        acc = acc + phi * term
+    value = (acc / constants.denominator).reshape(al.shape)
+    return float(value) if value.ndim == 0 else value
 
 
-def e2e_ber(per_hop_bers: Sequence[float]) -> float:
-    """End-to-end BER: probability of an odd number of hop bit errors."""
-    bers = list(per_hop_bers)
-    if not bers:
+def _erfcx_tail(x2: np.ndarray) -> np.ndarray:
+    """1 - sqrt(pi) x erfcx(x) from x^2, by 12 terms of its asymptotic
+    series in u = 1/(2x^2), nested as u(1 - 3u(1 - 5u(... (1 - 23u))))."""
+    u = 0.5 / x2
+    nested = np.ones_like(u)
+    for factor in _TAIL_FACTORS:
+        nested = 1.0 - factor * u * nested
+    return u * nested
+
+
+def e2e_ber(per_hop_bers):
+    """End-to-end BER: probability of an odd number of hop bit errors.
+
+    Hops lie along the last axis: (K,) gives a float, (P, K) a (P,) array.
+    """
+    bers = np.asarray(per_hop_bers, dtype=float)
+    if bers.ndim == 0 or bers.shape[-1] == 0:
         raise ValueError("need at least one hop")
-    if any(not 0.0 <= p <= 0.5 for p in bers):
+    if not np.all((0.0 <= bers) & (bers <= 0.5)):
         raise ValueError("per-hop BERs must lie in [0, 0.5]")
     acc = 0.0
-    for p in reversed(bers):
+    for p in np.moveaxis(bers, -1, 0)[::-1]:
         acc = p + (1.0 - 2.0 * p) * acc
-    return acc
+    return float(acc) if np.ndim(acc) == 0 else acc
 
 
 def e2e_ber_iid(alpha: float, hop_count: int, constants: QamConstants) -> float:
@@ -121,17 +161,19 @@ def e2e_ber_iid(alpha: float, hop_count: int, constants: QamConstants) -> float:
 
 def e2e_ber_asymptotic(
     alphas, constants: QamConstants, hop_count: int | None = None
-) -> float:
+):
     """High-SNR end-to-end BER (a/2b) * sum_k 1/alpha_k.
 
-    Pass a sequence of per-hop alphas, or a scalar alpha together with
-    hop_count for the identical-hops form K*a/(2*b*alpha).
+    Pass per-hop alphas along the last axis ((K,) gives a float, (P, K)
+    a (P,) array), or a scalar alpha together with hop_count for the
+    identical-hops form K*a/(2*b*alpha).
     """
     if np.isscalar(alphas):
         if hop_count is None:
             raise ValueError("scalar alpha requires hop_count")
         alphas = [float(alphas)] * hop_count
-    alphas = list(alphas)
-    if not alphas or any(a <= 0 for a in alphas):
+    al = np.asarray(alphas, dtype=float)
+    if al.ndim == 0 or al.shape[-1] == 0 or np.any(al <= 0):
         raise ValueError("alphas must be positive")
-    return (constants.a / (2.0 * constants.b)) * sum(1.0 / a for a in alphas)
+    value = (constants.a / (2.0 * constants.b)) * sum(np.moveaxis(1.0 / al, -1, 0))
+    return float(value) if np.ndim(value) == 0 else value

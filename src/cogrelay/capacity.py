@@ -24,6 +24,11 @@ Numerical notes, earned the hard way:
   when the terms cancel by more than _CANCEL_LIMIT (poles just outside
   the merge tolerance of each other), or when the result is not in
   (0, inf) (the prefactor prod(alpha) overflowed or underflowed).
+* A sweep is evaluated in one call: alphas of shape (P, K) hold P
+  chains.  Chains with the same pattern of pole multiplicities share one
+  vectorized expansion and one kernel call per order, with every
+  elementary function and sum rounded as the one-chain call rounds it,
+  so each chain gets the bits of its own call.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import NumericError
+from .numerics import libm, row_fsum
 
 _LN2 = math.log(2.0)
 _SERIES_RADIUS = 0.5       # switch between series and closed-form kernel
@@ -94,18 +100,22 @@ def partial_fraction_expand(
     come from residue calculus.
     """
     al = _checked_alphas(alphas)
-    betas, mults = _cluster_poles(al, cluster_tol)
-    coeffs = _residue_coefficients(betas, mults)
+    if al.ndim != 1:
+        raise ValueError("alphas must be one chain's hops")
+    ordered, merged = _cluster_poles(al[None, :], cluster_tol)
+    starts, mults = _pole_pattern(merged[0])
+    coeffs = _residue_coefficients(ordered[:, starts], mults)
     return PartialFractionExpansion(
-        betas=tuple(betas),
-        multiplicities=tuple(int(r) for r in mults),
-        coefficients=tuple(tuple(c) for c in coeffs),
+        betas=tuple(float(b) for b in ordered[0, starts]),
+        multiplicities=mults,
+        coefficients=tuple(tuple(float(c[0]) for c in row) for row in coeffs),
         prefactor=float(np.prod(al)),
     )
 
 
-def capacity_pole_integral(order: int, pole: float) -> float:
-    """Kernel int_0^inf log2(1+g)/(pole+g)^(order+1) dg, always positive.
+def capacity_pole_integral(order: int, pole):
+    """Kernel int_0^inf log2(1+g)/(pole+g)^(order+1) dg, always positive;
+    element by element for an array of poles.
 
     Raises NumericError when that value is outside the float64 range,
     as it is at high orders for poles far from 1.
@@ -113,99 +123,147 @@ def capacity_pole_integral(order: int, pole: float) -> float:
     l = order
     if not isinstance(l, int) or l < 1:
         raise ValueError("order must be a positive integer")
-    if pole <= 0:
+    poles = np.asarray(pole, dtype=float)
+    if np.any(poles <= 0):
         raise ValueError("pole must be positive")
-    try:  # Python floats raise on overflow where numpy's would only warn
-        value = _pole_kernel(l, float(pole))
-    except (ZeroDivisionError, OverflowError):
-        value = math.nan
-    if not 0.0 < value < math.inf:
+    with np.errstate(all="ignore"):
+        value = _pole_kernel(l, poles.reshape(-1))
+    failed = np.isnan(value)
+    if failed.any():
         raise NumericError(
-            f"capacity kernel of order {l} at pole {float(pole):.6g} "
+            f"capacity kernel of order {l} at pole {poles.reshape(-1)[failed][0]:.6g} "
             "is outside the float64 range"
         )
+    return float(value[0]) if poles.ndim == 0 else value.reshape(poles.shape)
+
+
+def _pole_kernel(l: int, pole: np.ndarray) -> np.ndarray:
+    """capacity_pole_integral of a 1-D array of poles; nan where the
+    value is outside (0, inf) or an intermediate leaves the float64 range."""
+    value = np.full(pole.shape, math.nan)
+    delta = pole - 1.0
+    value[delta == 0.0] = 1.0 / (l * l * _LN2)
+    near = np.flatnonzero((delta != 0.0) & (np.abs(delta) <= _SERIES_RADIUS))
+    if near.size:
+        series = _kernel_series(l, delta[near]) / (l * _LN2)
+        for i in np.flatnonzero(np.isnan(series)):
+            # high orders make the alternating series cancel internally
+            p = float(pole[near[i]])
+            series[i] = float(_converged_mp(lambda: _pole_integral_mp(l, p)))
+        value[near] = series
+    far = np.abs(delta) > _SERIES_RADIUS
+    if far.any():
+        value[far] = _kernel_closed_form(l, pole[far], delta[far])
+    value[~((value > 0.0) & (value < math.inf))] = math.nan
     return value
 
 
-def _pole_kernel(l: int, pole: float) -> float:
-    delta = pole - 1.0
-    if delta == 0.0:
-        return 1.0 / (l * l * _LN2)
-    if abs(delta) <= _SERIES_RADIUS:
-        series = _kernel_series(l, delta)
-        if series is None:
-            # high orders make the alternating series cancel internally
-            return float(_converged_mp(lambda: _pole_integral_mp(l, pole)))
-        return series / (l * _LN2)
-    lead = math.log(pole) / delta ** l
-    tail = sum(
-        1.0 / (delta ** k * (l - k) * pole ** (l - k)) for k in range(1, l)
-    )
-    if pole > 1.0 and abs(lead) > _KERNEL_CANCEL_LIMIT * abs(lead - tail):
-        return _kernel_remainder(l, pole) / (l * _LN2)
-    return (lead - tail) / (l * _LN2)
+def _kernel_closed_form(l: int, pole: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    # (log(pole)/delta^l - sum_k 1/(delta^k (l-k) pole^(l-k))) / (l ln 2),
+    # nan wherever a power overflows or a divisor is 0
+    delta_l = _pow(delta, l)
+    failed = np.isinf(delta_l) | (delta_l == 0.0)
+    lead = libm(math.log, pole) / delta_l
+    tail = 0.0
+    for k in range(1, l):
+        delta_k, pole_k = _pow(delta, k), _pow(pole, l - k)
+        divisor = delta_k * (l - k) * pole_k
+        failed |= np.isinf(delta_k) | np.isinf(pole_k) | (divisor == 0.0)
+        tail = tail + 1.0 / divisor
+    value = (lead - tail) / (l * _LN2)
+    cancels = (pole > 1.0) & (np.abs(lead) > _KERNEL_CANCEL_LIMIT * np.abs(lead - tail))
+    if cancels.any():
+        value[cancels] = _kernel_remainder(l, pole[cancels]) / (l * _LN2)
+    value[failed] = math.nan
+    return value
 
 
-def _kernel_series(l: int, delta: float):
+def _kernel_series(l: int, delta: np.ndarray) -> np.ndarray:
     # int_0^1 u^(l-1) (1 + delta*u)^(-l) du as a binomial series in delta;
-    # geometric convergence for |delta| <= 1/2.  Returns None when the
-    # partial sums cancel too heavily for float64 (large l, |delta| near
-    # the radius), signalling the extended-precision path.
-    coeff = 1.0
-    total = 0.0
-    largest = 0.0
+    # geometric convergence for |delta| <= 1/2.  nan where the partial
+    # sums cancel too heavily for float64 (large l, |delta| near the
+    # radius), signalling the extended-precision path.  Each element
+    # stops at its own first negligible term; sums already stopped keep
+    # being updated but are never read again.
+    result = np.full(delta.shape, math.nan)
+    running = np.ones(delta.shape, dtype=bool)
+    coeff = np.ones(delta.shape)
+    total = np.zeros(delta.shape)
+    largest = np.zeros(delta.shape)
     for m in range(1200):
         term = coeff / (l + m)
-        total += term
-        largest = max(largest, abs(term))
-        if abs(term) < 1e-18 * max(abs(total), 1e-300):
-            if largest > _CANCEL_LIMIT * abs(total):
-                return None
-            return total
-        coeff *= -delta * (l + m) / (m + 1)
+        total = total + term
+        largest = np.maximum(largest, np.abs(term))
+        done = running & (np.abs(term) < 1e-18 * np.maximum(np.abs(total), 1e-300))
+        trusted = done & ~(largest > _CANCEL_LIMIT * np.abs(total))
+        result[trusted] = total[trusted]
+        running &= ~done
+        if not running.any():
+            return result
+        coeff = coeff * (-delta * (l + m) / (m + 1))
     raise NumericError("capacity kernel series failed to converge")
 
 
-def _kernel_remainder(l: int, pole: float) -> float:
+def _kernel_remainder(l: int, pole: np.ndarray) -> np.ndarray:
     # lead - tail above is pole^-l sum_{m>=0} x^m/(l+m), x = 1 - 1/pole:
     # the remainder of the series of log(pole) = -log(1-x).  For pole > 1
     # its terms are positive, and where the closed form cancels x^l is
-    # small, so they fall off fast.
+    # small, so they fall off fast.  nan where pole^l overflows.
+    result = np.empty(pole.shape)
+    running = np.ones(pole.shape, dtype=bool)
     x = 1.0 - 1.0 / pole
-    total, power, m = 0.0, 1.0, 0
-    while True:
+    total = np.zeros(pole.shape)
+    power = np.ones(pole.shape)
+    m = 0
+    while running.any():
         term = power / (l + m)
-        total += term
-        if term < 1e-18 * total:
-            return total / pole ** l
-        power *= x
+        total = total + term
+        done = running & (term < 1e-18 * total)
+        result[done] = total[done]
+        running &= ~done
+        power = power * x
         m += 1
+    pole_l = _pow(pole, l)
+    return np.where(np.isinf(pole_l), math.nan, result / pole_l)
 
 
-def ergodic_capacity_ind(
-    alphas: Sequence[float], cluster_tol: float = 1e-6
-) -> float:
+def ergodic_capacity_ind(alphas, cluster_tol: float = 1e-6):
     """Closed-form ergodic capacity (bits/s/Hz) for non-identical hops.
 
-    Where the float64 partial-fraction sum cannot be trusted, the
-    survival-integral quadrature gives the same quantity instead.
+    alphas of shape (K,) give a float, (P, K) a (P,) array.  Points are
+    grouped by their pattern of pole multiplicities, and each group is
+    expanded and summed at once.  Where the float64 partial-fraction sum
+    of a point cannot be trusted, the survival-integral quadrature gives
+    the same quantity instead.
     """
     al = _checked_alphas(alphas)
-    k = len(al)
+    rows = al.reshape(-1, al.shape[-1])
+    k = rows.shape[1]
     # overflow is judged from the values, so numpy need not warn about it
     with np.errstate(all="ignore"):
-        expansion = partial_fraction_expand(al, cluster_tol)
-        try:
-            total = _trusted_sum([
-                a * capacity_pole_integral(l, beta) for beta, l, a in expansion.terms()
-            ])
-        except NumericError:  # a kernel is outside the float64 range
-            total = None
-        if total is not None:
-            capacity = expansion.prefactor / k * total
-            if 0.0 < capacity < math.inf:
-                return capacity
-    return _survival_quadrature(al)
+        prefactor = np.prod(rows, axis=1)
+        capacity = prefactor / k
+        # prod(alpha) at 0 or inf would only lead to the quadrature
+        expandable = np.flatnonzero((prefactor > 0.0) & (prefactor < math.inf))
+        ordered, merged = _cluster_poles(rows[expandable], cluster_tol)
+        patterns, group_of = np.unique(merged, axis=0, return_inverse=True)
+        for g, pattern in enumerate(patterns.tolist()):
+            members = np.flatnonzero(group_of == g)
+            starts, mults = _pole_pattern(pattern)
+            betas = ordered[members][:, starts]
+            coeffs = _residue_coefficients(betas, mults)
+            # one kernel call per order, over every pole of that order
+            terms = []
+            for l in range(1, max(mults) + 1):
+                poles = [n for n, r_n in enumerate(mults) if r_n >= l]
+                kernel = _pole_kernel(l, betas[:, poles].ravel()).reshape(-1, len(poles))
+                terms += [coeffs[n][l - 1] * kernel[:, i] for i, n in enumerate(poles)]
+            # the sum is exactly rounded, so the order of its terms is free
+            capacity[expandable[members]] *= _trusted_sums(np.stack(terms, axis=1))
+        untrusted = np.flatnonzero(~((capacity > 0.0) & (capacity < math.inf)))
+    for i in untrusted:
+        capacity[i] = _survival_quadrature(rows[i])
+    return float(capacity[0]) if al.ndim == 1 else capacity.reshape(al.shape[:-1])
 
 
 def ergodic_capacity_iid(alpha: float, hop_count: int) -> float:
@@ -218,14 +276,16 @@ def ergodic_capacity_iid(alpha: float, hop_count: int) -> float:
     return ergodic_capacity_ind([alpha] * hop_count)
 
 
-def per_hop_capacity(alpha_k: float, hop_count: int) -> float:
-    """Time-shared Shannon capacity of a single hop; min over hops bounds
-    the end-to-end capacity from above."""
-    if alpha_k <= 0:
+def per_hop_capacity(alpha_k, hop_count: int):
+    """Time-shared Shannon capacity of a single hop, element by element
+    for an array; min over hops bounds the end-to-end capacity from above."""
+    al = np.asarray(alpha_k, dtype=float)
+    if np.any(al <= 0):
         raise ValueError("alpha must be positive")
     if hop_count < 1:
         raise ValueError("hop_count must be >= 1")
-    return alpha_k * capacity_pole_integral(1, alpha_k) / hop_count
+    value = al * capacity_pole_integral(1, al) / hop_count
+    return float(value) if np.ndim(value) == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -233,35 +293,34 @@ def per_hop_capacity(alpha_k: float, hop_count: int) -> float:
 
 
 def _checked_alphas(alphas) -> np.ndarray:
-    al = np.asarray(list(alphas), dtype=float)
-    if al.size == 0:
+    al = np.asarray(alphas, dtype=float)
+    if al.ndim == 0 or al.size == 0:
         raise ValueError("need at least one hop")
     if np.any(al <= 0):
         raise ValueError("alphas must be positive")
     return al
 
 
-def _cluster_poles(al: np.ndarray, tol: float):
-    """Ascending distinct poles with multiplicities, merging values whose
-    relative gap to the previous cluster member is within tol."""
+def _cluster_poles(rows: np.ndarray, tol: float):
+    """Each row sorted ascending, and whether each value merges into the
+    cluster of the one before it: its relative gap to it is within tol."""
     if tol < 0:
         raise ValueError("cluster_tol must be non-negative")
-    betas: list[float] = []
-    mults: list[int] = []
-    last = None
-    for a in np.sort(al):
-        if last is not None and a - last <= tol * max(a, last):
-            mults[-1] += 1
-            last = a
-            continue
-        betas.append(float(a))
-        mults.append(1)
-        last = a
-    return np.asarray(betas), np.asarray(mults, dtype=int)
+    ordered = np.sort(rows, axis=1)
+    return ordered, ordered[:, 1:] - ordered[:, :-1] <= tol * ordered[:, 1:]
 
 
-def _residue_coefficients(betas: np.ndarray, mults: np.ndarray):
-    """Coefficients A[n][l-1] from residues of the survival product.
+def _pole_pattern(merged) -> tuple[list[int], tuple[int, ...]]:
+    """Column of each cluster's first (smallest) value, and multiplicities."""
+    starts = [0] + [j + 1 for j, joins in enumerate(merged) if not joins]
+    ends = starts[1:] + [len(merged) + 1]
+    return starts, tuple(end - start for start, end in zip(starts, ends))
+
+
+def _residue_coefficients(betas: np.ndarray, mults: tuple[int, ...]):
+    """Coefficients A[n][l-1], each a column over the rows of betas (the
+    distinct poles of points sharing the multiplicities mults), from
+    residues of the survival product.
 
     The density is -(d/dg) prod_n (g+beta_n)^(-r_n) (times the
     prefactor), so A_{n,l} = l * c_{n,l} where c are the partial
@@ -270,47 +329,67 @@ def _residue_coefficients(betas: np.ndarray, mults: np.ndarray):
     the log-derivative recurrence h^(i+1) = sum_j C(i,j) h^(j) g^(i+1-j)
     with g = log h, whose derivatives are explicit pole sums.
     """
-    n_poles = len(betas)
+    count, size = betas.shape
+    # gaps[:, n, m] = beta_m - beta_n; the diagonal is set to 1 so that
+    # its powers are exactly 1 and leave the products below unchanged
+    gaps = betas[:, None, :] - betas[:, :, None]
+    gaps[:, range(size), range(size)] = 1.0
+    h0 = np.prod(_pow(gaps, [-r for r in mults]), axis=2)
+    logder: dict = {}  # (n, j) -> j-th log-derivative at -beta_n
+    for j in range(1, max(mults)):
+        powers = _pow(gaps, j)
+        numerators = [r_m * (-1.0) ** (j - 1) * math.factorial(j - 1) for r_m in mults]
+        for n in (n for n, r_n in enumerate(mults) if r_n > j):
+            total = np.zeros(count)
+            for m in range(size):
+                if m != n:
+                    total = total + numerators[m] / powers[:, n, m]
+            logder[n, j] = -total if size > 1 else total
     coeffs = []
-    for n in range(n_poles):
-        r_n = int(mults[n])
-        others = [(betas[m], int(mults[m])) for m in range(n_poles) if m != n]
-        h = np.zeros(r_n)
-        h[0] = math.prod((bm - betas[n]) ** (-rm) for bm, rm in others) if others else 1.0
-        logder = np.zeros(r_n)
-        for j in range(1, r_n):
-            fact = math.factorial(j - 1)
-            logder[j] = -sum(
-                rm * (-1.0) ** (j - 1) * fact / (bm - betas[n]) ** j
-                for bm, rm in others
-            )
+    for n, r_n in enumerate(mults):
+        h = [h0[:, n]]
         for i in range(r_n - 1):
-            h[i + 1] = math.fsum(
-                math.comb(i, j) * h[j] * logder[i + 1 - j] for j in range(i + 1)
-            )
-        row = [
+            h.append(row_fsum(np.stack([
+                math.comb(i, j) * h[j] * logder[n, i + 1 - j] for j in range(i + 1)
+            ], axis=-1)))
+        coeffs.append([
             l * h[r_n - l] / math.factorial(r_n - l) for l in range(1, r_n + 1)
-        ]
-        coeffs.append(row)
+        ])
     return coeffs
+
+
+def _pow(x: np.ndarray, n) -> np.ndarray:
+    """x ** n element by element (n an int or ints broadcast against x),
+    as the C library's pow rounds it, with inf where it overflows.
+
+    numpy's array power takes other routes, such as 1/x for n = -1 or
+    SIMD kernels, that differ from pow in the last bit.
+    """
+    if isinstance(n, int) and n == 1:
+        return x
+    exponents = np.broadcast_to(n, x.shape)
+    try:
+        values = np.fromiter(map(math.pow, x.flat, exponents.flat), float, x.size)
+    except (OverflowError, ValueError):
+        values = np.fromiter(
+            (np.float64(v) ** e for v, e in zip(x.flat, exponents.flat)), float, x.size
+        )
+    return values.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
 # fallbacks
 
 
-def _trusted_sum(vals: list) -> float | None:
-    """math.fsum(vals), or None when a term is not finite, the partial
-    sums overflow, or the terms cancel by more than _CANCEL_LIMIT."""
-    if not all(map(math.isfinite, vals)):
-        return None
-    try:
-        total = math.fsum(vals)
-    except OverflowError:
-        return None
-    if max(map(abs, vals)) > _CANCEL_LIMIT * abs(total):
-        return None
-    return total
+def _trusted_sums(terms: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of terms, or nan where a term is not finite,
+    the partial sums overflow, or the terms cancel by more than
+    _CANCEL_LIMIT."""
+    totals = np.full(len(terms), math.nan)
+    finite = np.isfinite(terms).all(axis=1)
+    totals[finite] = row_fsum(terms[finite])
+    totals[np.abs(terms).max(axis=1) > _CANCEL_LIMIT * np.abs(totals)] = math.nan
+    return totals
 
 
 def _survival_quadrature(al: np.ndarray) -> float:

@@ -13,13 +13,13 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__
-from .ber import e2e_ber, e2e_ber_asymptotic, hop_ber, qam_constants
+from .ber import QamConstants, e2e_ber, e2e_ber_asymptotic, hop_ber, qam_constants
 from .capacity import ergodic_capacity_ind, per_hop_capacity
 from .errors import ConfigError, NumericError
 from .montecarlo import mc_ber, mc_capacity, mc_outage
@@ -39,17 +39,6 @@ from .scenario import (
 )
 
 SWEEP_VARIABLES = ("ip_over_n0_db", "hop_count", "eta", "pu_x", "pu_y")
-OUTPUT_ORDER = (
-    "op_exact",
-    "op_asymptotic",
-    "ber_exact",
-    "ber_asymptotic",
-    "capacity",
-    "per_hop_capacity_min",
-    "mc_op",
-    "mc_ber",
-    "mc_capacity",
-)
 MC_OUTPUTS = ("mc_op", "mc_ber", "mc_capacity")
 DEFAULT_OUTPUTS = ("op_exact", "op_asymptotic", "ber_exact", "capacity")
 
@@ -153,49 +142,115 @@ def scenario_at(base: Scenario, variable: str, value) -> Scenario:
     raise ConfigError(f"unknown sweep variable {variable!r}")
 
 
-def evaluate_outputs(
-    scenario: Scenario,
-    outputs: Sequence[str],
-    trials: int,
-    seed: int,
-    chunks: int,
-) -> dict:
-    stats = derive_hop_statistics(scenario)
-    alphas = [h.alpha for h in stats]
-    pairs = [(h.lambda_d, h.lambda_i) for h in stats]
-    row: dict = {}
-    constants = None
+@dataclass(frozen=True)
+class _Points:
+    """Sweep points that share a hop count, as arrays over a points axis."""
+
+    index: list          # positions of the points in the sweep
+    alphas: np.ndarray   # (P, K)
+    pairs: np.ndarray    # (lambda_d, lambda_i): (K, 2), or (P, K, 2)
+    ip_over_n0: np.ndarray  # (P,)
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """What every evaluator needs besides the points."""
+
+    base: Scenario
+    variable: str
+    values: list
+    constants: QamConstants
+    trials: int
+    seed: int
+    chunks: int
+
+    def scenario(self, i: int) -> Scenario:
+        """The scenario of the sweep's point i."""
+        return scenario_at(self.base, self.variable, self.values[i])
+
+
+def sweep_points(base: Scenario, variable: str, values: Sequence) -> list[_Points]:
+    """The sweep's points, one group per hop count.
+
+    An I_p/N_0 sweep keeps every hop's lambda pair, so its channel
+    statistics are derived once and alpha is scaled per point, with the
+    same (lambda_d/lambda_i)*ip rounding as derive_hop_statistics.
+    """
+    if variable != "ip_over_n0_db":
+        return _stack([scenario_at(base, variable, v) for v in values])
+    ips = np.array([db_to_linear(v) for v in values])
+    if np.any(ips <= 0):
+        raise ConfigError("ip_over_n0 must be positive (linear scale)")
+    stats = derive_hop_statistics(base)
+    ratios = np.array([h.lambda_d / h.lambda_i for h in stats])
+    alphas = ratios * ips[:, None]
+    if np.any(alphas <= 0):
+        raise ConfigError("ip_over_n0 is so small that a hop's alpha is 0")
+    pairs = np.array([(h.lambda_d, h.lambda_i) for h in stats])
+    return [_Points(list(range(len(values))), alphas, pairs, ips)]
+
+
+def _stack(scenarios: Sequence[Scenario]) -> list[_Points]:
+    """Points grouped by hop count, each group in sweep order."""
+    groups: dict = {}
+    for i, point in enumerate(scenarios):
+        index, hops, ips = groups.setdefault(point.hop_count, ([], [], []))
+        index.append(i)
+        hops.append([(h.lambda_d, h.lambda_i, h.alpha)
+                     for h in derive_hop_statistics(point)])
+        ips.append(point.ip_over_n0)
+    points = []
+    for index, hops, ips in groups.values():
+        hops = np.array(hops)
+        points.append(_Points(index, hops[..., 2], hops[..., :2], np.array(ips)))
+    return points
+
+
+def _estimates(estimator, points: _Points, sweep: _Sweep):
+    """A Monte-Carlo estimator's value and std_error columns, point by point."""
+    estimates = [
+        estimator(sweep.scenario(i), sweep.trials, sweep.seed, sweep.chunks)
+        for i in points.index
+    ]
+    return [e.value for e in estimates], [e.std_error for e in estimates]
+
+
+# output name -> (its columns, the evaluator that returns them over points);
+# the evaluators look the library functions up by name when they run
+OUTPUTS = {
+    "op_exact": (("op_exact",), lambda pts, sw: (
+        outage_exact(pts.alphas, sw.base.gamma_th),)),
+    "op_asymptotic": (("op_asymptotic",), lambda pts, sw: (
+        outage_asymptotic(pts.pairs, pts.ip_over_n0, sw.base.gamma_th),)),
+    "ber_exact": (("ber_exact",), lambda pts, sw: (
+        e2e_ber(hop_ber(pts.alphas, sw.constants)),)),
+    "ber_asymptotic": (("ber_asymptotic",), lambda pts, sw: (
+        e2e_ber_asymptotic(pts.alphas, sw.constants),)),
+    "capacity": (("capacity",), lambda pts, sw: (
+        ergodic_capacity_ind(pts.alphas),)),
+    "per_hop_capacity_min": (("per_hop_capacity_min",), lambda pts, sw: (
+        per_hop_capacity(pts.alphas, pts.alphas.shape[1]).min(axis=1),)),
+    "mc_op": (("mc_op", "mc_op_std_error"), lambda pts, sw: (
+        _estimates(mc_outage, pts, sw))),
+    "mc_ber": (("mc_ber", "mc_ber_std_error"), lambda pts, sw: (
+        _estimates(mc_ber, pts, sw))),
+    "mc_capacity": (("mc_capacity", "mc_capacity_std_error"), lambda pts, sw: (
+        _estimates(mc_capacity, pts, sw))),
+}
+OUTPUT_ORDER = tuple(OUTPUTS)
+
+
+def evaluate_outputs(sweep: _Sweep, points: list[_Points], outputs: Sequence[str]) -> dict:
+    """Every column of the outputs, as an array over the sweep's points."""
+    columns: dict = {}
     for name in outputs:
-        if name in ("ber_exact", "ber_asymptotic", "mc_ber") and constants is None:
-            constants = qam_constants(scenario.qam_order)
-        if name == "op_exact":
-            row[name] = outage_exact(alphas, scenario.gamma_th)
-        elif name == "op_asymptotic":
-            row[name] = outage_asymptotic(
-                pairs, scenario.ip_over_n0, scenario.gamma_th
-            )
-        elif name == "ber_exact":
-            row[name] = e2e_ber([hop_ber(a, constants) for a in alphas])
-        elif name == "ber_asymptotic":
-            row[name] = e2e_ber_asymptotic(alphas, constants)
-        elif name == "capacity":
-            row[name] = ergodic_capacity_ind(alphas)
-        elif name == "per_hop_capacity_min":
-            row[name] = min(
-                per_hop_capacity(a, scenario.hop_count) for a in alphas
-            )
-        elif name == "mc_op":
-            est = mc_outage(scenario, trials, seed, chunks)
-            row[name], row[f"{name}_std_error"] = est.value, est.std_error
-        elif name == "mc_ber":
-            est = mc_ber(scenario, trials, seed, chunks)
-            row[name], row[f"{name}_std_error"] = est.value, est.std_error
-        elif name == "mc_capacity":
-            est = mc_capacity(scenario, trials, seed, chunks)
-            row[name], row[f"{name}_std_error"] = est.value, est.std_error
-        else:
-            raise ConfigError(f"unknown output {name!r}")
-    return row
+        names, evaluate = OUTPUTS[name]
+        for column in names:
+            columns[column] = np.empty(len(sweep.values))
+        for group in points:
+            for column, cells in zip(names, evaluate(group, sweep)):
+                columns[column][group.index] = cells
+    return columns
 
 
 def _parse_outputs(text: Optional[str]) -> tuple[str, ...]:
@@ -224,27 +279,32 @@ def _setting(args, config: dict, name: str, default: int, minimum: int) -> int:
     return value
 
 
-def _mc_settings(args, config: dict) -> tuple[int, int]:
-    """Checked trials and seed of a command with Monte-Carlo flags."""
-    if args.chunks < 1:
-        raise ConfigError("chunks must be >= 1")
+def _mc_settings(args, config: dict) -> tuple[int, int, int]:
+    """Checked trials, seed and chunks of a command with Monte-Carlo flags."""
     trials = _setting(args, config, "trials", 100_000, minimum=1)
-    return trials, _setting(args, config, "seed", 0, minimum=0)
+    seed = _setting(args, config, "seed", 0, minimum=0)
+    return trials, seed, _setting(args, config, "chunks", 1, minimum=1)
 
 
 def cmd_analyze(args) -> int:
     scenario, config = load_scenario(args.config)
     outputs = _parse_outputs(args.outputs)
-    trials, seed = _mc_settings(args, config)
+    trials, seed, chunks = _mc_settings(args, config)
     if args.sweep:
         variable, values = parse_sweep(args.sweep)
     else:
         variable, values = "ip_over_n0_db", [linear_to_db(scenario.ip_over_n0)]
     mc_requested = [n for n in outputs if n in MC_OUTPUTS]
     header = [variable] + list(outputs)
-    header += [f"{n}_std_error" for n in mc_requested]
+    header += [column for n in outputs for column in OUTPUTS[n][0][1:]]
+    constants = qam_constants(scenario.qam_order)
+    sweep = _Sweep(scenario, variable, values, constants, trials, seed, chunks)
+    columns = evaluate_outputs(sweep, sweep_points(scenario, variable, values), outputs)
+    rows = zip(values, *(columns[name] for name in header[1:]))
+    end = "\n"
     if mc_requested:
         header.append("trials")
+        end = f",{trials}\n"
 
     out, close = _open_out(args.out)
     try:
@@ -254,15 +314,7 @@ def cmd_analyze(args) -> int:
             meta["sampling"] = "per-block substreams, 65536 trials per block"
         _write_meta(out, "analyze", args, meta)
         out.write(",".join(header) + "\n")
-        for value in values:
-            point = scenario_at(scenario, variable, value)
-            row = evaluate_outputs(point, outputs, trials, seed, args.chunks)
-            cells = [_fmt(value)]
-            cells += [_fmt(row[name]) for name in outputs]
-            cells += [_fmt(row[f"{n}_std_error"]) for n in mc_requested]
-            if mc_requested:
-                cells.append(str(trials))
-            out.write(",".join(cells) + "\n")
+        out.writelines(",".join(map(_fmt, row)) + end for row in rows)
     finally:
         if close:
             out.close()
@@ -364,6 +416,20 @@ def cmd_profiles(args) -> int:
     else:
         variable, values = "ip_over_n0_db", [linear_to_db(scenario.ip_over_n0)]
 
+    points = [scenario_at(scenario, variable, v) for v in values]
+    cells = {}  # profile -> per point "op_exact,capacity"
+    for name in names:
+        shaped = [
+            point.with_hop_distances(_profile_distances(name, point, config, seed))
+            for point in points
+        ]
+        cells[name] = [None] * len(values)
+        for group in _stack(shaped):
+            op = outage_exact(group.alphas, scenario.gamma_th)
+            cap = ergodic_capacity_ind(group.alphas)
+            for i, op_i, cap_i in zip(group.index, op, cap):
+                cells[name][i] = f"{_fmt(op_i)},{_fmt(cap_i)}"
+
     out, close = _open_out(args.out)
     try:
         _write_meta(
@@ -371,18 +437,9 @@ def cmd_profiles(args) -> int:
             {"config": args.config, "profiles": " ".join(names), "seed": seed},
         )
         out.write(f"{variable},profile,op_exact,capacity\n")
-        for value in values:
-            point = scenario_at(scenario, variable, value)
+        for i, value in enumerate(values):
             for name in names:
-                distances = _profile_distances(name, point, config, seed)
-                shaped = point.with_hop_distances(distances)
-                stats = derive_hop_statistics(shaped)
-                alphas = [h.alpha for h in stats]
-                op = outage_exact(alphas, shaped.gamma_th)
-                cap = ergodic_capacity_ind(alphas)
-                out.write(
-                    f"{_fmt(value)},{name},{_fmt(op)},{_fmt(cap)}\n"
-                )
+                out.write(f"{_fmt(value)},{name},{cells[name][i]}\n")
     finally:
         if close:
             out.close()
@@ -391,11 +448,11 @@ def cmd_profiles(args) -> int:
 
 def cmd_mc(args) -> int:
     scenario, config = load_scenario(args.config)
-    trials, seed = _mc_settings(args, config)
+    trials, seed, chunks = _mc_settings(args, config)
     estimates = [
-        ("mc_op", mc_outage(scenario, trials, seed, args.chunks)),
-        ("mc_ber", mc_ber(scenario, trials, seed, args.chunks)),
-        ("mc_capacity", mc_capacity(scenario, trials, seed, args.chunks)),
+        ("mc_op", mc_outage(scenario, trials, seed, chunks)),
+        ("mc_ber", mc_ber(scenario, trials, seed, chunks)),
+        ("mc_capacity", mc_capacity(scenario, trials, seed, chunks)),
     ]
     out, close = _open_out(args.out)
     try:
@@ -437,7 +494,7 @@ def _build_parser() -> _Parser:
                    help=f"comma list from {', '.join(OUTPUT_ORDER)}")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--chunks", type=int, default=1)
+    p.add_argument("--chunks", type=int, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("optimize", help="balanced-ratio relay placement")
@@ -457,7 +514,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--chunks", type=int, default=1)
+    p.add_argument("--chunks", type=int, default=None)
     p.set_defaults(func=cmd_mc)
     return parser
 

@@ -3,11 +3,13 @@
 The semi-infinite quadrature and the dense solve wrap scipy/numpy with
 the error contracts the rest of the library relies on.  newton_system
 is a damped Newton iteration with an optional analytic Jacobian and
-iterate projection.
+iterate projection.  libm and row_fsum give the array closed forms the
+bits of Python's math module.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -21,6 +23,36 @@ _SQRT_EPS = np.sqrt(np.finfo(float).eps)
 # Newton steps this small relative to x mean x has settled; at the
 # rounding floor of f they no longer lower the residual.
 _STEP_RTOL = 1e-8
+
+
+def libm(fn: Callable[[float], float], values) -> np.ndarray:
+    """fn, a function of the math module, applied element by element.
+
+    numpy's own log/exp kernels differ from the C library's in the last
+    bit on CPUs with AVX-512, so an array evaluation through them would
+    agree neither with the scalar form nor across machines.
+    """
+    x = np.asarray(values, dtype=float)
+    return np.fromiter(map(fn, x.flat), float, x.size).reshape(x.shape)
+
+
+def row_fsum(rows) -> np.ndarray:
+    """math.fsum along the last axis: exactly rounded sums, nan for a row
+    whose partial sums overflow or that adds inf to -inf."""
+    x = np.asarray(rows, dtype=float)
+    flat = x.reshape(-1, x.shape[-1]).tolist()
+    try:
+        sums = list(map(math.fsum, flat))
+    except (OverflowError, ValueError):
+        sums = [_fsum_or_nan(row) for row in flat]
+    return np.array(sums, dtype=float).reshape(x.shape[:-1])
+
+
+def _fsum_or_nan(row: list) -> float:
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def quad_semiinfinite(f: Callable[[float], float], tol: float = 1e-10) -> float:

@@ -1,5 +1,6 @@
 from itertools import permutations
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -141,3 +142,27 @@ def test_asymptote_approaches_exact():
     exact = e2e_ber_iid(alpha, k, c)
     approx = e2e_ber_asymptotic(alpha, c, hop_count=k)
     assert 0.95 <= exact / approx <= 1.05
+
+
+def _hop_ber_reference(alpha, c):
+    """hop_ber at 50 digits for the same (float) omegas and phis; the
+    extra working digits absorb the cancellation of 1 - sqrt(pi) x erfcx(x)."""
+    total = mp.mpf(0)
+    for _, _, _, omega, phi in c.terms:
+        x2 = mp.mpf(omega) * mp.mpf(alpha)
+        with mp.workdps(60 + int(max(0, mp.log10(x2)))):
+            x = mp.sqrt(x2)
+            total += phi * (1 - mp.sqrt(mp.pi) * x * mp.exp(x2) * mp.erfc(x))
+    return total / mp.mpf(c.denominator)
+
+
+@pytest.mark.parametrize("m", [4, 16, 64, 256])
+def test_hop_ber_relative_accuracy_across_range(m):
+    # the asymptotic series takes over from x^2 = w*alpha = 100, where
+    # 1 - sqrt(pi) x erfcx(x) has cancelled two digits; without it the
+    # relative error passes 1e-9 near alpha 5e7 and reaches 1 near 1e16
+    c = qam_constants(m)
+    with mp.workdps(50):
+        for alpha in np.logspace(-30, 30, 121).tolist():
+            value, ref = hop_ber(alpha, c), _hop_ber_reference(alpha, c)
+            assert abs(value - ref) <= 1e-12 * ref, (alpha, value, ref)

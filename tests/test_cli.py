@@ -4,8 +4,21 @@ import warnings
 
 import pytest
 
-from cogrelay import NumericError, hop_ber, montecarlo, outage_exact, qam_constants
-from cogrelay.cli import main
+from cogrelay import (
+    McEstimate,
+    NumericError,
+    derive_hop_statistics,
+    e2e_ber,
+    e2e_ber_asymptotic,
+    ergodic_capacity_ind,
+    hop_ber,
+    montecarlo,
+    outage_asymptotic,
+    outage_exact,
+    per_hop_capacity,
+    qam_constants,
+)
+from cogrelay.cli import SWEEP_VARIABLES, _fmt, main, parse_sweep, scenario_at, load_scenario
 
 
 def _write_config(tmp_path, name="config.json", **fields):
@@ -51,6 +64,50 @@ def test_analyze_single_hop_matches_direct_formulas(tmp_path, capsys):
     assert float(rows[0]["ber_exact"]) == pytest.approx(
         hop_ber(alpha, qam_constants(4)), rel=1e-10
     )
+
+
+CLOSED_FORMS = "op_exact,op_asymptotic,ber_exact,ber_asymptotic,capacity,per_hop_capacity_min"
+SWEEPS = {
+    "ip_over_n0_db": "ip_over_n0_db=-300:300:12.5",
+    "hop_count": "hop_count=3,1,8,3,2,40,8",
+    "eta": "eta=2:6:0.5",
+    "pu_x": "pu_x=-1:2:0.25",
+    "pu_y": "pu_y=0.05:1.5:0.15",
+}
+
+
+def _per_point_rows(config_path, sweep):
+    """The analyze rows of CLOSED_FORMS, one scalar call per point and output."""
+    base, _ = load_scenario(config_path)
+    constants = qam_constants(base.qam_order)
+    variable, values = parse_sweep(sweep)
+    rows = []
+    for value in values:
+        point = scenario_at(base, variable, value)
+        stats = derive_hop_statistics(point)
+        alphas = [h.alpha for h in stats]
+        pairs = [(h.lambda_d, h.lambda_i) for h in stats]
+        cells = [
+            outage_exact(alphas, point.gamma_th),
+            outage_asymptotic(pairs, point.ip_over_n0, point.gamma_th),
+            e2e_ber([hop_ber(a, constants) for a in alphas]),
+            e2e_ber_asymptotic(alphas, constants),
+            ergodic_capacity_ind(alphas),
+            min(per_hop_capacity(a, point.hop_count) for a in alphas),
+        ]
+        rows.append(",".join(_fmt(v) for v in [value] + cells))
+    return rows
+
+
+@pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+def test_analyze_sweep_matches_per_point_scalar_calls(tmp_path, capsys, variable):
+    cfg = _write_config(tmp_path, qam_order=16, pu_coord=[0.6, 0.25])
+    sweep = SWEEPS[variable]
+    assert main(["analyze", "--config", cfg, "--sweep", sweep,
+                 "--outputs", CLOSED_FORMS, "--no-timestamp"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert lines[0] == f"{variable},{CLOSED_FORMS}"
+    assert lines[1:] == _per_point_rows(cfg, sweep)
 
 
 def test_analyze_hop_count_list_sweep(tmp_path, capsys):
@@ -225,6 +282,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["analyze", "--config", deep, "--sweep", "hop_count=33,64"]) == 0
     negative_seed = _write_config(tmp_path, "negative_seed.json", seed=-5)
     bad_seed = _write_config(tmp_path, "bad_seed.json", seed="x")
+    bad_chunks = _write_config(tmp_path, "bad_chunks.json", chunks="x")
+    zero_chunks = _write_config(tmp_path, "zero_chunks.json", chunks=0)
     for argv in (
         ["analyze", "--config", cfg, "--sweep", "hop_count=1,x"],
         ["optimize", "--config", cfg, "--grid-resolution", "0"],
@@ -240,6 +299,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         ["analyze", "--config", negative_seed, "--outputs", "mc_ber"],
         ["profiles", "--config", negative_seed, "--profiles", "random"],
         ["mc", "--config", bad_seed],
+        ["mc", "--config", bad_chunks],
+        ["mc", "--config", zero_chunks],
+        ["analyze", "--config", zero_chunks, "--outputs", "mc_op"],
     ):
         capsys.readouterr()
         assert main(argv) == 1, argv
@@ -261,3 +323,20 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["mc", "--config", cfg, "--trials", "200000", "--chunks", "2"]) == 2
     assert capsys.readouterr().err == "numeric failure: synthetic failure\n"
+
+
+def test_config_chunks_takes_effect_and_the_flag_wins(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def estimator(scenario, trials, seed, chunks):
+        seen.append(chunks)
+        return McEstimate(value=0.5, std_error=0.1, trials=trials, seed=seed)
+
+    for name in ("mc_outage", "mc_ber", "mc_capacity"):
+        monkeypatch.setattr(f"cogrelay.cli.{name}", estimator)
+    cfg = _write_config(tmp_path, chunks=3)
+    assert main(["mc", "--config", cfg]) == 0
+    assert main(["analyze", "--config", cfg, "--outputs", "mc_op"]) == 0
+    assert main(["mc", "--config", cfg, "--chunks", "2"]) == 0
+    assert main(["mc", "--config", _write_config(tmp_path, "plain.json")]) == 0
+    assert seen == [3, 3, 3, 3, 2, 2, 2, 1, 1, 1]
