@@ -13,7 +13,6 @@ from .ber import (
     QamConstants,
     e2e_ber,
     e2e_ber_asymptotic,
-    e2e_ber_iid,
     hop_ber,
     instantaneous_ber,
     qam_constants,
@@ -21,27 +20,13 @@ from .ber import (
 from .capacity import (
     PartialFractionExpansion,
     capacity_pole_integral,
-    ergodic_capacity_iid,
     ergodic_capacity_ind,
-    min_snr_pdf,
     partial_fraction_expand,
     per_hop_capacity,
 )
-from .channel import snr_cdf, snr_pdf, substream
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    IllConditionedError,
-    NumericError,
-)
+from .channel import substream
+from .errors import ConfigError, ConvergenceError, NumericError
 from .montecarlo import McEstimate, mc_ber, mc_capacity, mc_outage
-from .numerics import (
-    NewtonOptions,
-    NewtonResult,
-    newton_system,
-    quad_semiinfinite,
-    solve_linear,
-)
 from .outage import diversity_coding_gain, outage_asymptotic, outage_exact
 from .placement import (
     PlacementResult,
@@ -65,19 +50,16 @@ from .scenario import (
 
 __all__ = [
     "__version__",
-    "ConfigError", "ConvergenceError", "IllConditionedError", "NumericError",
+    "ConfigError", "ConvergenceError", "NumericError",
     "Scenario", "HopStatistics", "scenario_from_config",
     "average_channel_power", "hop_geometry", "derive_hop_statistics",
     "alphas", "db_to_linear", "linear_to_db",
-    "NewtonOptions", "NewtonResult", "quad_semiinfinite", "solve_linear",
-    "newton_system",
-    "snr_pdf", "snr_cdf", "substream",
+    "substream",
     "outage_exact", "outage_asymptotic", "diversity_coding_gain",
     "QamConstants", "qam_constants", "instantaneous_ber", "hop_ber",
-    "e2e_ber", "e2e_ber_iid", "e2e_ber_asymptotic",
-    "PartialFractionExpansion", "min_snr_pdf", "partial_fraction_expand",
-    "capacity_pole_integral", "ergodic_capacity_ind",
-    "ergodic_capacity_iid", "per_hop_capacity",
+    "e2e_ber", "e2e_ber_asymptotic",
+    "PartialFractionExpansion", "partial_fraction_expand",
+    "capacity_pole_integral", "ergodic_capacity_ind", "per_hop_capacity",
     "PlacementResult", "solve_equal_ratio", "op_min", "ber_min",
     "direct_search", "placement_objective",
     "McEstimate", "mc_outage", "mc_ber", "mc_capacity",

@@ -151,14 +151,6 @@ def e2e_ber(per_hop_bers):
     return float(acc) if np.ndim(acc) == 0 else acc
 
 
-def e2e_ber_iid(alpha: float, hop_count: int, constants: QamConstants) -> float:
-    """Closed form for identical hops: (1 - (1 - 2*hop_ber)^K)/2."""
-    if hop_count < 1:
-        raise ValueError("hop_count must be >= 1")
-    p = hop_ber(alpha, constants)
-    return 0.5 * (1.0 - (1.0 - 2.0 * p) ** hop_count)
-
-
 def e2e_ber_asymptotic(
     alphas, constants: QamConstants, hop_count: int | None = None
 ):

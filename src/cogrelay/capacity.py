@@ -15,7 +15,9 @@ Numerical notes, earned the hard way:
 * The pole kernel has a removable singularity at pole = 1; a power
   series in (pole - 1) is used on |pole - 1| <= 1/2 because the closed
   form loses all precision to cancellation there once the multiplicity
-  exceeds 2.
+  exceeds 2.  Where that alternating series or the closed form cancels
+  for a pole above 1 (high orders), the kernel is summed instead as a
+  series of positive terms (_kernel_remainder).
 * Where that float64 sum cannot be trusted, the capacity is computed
   instead from the survival integral (1/(K ln 2)) int S(g)/(1+g) dg,
   S(g) = prod_k alpha_k/(g+alpha_k), by the trapezoid rule in ln g.
@@ -37,7 +39,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .errors import NumericError
@@ -49,20 +50,6 @@ _CANCEL_LIMIT = 1e6        # max |term| / |sum| tolerated in float64
 _KERNEL_CANCEL_LIMIT = 1e3  # same, inside the closed-form pole kernel
 _QUAD_STEP = 0.25          # survival quadrature step in ln(gamma)
 _QUAD_MARGIN = 40.0        # e-folds integrated past the outermost pole
-
-
-def min_snr_pdf(gamma: float, alphas: Sequence[float]) -> float:
-    """Density of min-over-hops SNR at gamma.
-
-    Evaluated as sum_k [prod_n alpha_n/(gamma+alpha_n)] / (gamma+alpha_k),
-    a form whose factors all lie in (0, 1] so it neither overflows nor
-    cancels.
-    """
-    al = _checked_alphas(alphas)
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    survival = np.prod(al / (gamma + al))
-    return float(survival * np.sum(1.0 / (gamma + al)))
 
 
 @dataclass(frozen=True)
@@ -145,12 +132,14 @@ def _pole_kernel(l: int, pole: np.ndarray) -> np.ndarray:
     value[delta == 0.0] = 1.0 / (l * l * _LN2)
     near = np.flatnonzero((delta != 0.0) & (np.abs(delta) <= _SERIES_RADIUS))
     if near.size:
-        series = _kernel_series(l, delta[near]) / (l * _LN2)
-        for i in np.flatnonzero(np.isnan(series)):
-            # high orders make the alternating series cancel internally
-            p = float(pole[near[i]])
-            series[i] = float(_converged_mp(lambda: _pole_integral_mp(l, p)))
-        value[near] = series
+        series = _kernel_series(l, delta[near])
+        # high orders make the alternating series cancel internally; no
+        # pole below 1 has been seen to (orders up to 200), and one would
+        # stay nan
+        cancels = np.isnan(series) & (delta[near] > 0.0)
+        if cancels.any():
+            series[cancels] = _kernel_remainder(l, pole[near[cancels]])
+        value[near] = series / (l * _LN2)
     far = np.abs(delta) > _SERIES_RADIUS
     if far.any():
         value[far] = _kernel_closed_form(l, pole[far], delta[far])
@@ -182,7 +171,7 @@ def _kernel_series(l: int, delta: np.ndarray) -> np.ndarray:
     # int_0^1 u^(l-1) (1 + delta*u)^(-l) du as a binomial series in delta;
     # geometric convergence for |delta| <= 1/2.  nan where the partial
     # sums cancel too heavily for float64 (large l, |delta| near the
-    # radius), signalling the extended-precision path.  Each element
+    # radius), signalling the remainder series.  Each element
     # stops at its own first negligible term; sums already stopped keep
     # being updated but are never read again.
     result = np.full(delta.shape, math.nan)
@@ -207,8 +196,9 @@ def _kernel_series(l: int, delta: np.ndarray) -> np.ndarray:
 def _kernel_remainder(l: int, pole: np.ndarray) -> np.ndarray:
     # lead - tail above is pole^-l sum_{m>=0} x^m/(l+m), x = 1 - 1/pole:
     # the remainder of the series of log(pole) = -log(1-x).  For pole > 1
-    # its terms are positive, and where the closed form cancels x^l is
-    # small, so they fall off fast.  nan where pole^l overflows.
+    # its terms are positive, and where the closed form or the series in
+    # delta cancels x^l is small (x <= 1/3 on the series' side of 1.5),
+    # so they fall off fast.  nan where pole^l overflows.
     result = np.empty(pole.shape)
     running = np.ones(pole.shape, dtype=bool)
     x = 1.0 - 1.0 / pole
@@ -264,16 +254,6 @@ def ergodic_capacity_ind(alphas, cluster_tol: float = 1e-6):
     for i in untrusted:
         capacity[i] = _survival_quadrature(rows[i])
     return float(capacity[0]) if al.ndim == 1 else capacity.reshape(al.shape[:-1])
-
-
-def ergodic_capacity_iid(alpha: float, hop_count: int) -> float:
-    """Ergodic capacity for identical hops, alpha^K * kernel(K, alpha),
-    as the special case of ergodic_capacity_ind."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if hop_count < 1:
-        raise ValueError("hop_count must be >= 1")
-    return ergodic_capacity_ind([alpha] * hop_count)
 
 
 def per_hop_capacity(alpha_k, hop_count: int):
@@ -415,40 +395,3 @@ def _survival_quadrature(al: np.ndarray) -> float:
     t = np.linspace(lo, hi, n + 1)
     log_f = -np.logaddexp(0.0, -t) - np.logaddexp(0.0, t - log_al[:, None]).sum(axis=0)
     return (hi - lo) / n * math.fsum(np.exp(log_f).tolist()) / (len(al) * _LN2)
-
-
-def _pole_integral_mp(order: int, pole):
-    l = order
-    pole = mp.mpf(pole)
-    ln2 = mp.log(2)
-    delta = pole - 1
-    if delta == 0:
-        return 1 / (mp.mpf(l) ** 2 * ln2)
-    if abs(delta) <= _SERIES_RADIUS:
-        coeff = mp.mpf(1)
-        total = mp.mpf(0)
-        for m in range(2000):
-            term = coeff / (l + m)
-            total += term
-            if abs(term) < mp.mpf(10) ** (-mp.mp.dps - 2) * abs(total):
-                break
-            coeff *= -delta * (l + m) / (m + 1)
-        return total / (l * ln2)
-    tail = mp.fsum(
-        1 / (delta ** k * (l - k) * pole ** (l - k)) for k in range(1, l)
-    )
-    return (mp.log(pole) / delta ** l - tail) / (l * ln2)
-
-
-def _converged_mp(evaluate) -> mp.mpf:
-    """Run `evaluate` at doubling precision until two runs agree."""
-    prev = None
-    for dps in (40, 80, 160):
-        with mp.workdps(dps):
-            cur = evaluate()
-        if prev is not None and (
-            cur == prev or abs(cur - prev) <= mp.mpf(1e-13) * abs(cur)
-        ):
-            return cur
-        prev = cur
-    return prev

@@ -11,29 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def snr_pdf(gamma, alpha: float):
-    """Density alpha/(gamma+alpha)^2 of the per-hop SNR."""
-    _check(gamma, alpha)
-    g = np.asarray(gamma, dtype=float)
-    out = alpha / (g + alpha) ** 2
-    return float(out) if np.isscalar(gamma) else out
-
-
-def snr_cdf(gamma, alpha: float):
-    """Distribution function gamma/(gamma+alpha), in [0, 1)."""
-    _check(gamma, alpha)
-    g = np.asarray(gamma, dtype=float)
-    out = g / (g + alpha)
-    return float(out) if np.isscalar(gamma) else out
-
-
-def _check(gamma, alpha):
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if np.any(np.asarray(gamma) < 0):
-        raise ValueError("gamma must be non-negative")
-
-
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent PCG64 generator for stream `index` of a seeded run.
 

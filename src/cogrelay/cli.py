@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TextIO
@@ -109,11 +110,16 @@ def parse_sweep(text: str) -> tuple[str, list]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad sweep range {rest!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"sweep range must be finite, got {rest!r}")
     if step <= 0:
         raise ConfigError("sweep step must be positive")
     if start > stop:
         raise ConfigError("sweep start must not exceed stop")
-    count = int(round((stop - start) / step))
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ConfigError(f"sweep range {rest!r} has too many points")
+    count = int(round(span))
     values = [start + i * step for i in range(count + 1)]
     if values[-1] > stop + 1e-9 * step:
         values.pop()

@@ -16,7 +16,3 @@ class NumericError(RuntimeError):
 
 class ConvergenceError(NumericError):
     """An iterative solver exhausted its iteration budget."""
-
-
-class IllConditionedError(NumericError):
-    """A linear system is singular or too ill-conditioned to solve."""

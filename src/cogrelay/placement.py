@@ -3,29 +3,32 @@
 solve_equal_ratio implements the balanced-ratio optimality condition:
 all hops share the same data-to-interference distance ratio rho, which
 makes the layout a forward recursion in rho and the sum-to-one
-constraint a scalar equation, solved by a 1-D Newton iteration on the
-common ratio.  direct_search minimizes the underlying objective
-sum_k (d_data_k / d_interf_k)^eta over the simplex directly; it is a
-diagnostic, because the balanced-ratio point is a stationary point of
-an arithmetic-geometric mean bound whose product term itself varies
-with placement, so the direct optimum can be (slightly) better.
+constraint a scalar equation, solved by a scalar Newton iteration on
+the common ratio (newton_system).  direct_search minimizes the
+underlying objective sum_k (d_data_k / d_interf_k)^eta over the simplex
+directly; it is a diagnostic, because the balanced-ratio point is a
+stationary point of an arithmetic-geometric mean bound whose product
+term itself varies with placement, so the direct optimum can be
+(slightly) better.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .ber import QamConstants
-from .errors import ConfigError, ConvergenceError
-from .numerics import NewtonOptions, newton_system
+from .errors import ConfigError, ConvergenceError, NumericError
 
 _D_MIN = 1e-6  # smallest hop length direct_search considers
 _RESIDUAL_TOL = 1e-10  # bound on residual_norm of a returned balanced layout
+_STEP_RTOL = 1e-8  # a Newton step this small relative to rho: rho has settled
+_MAX_ITER = 100
+_TINY = sys.float_info.min  # iterates are kept at or above this ratio
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,46 @@ def placement_objective(d_data, pu_coord, eta: float) -> float:
     return sum((d / di) ** eta for d, di in zip(d_data, dists))
 
 
+# bench/spans.py wraps this module attribute by name: keep the name.
+def newton_system(residual, rho: float) -> tuple[float, int]:
+    """Newton's method for residual(rho)[0] = 0 over rho > 0.
+
+    residual returns the value f and its derivative.  A step -f/f' that
+    does not lower |f| is halved, up to 60 times.  The solve ends at f = 0
+    or once rho has settled: a step of at most 1e-8*rho that no longer
+    lowers |f| (the rounding floor), also after 100 iterations.  Iterates
+    are kept at or above the smallest normal double.  Returns rho and the
+    iteration count.  Raises NumericError on a zero or non-finite
+    derivative and ConvergenceError when rho has not settled after 100
+    iterations.
+    """
+    rho = max(rho, _TINY)
+    f, df = residual(rho)
+    settled = False
+    for it in range(_MAX_ITER):
+        if f == 0.0:
+            return rho, it
+        if df == 0.0 or not math.isfinite(df):
+            raise NumericError(f"placement Newton: derivative {df} at ratio {rho!r}")
+        step = -f / df
+        settled = abs(step) <= _STEP_RTOL * rho
+        lam = 1.0
+        for _ in range(60):
+            cand = max(rho + lam * step, _TINY)
+            f_cand, df_cand = residual(cand)
+            if abs(f_cand) < abs(f) or not math.isfinite(f):
+                break
+            if settled:
+                return rho, it + 1
+            lam *= 0.5
+        rho, f, df = cand, f_cand, df_cand
+    if f == 0.0 or settled:
+        return rho, _MAX_ITER
+    raise ConvergenceError(
+        f"placement Newton: residual {abs(f):.3e} after {_MAX_ITER} iterations"
+    )
+
+
 def solve_equal_ratio(hop_count: int, pu_coord) -> PlacementResult:
     """Hop lengths making every d_data/d_interference ratio equal.
 
@@ -133,15 +176,9 @@ def solve_equal_ratio(hop_count: int, pu_coord) -> PlacementResult:
         return d, miss, dpos
 
     uniform_d_i = [math.hypot(px - k / hop_count, py) for k in range(hop_count)]
-    with np.errstate(all="ignore"):  # overshooting iterates backtrack
-        newton = newton_system(
-            lambda r: np.array([walk(r[0])[1]]),
-            [1.0 / math.fsum(uniform_d_i)],
-            options=NewtonOptions(tol=0.0),  # stop once rho settles
-            jacobian=lambda r: np.array([[walk(r[0])[2]]]),
-            project=lambda r: np.maximum(r, np.finfo(float).tiny),
-        )
-    rho = float(newton.x[0])
+    rho, iterations = newton_system(
+        lambda r: walk(r)[1:], 1.0 / math.fsum(uniform_d_i)
+    )
     d = walk(rho)[0]
     d_i = interference_distances(d, (px, py))
     ratios = [a / b for a, b in zip(d, d_i)]
@@ -158,7 +195,7 @@ def solve_equal_ratio(hop_count: int, pu_coord) -> PlacementResult:
         d_interference=tuple(d_i),
         ratio=rho,
         residual_norm=residual,
-        iterations=newton.iterations,
+        iterations=iterations,
     )
 
 
@@ -213,6 +250,8 @@ def direct_search(
     break toward lexicographically smallest hop lengths.  Diagnostic
     oracle; not restricted to the balanced-ratio family.
     """
+    from scipy import optimize  # the CLI's other paths need no scipy.optimize
+
     if not 1 <= hop_count <= 4:
         raise ConfigError("direct search supports 1 to 4 hops")
     if grid_resolution < hop_count - 1:

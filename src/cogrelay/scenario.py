@@ -20,7 +20,10 @@ Coord = tuple[float, float]
 
 
 def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{value_db:g} dB is beyond the float64 range") from None
 
 
 def linear_to_db(value: float) -> float:

@@ -19,7 +19,6 @@ from cogrelay import (
     direct_search,
     e2e_ber,
     e2e_ber_asymptotic,
-    ergodic_capacity_iid,
     ergodic_capacity_ind,
     hop_ber,
     instantaneous_ber,
@@ -32,10 +31,10 @@ from cogrelay import (
     per_hop_capacity,
     placement_objective,
     qam_constants,
-    snr_pdf,
     solve_equal_ratio,
 )
 from cogrelay.cli import main
+from oracles import ergodic_capacity_iid, snr_pdf
 
 TRIALS = 1_000_000
 SEED = 1

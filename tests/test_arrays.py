@@ -2,7 +2,7 @@
 
 Rows are single chains of K hops with alpha from 1e-30 to 1e30; some
 repeat or nearly repeat a value, so one call mixes pole multiplicity
-patterns, and some take capacity's mpmath series or its survival
+patterns, and some take capacity's remainder series or its survival
 quadrature.
 """
 
@@ -25,9 +25,10 @@ from cogrelay import (
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
 # rows that take the fallbacks (checked to do so below): an order-24 pole
-# at 1.45 whose series cancels (mpmath); poles 1e-5 apart whose float64
-# sum cancels, and prod(alpha) overflowing or underflowing (quadrature)
-MPMATH_ROWS = [[1.45] * 24, [1.45] * 23 + [9.0]]
+# at 1.45 whose series cancels (remainder series); poles 1e-5 apart whose
+# float64 sum cancels, and prod(alpha) overflowing or underflowing
+# (quadrature)
+REMAINDER_ROWS = [[1.45] * 24, [1.45] * 23 + [9.0]]
 QUADRATURE_ROWS = [[3.0 * (1 + 1e-5 * k) for k in range(12)], [1e30] * 12, [1e-30] * 12]
 
 
@@ -83,7 +84,7 @@ def test_ber_forms(alphas, m):
 
 @SETTINGS
 @given(alpha_matrices())
-@example(np.array(MPMATH_ROWS + [[0.7] * 23 + [1.3]]))
+@example(np.array(REMAINDER_ROWS + [[0.7] * 23 + [1.3]]))
 @example(np.array(QUADRATURE_ROWS + [[2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0, 29.0, 31.0, 37.0]]))
 def test_capacity_forms(alphas):
     k = alphas.shape[1]
@@ -94,7 +95,7 @@ def test_capacity_forms(alphas):
 
 
 @pytest.mark.parametrize("rows, fallback", [
-    (MPMATH_ROWS, "_converged_mp"),
+    (REMAINDER_ROWS, "_kernel_remainder"),
     (QUADRATURE_ROWS, "_survival_quadrature"),
 ])
 def test_fallback_examples_take_the_fallbacks(monkeypatch, rows, fallback):

@@ -8,12 +8,11 @@ from scipy.integrate import quad
 from cogrelay import (
     e2e_ber,
     e2e_ber_asymptotic,
-    e2e_ber_iid,
     hop_ber,
     instantaneous_ber,
     qam_constants,
-    snr_pdf,
 )
+from oracles import e2e_ber_iid, snr_pdf
 
 
 def test_constants_qpsk():

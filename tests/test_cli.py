@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import cogrelay
 from cogrelay import (
     McEstimate,
     NumericError,
@@ -323,6 +327,35 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["mc", "--config", cfg, "--trials", "200000", "--chunks", "2"]) == 2
     assert capsys.readouterr().err == "numeric failure: synthetic failure\n"
+
+
+@pytest.mark.parametrize("sweep", [
+    "ip_over_n0_db=4000:4000:1",   # 10**400 overflows
+    "ip_over_n0_db=nan:1:1",
+    "eta=inf:inf:1",
+    "ip_over_n0_db=0:1e300:1e-300",  # the point count overflows
+])
+def test_bad_sweep_bounds_exit_1_without_traceback(tmp_path, capsys, sweep):
+    cfg = _write_config(tmp_path)
+    assert main(["analyze", "--config", cfg, "--sweep", sweep]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_quadrature_optimizer_or_mpmath():
+    src = os.path.dirname(os.path.dirname(cogrelay.__file__))
+    code = (
+        "import sys, cogrelay.cli; print('\\n'.join(m for m in sys.modules "
+        "if m.startswith(('scipy.integrate', 'scipy.optimize', 'mpmath'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == []
 
 
 def test_config_chunks_takes_effect_and_the_flag_wins(tmp_path, capsys, monkeypatch):

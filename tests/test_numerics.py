@@ -5,14 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import erfc, erfcx
 
-from cogrelay import (
-    ConvergenceError,
-    IllConditionedError,
-    NewtonOptions,
-    newton_system,
-    quad_semiinfinite,
-    solve_linear,
-)
+from cogrelay import NumericError
+from oracles import quad_semiinfinite
 
 # The BER kernels call scipy.special.erfc/erfcx directly; the first tests
 # pin the accuracy and overflow behaviour those kernels rely on.
@@ -67,78 +61,6 @@ def test_quad_semiinfinite_known_integrals():
 
 
 def test_quad_semiinfinite_rejects_nonconvergent_integrand():
-    from cogrelay import NumericError
-
     with pytest.raises(NumericError), np.errstate(all="ignore"):
         # undamped oscillation: the adaptive budget cannot resolve it
         quad_semiinfinite(lambda g: math.sin(g * g))
-
-
-def test_solve_linear_trivial_and_residual():
-    x, cond = solve_linear(np.eye(3), [1.0, 2.0, 3.0])
-    assert x == pytest.approx([1.0, 2.0, 3.0])
-    assert cond == pytest.approx(1.0)
-    x, _ = solve_linear([[2.0, 0.0], [0.0, 4.0]], [2.0, 4.0])
-    assert x == pytest.approx([1.0, 1.0])
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
-    b = rng.normal(size=5)
-    x, _ = solve_linear(a, b)
-    assert np.max(np.abs(a @ x - b)) <= 1e-9 * np.max(np.abs(b))
-
-
-def test_solve_linear_rejects_singular():
-    with pytest.raises(IllConditionedError):
-        solve_linear([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-
-
-def test_newton_scalar_and_coupled():
-    res = newton_system(lambda x: x - 3.0, [0.0])
-    assert res.x[0] == pytest.approx(3.0, abs=1e-10)
-    assert res.residual_norm <= 1e-10
-
-    res = newton_system(
-        lambda v: np.array([v[0] ** 2 - 4.0, v[1] - v[0]]), [1.0, 1.0]
-    )
-    assert res.x == pytest.approx([2.0, 2.0], abs=1e-9)
-
-
-def test_newton_honors_declared_tolerance():
-    opts = NewtonOptions(tol=1e-13, max_iter=60)
-    res = newton_system(lambda x: np.array([math.tanh(x[0]) - 0.5]), [2.0], opts)
-    assert res.residual_norm <= opts.tol
-
-
-def test_newton_zero_tolerance_stops_at_rounding_floor():
-    # tol=0 leaves only the step test, which runs the root to rounding level
-    res = newton_system(
-        lambda x: np.array([math.tanh(x[0]) - 0.5]), [2.0], NewtonOptions(tol=0.0)
-    )
-    assert res.x[0] == pytest.approx(math.atanh(0.5), rel=1e-15)
-    with pytest.raises(ValueError):
-        NewtonOptions(tol=-1e-10)
-
-
-def test_newton_reports_nonconvergence():
-    opts = NewtonOptions(tol=1e-12, max_iter=2)
-    with pytest.raises(ConvergenceError), np.errstate(over="ignore"):
-        # the flat tail makes the first steps overshoot wildly; two
-        # iterations cannot reach the tolerance
-        newton_system(lambda x: np.array([np.exp(x[0]) - 50.0]), [-10.0], opts)
-
-
-def test_newton_solves_two_hop_placement_system():
-    # same residual solved by the placement module, cross-checked by bisection
-    def g(t):
-        return (0.35 - t) ** 2 + 0.1225 - 0.245 * ((1.0 - t) / t) ** 2
-
-    lo, hi = 0.05, 0.95
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(lo) * g(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    root = 0.5 * (lo + hi)
-    res = newton_system(lambda v: np.array([g(v[0])]), [0.5])
-    assert res.x[0] == pytest.approx(root, abs=1e-10)

@@ -6,12 +6,14 @@ import pytest
 from cogrelay import (
     ConfigError,
     ConvergenceError,
+    NumericError,
     Scenario,
     ber_min,
     derive_hop_statistics,
     direct_search,
     op_min,
     outage_asymptotic,
+    placement,
     placement_objective,
     qam_constants,
     solve_equal_ratio,
@@ -123,6 +125,59 @@ def test_unreachable_unit_sum_raises():
     # summing to one: the two nearest miss by -2.6e-8 and 1.6e-8
     with pytest.raises(ConvergenceError):
         solve_equal_ratio(64, (0.5, 1e-9))
+
+
+# (K, PU, iterations, ratio) of the balanced-layout solve; the cases at
+# (0.5, 1e-3) and (0.0858, 1e-3) halve Newton steps
+_PINNED_SOLVES = [
+    (2, (0.35, 0.35), 5, "0x1.1ce97a8220763p+0"),
+    (4, (1.115, 0.15), 6, "0x1.9ada234b75738p-2"),
+    (8, (0.5, 1e-3), 6, "0x1.01e73225573cap+0"),
+    (32, (0.0858, 1e-3), 8, "0x1.9eb9791320511p-2"),
+    (64, (1.0, 1e-6), 20, "0x1.a16dda7f78a1bp-3"),
+    (64, (0.5, 1e-3), 22, "0x1.b85e51da27815p-3"),
+]
+
+
+@pytest.mark.parametrize("k,pu,iterations,ratio", _PINNED_SOLVES)
+def test_solver_iterations_and_ratio_pinned(k, pu, iterations, ratio):
+    p = solve_equal_ratio(k, pu)
+    assert (p.iterations, p.ratio) == (iterations, float.fromhex(ratio))
+
+
+def test_solver_backtracks_through_module_newton(monkeypatch):
+    # solve_equal_ratio looks newton_system up at call time, so a wrapper
+    # bound to the module (as the benchmark's span recorder binds one)
+    # sees every residual evaluation
+    evaluations = []
+    newton = placement.newton_system
+
+    def counting(residual, rho):
+        return newton(lambda r: evaluations.append(r) or residual(r), rho)
+
+    monkeypatch.setattr(placement, "newton_system", counting)
+    p = solve_equal_ratio(8, (0.5, 1e-3))
+    # one evaluation at the start and one per iteration without halving
+    assert len(evaluations) > p.iterations + 1
+
+
+def test_newton_settles_at_rounding_floor():
+    rho, iterations = placement.newton_system(
+        lambda x: (math.tanh(x) - 0.5, 1.0 - math.tanh(x) ** 2), 2.0
+    )
+    assert rho == pytest.approx(math.atanh(0.5), rel=1e-15)
+    assert iterations < 100
+
+
+def test_newton_rejects_zero_derivative():
+    with pytest.raises(NumericError, match="derivative"):
+        placement.newton_system(lambda x: (x - 1.0, 0.0), 2.0)
+
+
+def test_newton_reports_nonconvergence():
+    # a derivative far too large gives steps that never settle rho
+    with pytest.raises(ConvergenceError):
+        placement.newton_system(lambda x: (x - 1.0, 1e6), 2.0)
 
 
 def test_degenerate_primary_position_rejected():
