@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy.special import erfc, erfcx
 
-from cogrelay import NumericError
+from scipy.optimize import fsolve
+
+from cogrelay import (
+    ConvergenceError,
+    NumericError,
+    placement,
+    solve_equal_ratio,
+)
 from oracles import quad_semiinfinite
 
 # The BER kernels call scipy.special.erfc/erfcx directly; the first tests
@@ -64,3 +71,80 @@ def test_quad_semiinfinite_rejects_nonconvergent_integrand():
     with pytest.raises(NumericError), np.errstate(all="ignore"):
         # undamped oscillation: the adaptive budget cannot resolve it
         quad_semiinfinite(lambda g: math.sin(g * g))
+
+
+# The balanced placement solves one scalar equation in the common ratio
+# with placement.newton_system, which takes residual(x) -> (f, f').
+
+
+def _tanh_residual(x):
+    return math.tanh(x) - 0.5, 1.0 - math.tanh(x) ** 2
+
+
+def test_newton_scalar_and_coupled():
+    # start 0.0 is projected to the smallest normal double
+    rho, _ = placement.newton_system(lambda x: (x - 3.0, 1.0), 0.0)
+    assert rho == pytest.approx(3.0, abs=1e-10)
+
+    # the K coupled equal-ratio conditions, sum d = 1 and
+    # d_k/d_I_k = d_1/d_I_1, solved directly agree with the scalar solve
+    k, pu = 4, (0.35, 0.35)
+
+    def conditions(d):
+        d_i = placement.interference_distances(d, pu)
+        ratios = [a / b for a, b in zip(d, d_i)]
+        return [sum(d) - 1.0] + [r - ratios[0] for r in ratios[1:]]
+
+    direct = fsolve(conditions, [1.0 / k] * k, xtol=1e-14)
+    assert max(abs(c) for c in conditions(direct)) <= 1e-12
+    assert solve_equal_ratio(k, pu).d_data == pytest.approx(direct, abs=1e-10)
+
+
+def test_newton_honors_declared_tolerance():
+    # the solve ends once a step is at most 1e-8 * rho; a fresh step at
+    # the returned ratio is within that bound
+    rho, iterations = placement.newton_system(_tanh_residual, 2.0)
+    f, df = _tanh_residual(rho)
+    assert abs(f / df) <= 1e-8 * rho
+    assert abs(f) <= 1e-13
+    assert iterations < 100
+
+
+def test_newton_zero_tolerance_stops_at_rounding_floor():
+    # no residual tolerance: only the settle rule ends the solve, which
+    # runs the root to rounding level
+    rho, iterations = placement.newton_system(_tanh_residual, 2.0)
+    assert rho == pytest.approx(math.atanh(0.5), rel=1e-15)
+    assert iterations < 100
+
+
+def test_newton_rejects_zero_derivative():
+    with pytest.raises(NumericError, match="derivative"):
+        placement.newton_system(lambda x: (x - 1.0, 0.0), 2.0)
+
+
+def test_newton_reports_nonconvergence():
+    # a derivative far too large gives steps that never settle rho
+    with pytest.raises(ConvergenceError):
+        placement.newton_system(lambda x: (x - 1.0, 1e6), 2.0)
+
+
+def test_newton_solves_two_hop_placement_system():
+    # the two-hop placement residual in the first hop length, cross-checked
+    # by bisection
+    def g(t):
+        return (0.35 - t) ** 2 + 0.1225 - 0.245 * ((1.0 - t) / t) ** 2
+
+    def dg(t):
+        return -2.0 * (0.35 - t) + 0.49 * (1.0 - t) / t ** 3
+
+    lo, hi = 0.05, 0.95
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if g(lo) * g(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    root = 0.5 * (lo + hi)
+    t, _ = placement.newton_system(lambda v: (g(v), dg(v)), 0.5)
+    assert t == pytest.approx(root, abs=1e-10)

@@ -6,7 +6,6 @@ import pytest
 from cogrelay import (
     ConfigError,
     ConvergenceError,
-    NumericError,
     Scenario,
     ber_min,
     derive_hop_statistics,
@@ -159,25 +158,6 @@ def test_solver_backtracks_through_module_newton(monkeypatch):
     p = solve_equal_ratio(8, (0.5, 1e-3))
     # one evaluation at the start and one per iteration without halving
     assert len(evaluations) > p.iterations + 1
-
-
-def test_newton_settles_at_rounding_floor():
-    rho, iterations = placement.newton_system(
-        lambda x: (math.tanh(x) - 0.5, 1.0 - math.tanh(x) ** 2), 2.0
-    )
-    assert rho == pytest.approx(math.atanh(0.5), rel=1e-15)
-    assert iterations < 100
-
-
-def test_newton_rejects_zero_derivative():
-    with pytest.raises(NumericError, match="derivative"):
-        placement.newton_system(lambda x: (x - 1.0, 0.0), 2.0)
-
-
-def test_newton_reports_nonconvergence():
-    # a derivative far too large gives steps that never settle rho
-    with pytest.raises(ConvergenceError):
-        placement.newton_system(lambda x: (x - 1.0, 1e6), 2.0)
 
 
 def test_degenerate_primary_position_rejected():
