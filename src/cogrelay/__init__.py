@@ -27,12 +27,10 @@ from .capacity import (
 from .channel import substream
 from .errors import ConfigError, ConvergenceError, NumericError
 from .montecarlo import McEstimate, mc_ber, mc_capacity, mc_outage
-from .outage import diversity_coding_gain, outage_asymptotic, outage_exact
+from .outage import outage_asymptotic, outage_exact
 from .placement import (
     PlacementResult,
-    ber_min,
     direct_search,
-    op_min,
     placement_objective,
     solve_equal_ratio,
 )
@@ -55,12 +53,12 @@ __all__ = [
     "average_channel_power", "hop_geometry", "derive_hop_statistics",
     "alphas", "db_to_linear", "linear_to_db",
     "substream",
-    "outage_exact", "outage_asymptotic", "diversity_coding_gain",
+    "outage_exact", "outage_asymptotic",
     "QamConstants", "qam_constants", "instantaneous_ber", "hop_ber",
     "e2e_ber", "e2e_ber_asymptotic",
     "PartialFractionExpansion", "partial_fraction_expand",
     "capacity_pole_integral", "ergodic_capacity_ind", "per_hop_capacity",
-    "PlacementResult", "solve_equal_ratio", "op_min", "ber_min",
-    "direct_search", "placement_objective",
+    "PlacementResult", "solve_equal_ratio", "direct_search",
+    "placement_objective",
     "McEstimate", "mc_outage", "mc_ber", "mc_capacity",
 ]

@@ -151,19 +151,11 @@ def e2e_ber(per_hop_bers):
     return float(acc) if np.ndim(acc) == 0 else acc
 
 
-def e2e_ber_asymptotic(
-    alphas, constants: QamConstants, hop_count: int | None = None
-):
+def e2e_ber_asymptotic(alphas, constants: QamConstants):
     """High-SNR end-to-end BER (a/2b) * sum_k 1/alpha_k.
 
-    Pass per-hop alphas along the last axis ((K,) gives a float, (P, K)
-    a (P,) array), or a scalar alpha together with hop_count for the
-    identical-hops form K*a/(2*b*alpha).
+    Hops lie along the last axis: (K,) gives a float, (P, K) a (P,) array.
     """
-    if np.isscalar(alphas):
-        if hop_count is None:
-            raise ValueError("scalar alpha requires hop_count")
-        alphas = [float(alphas)] * hop_count
     al = np.asarray(alphas, dtype=float)
     if al.ndim == 0 or al.shape[-1] == 0 or np.any(al <= 0):
         raise ValueError("alphas must be positive")

@@ -48,6 +48,7 @@ _LN2 = math.log(2.0)
 _SERIES_RADIUS = 0.5       # switch between series and closed-form kernel
 _CANCEL_LIMIT = 1e6        # max |term| / |sum| tolerated in float64
 _KERNEL_CANCEL_LIMIT = 1e3  # same, inside the closed-form pole kernel
+_CLUSTER_TOL = 1e-6        # relative gap within which poles merge
 _QUAD_STEP = 0.25          # survival quadrature step in ln(gamma)
 _QUAD_MARGIN = 40.0        # e-folds integrated past the outermost pole
 
@@ -76,20 +77,17 @@ class PartialFractionExpansion:
                 yield beta, l, a
 
 
-def partial_fraction_expand(
-    alphas: Sequence[float],
-    cluster_tol: float = 1e-6,
-) -> PartialFractionExpansion:
+def partial_fraction_expand(alphas: Sequence[float]) -> PartialFractionExpansion:
     """Expand the weakest-hop SNR density into partial fractions.
 
-    Scale parameters within relative cluster_tol of each other are
+    Scale parameters within relative _CLUSTER_TOL of each other are
     merged into a single pole with summed multiplicity; the coefficients
     come from residue calculus.
     """
     al = _checked_alphas(alphas)
     if al.ndim != 1:
         raise ValueError("alphas must be one chain's hops")
-    ordered, merged = _cluster_poles(al[None, :], cluster_tol)
+    ordered, merged = _cluster_poles(al[None, :])
     starts, mults = _pole_pattern(merged[0])
     coeffs = _residue_coefficients(ordered[:, starts], mults)
     return PartialFractionExpansion(
@@ -217,7 +215,7 @@ def _kernel_remainder(l: int, pole: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(pole_l), math.nan, result / pole_l)
 
 
-def ergodic_capacity_ind(alphas, cluster_tol: float = 1e-6):
+def ergodic_capacity_ind(alphas):
     """Closed-form ergodic capacity (bits/s/Hz) for non-identical hops.
 
     alphas of shape (K,) give a float, (P, K) a (P,) array.  Points are
@@ -235,7 +233,7 @@ def ergodic_capacity_ind(alphas, cluster_tol: float = 1e-6):
         capacity = prefactor / k
         # prod(alpha) at 0 or inf would only lead to the quadrature
         expandable = np.flatnonzero((prefactor > 0.0) & (prefactor < math.inf))
-        ordered, merged = _cluster_poles(rows[expandable], cluster_tol)
+        ordered, merged = _cluster_poles(rows[expandable])
         patterns, group_of = np.unique(merged, axis=0, return_inverse=True)
         for g, pattern in enumerate(patterns.tolist()):
             members = np.flatnonzero(group_of == g)
@@ -281,13 +279,12 @@ def _checked_alphas(alphas) -> np.ndarray:
     return al
 
 
-def _cluster_poles(rows: np.ndarray, tol: float):
+def _cluster_poles(rows: np.ndarray):
     """Each row sorted ascending, and whether each value merges into the
-    cluster of the one before it: its relative gap to it is within tol."""
-    if tol < 0:
-        raise ValueError("cluster_tol must be non-negative")
+    cluster of the one before it: its relative gap to it is within
+    _CLUSTER_TOL."""
     ordered = np.sort(rows, axis=1)
-    return ordered, ordered[:, 1:] - ordered[:, :-1] <= tol * ordered[:, 1:]
+    return ordered, ordered[:, 1:] - ordered[:, :-1] <= _CLUSTER_TOL * ordered[:, 1:]
 
 
 def _pole_pattern(merged) -> tuple[list[int], tuple[int, ...]]:

@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 configuration/flag error, 2 numeric or
 convergence failure.  Metadata lines are '#'-prefixed; re-running a
 command with identical inputs reproduces the output byte for byte
 (the timestamp line is suppressible with --no-timestamp).
+
+Every closed-form column is evaluated on the per-hop alphas of the
+sweep's points.  optimize's op_min and ber_min are the outage and BER
+asymptotes on the alphas of the balanced layout (with_performance).
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from .errors import ConfigError, NumericError
 from .montecarlo import mc_ber, mc_capacity, mc_outage
 from .outage import outage_asymptotic, outage_exact
 from .placement import (
+    PlacementResult,
     direct_search,
     placement_objective,
     solve_equal_ratio,
-    with_performance,
 )
 from .scenario import (
     Scenario,
@@ -42,6 +46,7 @@ from .scenario import (
 SWEEP_VARIABLES = ("ip_over_n0_db", "hop_count", "eta", "pu_x", "pu_y")
 MC_OUTPUTS = ("mc_op", "mc_ber", "mc_capacity")
 DEFAULT_OUTPUTS = ("op_exact", "op_asymptotic", "ber_exact", "capacity")
+MAX_SWEEP_POINTS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -117,8 +122,10 @@ def parse_sweep(text: str) -> tuple[str, list]:
     if start > stop:
         raise ConfigError("sweep start must not exceed stop")
     span = (stop - start) / step
-    if not math.isfinite(span):
-        raise ConfigError(f"sweep range {rest!r} has too many points")
+    if not span < MAX_SWEEP_POINTS:  # checked before any point is built
+        raise ConfigError(
+            f"sweep range {rest!r} has more than {MAX_SWEEP_POINTS} points"
+        )
     count = int(round(span))
     values = [start + i * step for i in range(count + 1)]
     if values[-1] > stop + 1e-9 * step:
@@ -154,8 +161,6 @@ class _Points:
 
     index: list          # positions of the points in the sweep
     alphas: np.ndarray   # (P, K)
-    pairs: np.ndarray    # (lambda_d, lambda_i): (K, 2), or (P, K, 2)
-    ip_over_n0: np.ndarray  # (P,)
 
 
 @dataclass(frozen=True)
@@ -192,24 +197,17 @@ def sweep_points(base: Scenario, variable: str, values: Sequence) -> list[_Point
     alphas = ratios * ips[:, None]
     if np.any(alphas <= 0):
         raise ConfigError("ip_over_n0 is so small that a hop's alpha is 0")
-    pairs = np.array([(h.lambda_d, h.lambda_i) for h in stats])
-    return [_Points(list(range(len(values))), alphas, pairs, ips)]
+    return [_Points(list(range(len(values))), alphas)]
 
 
 def _stack(scenarios: Sequence[Scenario]) -> list[_Points]:
     """Points grouped by hop count, each group in sweep order."""
     groups: dict = {}
     for i, point in enumerate(scenarios):
-        index, hops, ips = groups.setdefault(point.hop_count, ([], [], []))
+        index, rows = groups.setdefault(point.hop_count, ([], []))
         index.append(i)
-        hops.append([(h.lambda_d, h.lambda_i, h.alpha)
-                     for h in derive_hop_statistics(point)])
-        ips.append(point.ip_over_n0)
-    points = []
-    for index, hops, ips in groups.values():
-        hops = np.array(hops)
-        points.append(_Points(index, hops[..., 2], hops[..., :2], np.array(ips)))
-    return points
+        rows.append([h.alpha for h in derive_hop_statistics(point)])
+    return [_Points(index, np.array(rows)) for index, rows in groups.values()]
 
 
 def _estimates(estimator, points: _Points, sweep: _Sweep):
@@ -227,7 +225,7 @@ OUTPUTS = {
     "op_exact": (("op_exact",), lambda pts, sw: (
         outage_exact(pts.alphas, sw.base.gamma_th),)),
     "op_asymptotic": (("op_asymptotic",), lambda pts, sw: (
-        outage_asymptotic(pts.pairs, pts.ip_over_n0, sw.base.gamma_th),)),
+        outage_asymptotic(pts.alphas, sw.base.gamma_th),)),
     "ber_exact": (("ber_exact",), lambda pts, sw: (
         e2e_ber(hop_ber(pts.alphas, sw.constants)),)),
     "ber_asymptotic": (("ber_asymptotic",), lambda pts, sw: (
@@ -327,6 +325,26 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+# bench/spans.py wraps this module attribute by name: keep the name.
+def with_performance(scenario: Scenario, layout: PlacementResult, constants: QamConstants):
+    """(op_min, ber_min): the outage and BER asymptotes on the layout's
+    alphas, I_p/N_0 * (d_interference_k/d_data_k)^eta.
+
+    The alphas come from the solved hop lengths rather than from relay
+    positions, whose rounding can swallow a hop far shorter than them.
+    Raises ConfigError where an alpha underflows to 0.
+    """
+    ratios = np.array(layout.d_interference) / np.array(layout.d_data)
+    with np.errstate(over="ignore", under="ignore"):
+        hop_alphas = scenario.ip_over_n0 * ratios ** scenario.path_loss_exponent
+    if not np.all(hop_alphas > 0):
+        raise ConfigError("an alpha of the balanced layout underflows to 0")
+    return (
+        outage_asymptotic(hop_alphas, scenario.gamma_th),
+        e2e_ber_asymptotic(hop_alphas, constants),
+    )
+
+
 def cmd_optimize(args) -> int:
     scenario, _ = load_scenario(args.config)
     if args.grid_resolution < 1:
@@ -335,9 +353,7 @@ def cmd_optimize(args) -> int:
     eta = scenario.path_loss_exponent
     constants = qam_constants(scenario.qam_order)
     placement = solve_equal_ratio(k, scenario.pu_coord)
-    placement = with_performance(
-        placement, scenario.gamma_th, scenario.ip_over_n0, eta, constants
-    )
+    op_min, ber_min = with_performance(scenario, placement, constants)
     balanced_obj = placement_objective(
         placement.d_data, scenario.pu_coord, eta
     )
@@ -348,8 +364,8 @@ def cmd_optimize(args) -> int:
         "ratio": _fmt(placement.ratio),
         "residual_norm": _fmt(placement.residual_norm),
         "iterations": placement.iterations,
-        "op_min": _fmt(placement.op_min),
-        "ber_min": _fmt(placement.ber_min),
+        "op_min": _fmt(op_min),
+        "ber_min": _fmt(ber_min),
         "objective_equal_ratio": _fmt(balanced_obj),
     }
     if k <= 4:
@@ -376,7 +392,7 @@ def cmd_optimize(args) -> int:
     print(
         f"optimize: K={k} ratio={placement.ratio:.6f} "
         f"residual={placement.residual_norm:.2e} "
-        f"op_min={placement.op_min:.6g} ber_min={placement.ber_min:.6g}",
+        f"op_min={op_min:.6g} ber_min={ber_min:.6g}",
         file=sys.stderr,
     )
     return 0

@@ -10,18 +10,20 @@ directly; it is a diagnostic, because the balanced-ratio point is a
 stationary point of an arithmetic-geometric mean bound whose product
 term itself varies with placement, so the direct optimum can be
 (slightly) better.
+
+Only positions are solved here.  A layout's outage and BER minima are
+the high-SNR asymptotes outage_asymptotic and e2e_ber_asymptotic on its
+alphas, I_p/N_0 * (d_interference_k/d_data_k)^eta.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ber import QamConstants
 from .errors import ConfigError, ConvergenceError, NumericError
 
 _D_MIN = 1e-6  # smallest hop length direct_search considers
@@ -37,8 +39,7 @@ class PlacementResult:
 
     d_data sums to one; ratio is the common d_data/d_interference value;
     residual_norm is max(|sum d_data - 1|, max_k |r_k/r_1 - 1|) over the
-    returned ratios r_k = d_data_k/d_interference_k.  op_min and ber_min
-    are filled in by the corresponding evaluators.
+    returned ratios r_k = d_data_k/d_interference_k.
     """
 
     d_data: tuple[float, ...]
@@ -46,17 +47,10 @@ class PlacementResult:
     ratio: float
     residual_norm: float
     iterations: int
-    op_min: Optional[float] = None
-    ber_min: Optional[float] = None
 
     @property
     def hop_count(self) -> int:
         return len(self.d_data)
-
-    def ratio_product(self) -> float:
-        return math.prod(
-            d / di for d, di in zip(self.d_data, self.d_interference)
-        )
 
 
 def _check_pu(pu_coord) -> tuple[float, float]:
@@ -196,44 +190,6 @@ def solve_equal_ratio(hop_count: int, pu_coord) -> PlacementResult:
         ratio=rho,
         residual_norm=residual,
         iterations=iterations,
-    )
-
-
-def op_min(
-    placement: PlacementResult, gamma_th: float, ip_over_n0: float, eta: float
-) -> float:
-    """Outage probability at the balanced-ratio layout:
-    (gamma_th/(I_p/N_0)) * K * (prod_k d_k/d_I_k)^(eta/K)."""
-    if gamma_th < 0 or ip_over_n0 <= 0 or eta < 2:
-        raise ValueError("invalid gamma_th, ip_over_n0 or eta")
-    k = placement.hop_count
-    return (gamma_th / ip_over_n0) * k * placement.ratio_product() ** (eta / k)
-
-
-def ber_min(
-    placement: PlacementResult, constants: QamConstants, eta: float
-) -> float:
-    """High-SNR bit error rate at the balanced-ratio layout:
-    (a/2b) * K * (prod_k d_k/d_I_k)^(eta/K)."""
-    if eta < 2:
-        raise ValueError("eta must be >= 2")
-    k = placement.hop_count
-    pref = constants.a / (2.0 * constants.b)
-    return pref * k * placement.ratio_product() ** (eta / k)
-
-
-def with_performance(
-    placement: PlacementResult,
-    gamma_th: float,
-    ip_over_n0: float,
-    eta: float,
-    constants: QamConstants,
-) -> PlacementResult:
-    """Placement with op_min/ber_min fields populated."""
-    return replace(
-        placement,
-        op_min=op_min(placement, gamma_th, ip_over_n0, eta),
-        ber_min=ber_min(placement, constants, eta),
     )
 
 

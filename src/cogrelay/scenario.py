@@ -161,20 +161,33 @@ def hop_geometry(scenario: Scenario) -> list[tuple[float, float]]:
 
 
 def derive_hop_statistics(scenario: Scenario) -> list[HopStatistics]:
-    """Average channel powers per hop, from overrides or path loss."""
+    """Average channel powers per hop, from overrides or path loss.
+
+    Raises ConfigError where a hop's power or alpha is not a positive
+    double: the primary receiver on a transmitter node or within about
+    1e-300 of one (its power overflows), or a power or alpha that
+    underflows to 0.
+    """
     ip = scenario.ip_over_n0
-    if scenario.lambda_overrides is not None:
-        pairs = scenario.lambda_overrides
-    else:
-        eta = scenario.path_loss_exponent
-        pairs = [
-            (average_channel_power(dd, eta), average_channel_power(di, eta))
-            for dd, di in hop_geometry(scenario)
+    try:
+        if scenario.lambda_overrides is not None:
+            pairs = scenario.lambda_overrides
+        else:
+            eta = scenario.path_loss_exponent
+            pairs = [
+                (average_channel_power(dd, eta), average_channel_power(di, eta))
+                for dd, di in hop_geometry(scenario)
+            ]
+        return [
+            HopStatistics(lambda_d=ld, lambda_i=li, alpha=(ld / li) * ip)
+            for ld, li in pairs
         ]
-    return [
-        HopStatistics(lambda_d=ld, lambda_i=li, alpha=(ld / li) * ip)
-        for ld, li in pairs
-    ]
+    except (ValueError, ArithmeticError):
+        raise ConfigError(
+            f"a hop's channel power or alpha is not a positive double "
+            f"(primary receiver at {scenario.pu_coord}: on or too near a node, "
+            "or a power or alpha out of the float64 range)"
+        ) from None
 
 
 def alphas(scenario: Scenario) -> list[float]:

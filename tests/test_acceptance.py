@@ -25,7 +25,6 @@ from cogrelay import (
     mc_ber,
     mc_capacity,
     mc_outage,
-    op_min,
     outage_asymptotic,
     outage_exact,
     per_hop_capacity,
@@ -165,9 +164,7 @@ def test_criterion_4_high_snr_asymptotics():
 
         scn60 = _scenario(3, 60.0)
         a60 = alphas(scn60)
-        op_ratio = outage_exact(a60, 1.0) / outage_asymptotic(
-            pairs, scn60.ip_over_n0, 1.0
-        )
+        op_ratio = outage_exact(a60, 1.0) / outage_asymptotic(a60, 1.0)
         assert 0.95 <= op_ratio <= 1.0, f"OP ratio {op_ratio}"
         c4 = qam_constants(4)
         ber_ratio = e2e_ber([hop_ber(a, c4) for a in a60]) / e2e_ber_asymptotic(
@@ -230,7 +227,12 @@ def test_criterion_6_placement_solver():
         p1 = solve_equal_ratio(3, PU)
         p2 = solve_equal_ratio(3, PU)
         assert p1.d_data == p2.d_data
-        minima = {op_min(p1, 1.0, 100.0, eta) for eta in (2.0, 4.0, 6.0)}
+        minima = {
+            outage_asymptotic(alphas(Scenario(
+                hop_count=3, pu_coord=PU, path_loss_exponent=eta, ip_over_n0=100.0,
+            ).with_hop_distances(p1.d_data)), 1.0)
+            for eta in (2.0, 4.0, 6.0)
+        }
         assert len(minima) == 3
 
         def g(t):

@@ -131,7 +131,7 @@ def test_iid_matches_general_recursion():
 
 def test_asymptote_examples():
     c4 = qam_constants(4)
-    assert e2e_ber_asymptotic(100.0, c4, hop_count=2) == pytest.approx(0.005)
+    assert e2e_ber_asymptotic([100.0] * 2, c4) == pytest.approx(0.005)
     assert e2e_ber_asymptotic([100.0, 200.0], c4) == pytest.approx(0.00375)
 
 
@@ -139,7 +139,7 @@ def test_asymptote_approaches_exact():
     c = qam_constants(4)
     alpha, k = 1e5, 3
     exact = e2e_ber_iid(alpha, k, c)
-    approx = e2e_ber_asymptotic(alpha, c, hop_count=k)
+    approx = e2e_ber_asymptotic([alpha] * k, c)
     assert 0.95 <= exact / approx <= 1.05
 
 

@@ -181,9 +181,9 @@ def test_expansion_iid_triple_pole():
 
 
 def test_expansion_merges_near_equal_poles():
-    e = partial_fraction_expand([1.0, 1.0 + 1e-9, 5.0], cluster_tol=1e-6)
+    e = partial_fraction_expand([1.0, 1.0 + 1e-9, 5.0])
     assert e.multiplicities == (2, 1)
-    e2 = partial_fraction_expand([1.0, 1.001, 5.0], cluster_tol=1e-6)
+    e2 = partial_fraction_expand([1.0, 1.001, 5.0])
     assert e2.multiplicities == (1, 1, 1)
 
 

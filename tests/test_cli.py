@@ -11,6 +11,7 @@ import cogrelay
 from cogrelay import (
     McEstimate,
     NumericError,
+    alphas,
     derive_hop_statistics,
     e2e_ber,
     e2e_ber_asymptotic,
@@ -21,8 +22,17 @@ from cogrelay import (
     outage_exact,
     per_hop_capacity,
     qam_constants,
+    solve_equal_ratio,
 )
-from cogrelay.cli import SWEEP_VARIABLES, _fmt, main, parse_sweep, scenario_at, load_scenario
+from cogrelay.cli import (
+    MAX_SWEEP_POINTS,
+    SWEEP_VARIABLES,
+    _fmt,
+    load_scenario,
+    main,
+    parse_sweep,
+    scenario_at,
+)
 
 
 def _write_config(tmp_path, name="config.json", **fields):
@@ -81,7 +91,11 @@ SWEEPS = {
 
 
 def _per_point_rows(config_path, sweep):
-    """The analyze rows of CLOSED_FORMS, one scalar call per point and output."""
+    """The analyze rows of CLOSED_FORMS, one scalar call per point and output.
+
+    op_asymptotic is the paper's pair form (gamma_th/(I_p/N_0)) *
+    sum_k lambda_i/lambda_d, so a printed cell that drifts from it shows.
+    """
     base, _ = load_scenario(config_path)
     constants = qam_constants(base.qam_order)
     variable, values = parse_sweep(sweep)
@@ -93,7 +107,7 @@ def _per_point_rows(config_path, sweep):
         pairs = [(h.lambda_d, h.lambda_i) for h in stats]
         cells = [
             outage_exact(alphas, point.gamma_th),
-            outage_asymptotic(pairs, point.ip_over_n0, point.gamma_th),
+            (point.gamma_th / point.ip_over_n0) * sum(li / ld for ld, li in pairs),
             e2e_ber([hop_ber(a, constants) for a in alphas]),
             e2e_ber_asymptotic(alphas, constants),
             ergodic_capacity_ind(alphas),
@@ -152,6 +166,14 @@ def test_analyze_mc_columns(tmp_path, capsys):
     assert rows[0]["trials"] == "20000"
 
 
+def _meta(out):
+    """The '# key: value' metadata lines of a CLI output."""
+    return {
+        line.split(":")[0][2:]: line.partition(":")[2].strip()
+        for line in out.splitlines() if line.startswith("#") and ":" in line
+    }
+
+
 def test_optimize_two_hops(tmp_path, capsys):
     cfg = _write_config(tmp_path, hop_count=2, ip_over_n0_db=20.0)
     assert main(["optimize", "--config", cfg, "--no-timestamp"]) == 0
@@ -160,13 +182,32 @@ def test_optimize_two_hops(tmp_path, capsys):
     assert header == ["hop", "d_data", "d_interference", "ratio"]
     assert float(rows[0]["d_data"]) == pytest.approx(0.5509, abs=5e-4)
     assert float(rows[1]["d_data"]) == pytest.approx(0.4491, abs=5e-4)
-    meta = {
-        line.split(":")[0][2:]: line.partition(":")[2].strip()
-        for line in out.splitlines() if line.startswith("#") and ":" in line
-    }
+    meta = _meta(out)
     assert "objective_gap" in meta
     assert float(meta["objective_gap"]) >= -1e-9
     assert "op_min" in meta and "ber_min" in meta
+
+
+@pytest.mark.parametrize("ip_db", [-20.0, 30.0])
+def test_optimize_minima_are_the_asymptotes_at_the_layout(tmp_path, capsys, ip_db):
+    cfg = _write_config(tmp_path, hop_count=3, ip_over_n0_db=ip_db, gamma_th=2.0,
+                        path_loss_exponent=3.0, pu_coord=[0.6, 0.25])
+    assert main(["optimize", "--config", cfg, "--no-timestamp"]) == 0
+    out, err = capsys.readouterr()
+    meta = _meta(out)
+    scenario, _ = load_scenario(cfg)
+    layout = solve_equal_ratio(3, scenario.pu_coord)
+    # alpha_k = I_p/N_0 * (d_interference_k/d_data_k)^eta of the solved layout
+    a = [scenario.ip_over_n0 * (di / d) ** 3.0
+         for d, di in zip(layout.d_data, layout.d_interference)]
+    assert a == pytest.approx(alphas(scenario.with_hop_distances(layout.d_data)), rel=1e-12)
+    op_min = outage_asymptotic(a, 2.0)
+    ber_min = e2e_ber_asymptotic(a, qam_constants(4))
+    assert meta["op_min"] == _fmt(op_min)
+    assert meta["ber_min"] == _fmt(ber_min)
+    assert f"op_min={op_min:.6g} ber_min={ber_min:.6g}" in err
+    if ip_db > 0:  # at 30 dB the QPSK asymptote is within 1% of the exact BER
+        assert ber_min == pytest.approx(e2e_ber(hop_ber(a, qam_constants(4))), rel=1e-2)
 
 
 def test_optimize_single_hop_zero_gap(tmp_path, capsys):
@@ -284,6 +325,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # long chains deep below the noise floor used to end in a traceback
     deep = _write_config(tmp_path, "deep.json", ip_over_n0_db=-150.0)
     assert main(["analyze", "--config", deep, "--sweep", "hop_count=33,64"]) == 0
+    # a primary receiver on a transmitter node, or so near one that its
+    # channel power overflows, used to end in a traceback
+    on_node = _write_config(tmp_path, "on_node.json", hop_count=2, pu_coord=[0.5, 0])
+    near_node = _write_config(tmp_path, "near_node.json", hop_count=2, pu_coord=[0.5, 1e-300])
+    off_node = _write_config(tmp_path, "off_node.json", hop_count=2, pu_coord=[0.5, 0.5])
+    # a balanced layout whose alphas underflow: rho is about 1e5 here
+    tiny_alpha = _write_config(tmp_path, "tiny_alpha.json", hop_count=2, pu_coord=[0, 1e-10],
+                               path_loss_exponent=8.0, ip_over_n0=1e-300)
     negative_seed = _write_config(tmp_path, "negative_seed.json", seed=-5)
     bad_seed = _write_config(tmp_path, "bad_seed.json", seed="x")
     bad_chunks = _write_config(tmp_path, "bad_chunks.json", chunks="x")
@@ -306,6 +355,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         ["mc", "--config", bad_chunks],
         ["mc", "--config", zero_chunks],
         ["analyze", "--config", zero_chunks, "--outputs", "mc_op"],
+        *([command, "--config", path] for command in ("analyze", "profiles", "mc")
+          for path in (on_node, near_node)),
+        ["analyze", "--config", off_node, "--sweep", "pu_y=0:1:0.5"],
+        ["profiles", "--config", off_node, "--sweep", "pu_y=0:1:0.5",
+         "--profiles", "uniform"],
+        ["optimize", "--config", tiny_alpha],
     ):
         capsys.readouterr()
         assert main(argv) == 1, argv
@@ -334,6 +389,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     "ip_over_n0_db=nan:1:1",
     "eta=inf:inf:1",
     "ip_over_n0_db=0:1e300:1e-300",  # the point count overflows
+    "ip_over_n0_db=0:1e12:1",  # finite, but far too many points to build
 ])
 def test_bad_sweep_bounds_exit_1_without_traceback(tmp_path, capsys, sweep):
     cfg = _write_config(tmp_path)
@@ -341,6 +397,11 @@ def test_bad_sweep_bounds_exit_1_without_traceback(tmp_path, capsys, sweep):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_sweep_point_limit_is_in_the_message():
+    with pytest.raises(cogrelay.ConfigError, match=str(MAX_SWEEP_POINTS)):
+        parse_sweep(f"eta=0:{MAX_SWEEP_POINTS}:1")
 
 
 def test_cli_import_loads_no_quadrature_optimizer_or_mpmath():

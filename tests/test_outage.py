@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cogrelay import (
-    diversity_coding_gain,
-    outage_asymptotic,
-    outage_exact,
-)
+from cogrelay import outage_asymptotic, outage_exact
 
 
 def test_exact_examples():
@@ -27,29 +23,39 @@ def test_exact_deep_multihop_no_underflow():
     assert op == pytest.approx(expected, rel=1e-12)
 
 
+def _alphas(pairs, ip):
+    """alpha_k = (lambda_d/lambda_i)_k * I_p/N_0 of (lambda_d, lambda_i) pairs."""
+    return [ld / li * ip for ld, li in pairs]
+
+
 def test_asymptotic_examples():
     pairs = [(2.0, 1.0), (4.0, 1.0)]  # ratios lambda_i/lambda_d = 0.5, 0.25
-    assert outage_asymptotic(pairs, 100.0, 1.0) == pytest.approx(0.0075)
-    assert outage_asymptotic(pairs, 200.0, 1.0) == pytest.approx(0.00375)
+    assert outage_asymptotic(_alphas(pairs, 100.0), 1.0) == pytest.approx(0.0075)
+    assert outage_asymptotic(_alphas(pairs, 200.0), 1.0) == pytest.approx(0.00375)
 
 
 def test_asymptotic_close_to_exact_at_extreme_snr():
-    ip = 1e6
-    pairs = [(1.0, 1.0)] * 3
-    alphas = [ld / li * ip for ld, li in pairs]
-    ratio = outage_exact(alphas, 1.0) / outage_asymptotic(pairs, ip, 1.0)
+    alphas = _alphas([(1.0, 1.0)] * 3, 1e6)
+    ratio = outage_exact(alphas, 1.0) / outage_asymptotic(alphas, 1.0)
     assert 0.99 <= ratio <= 1.0
+
+
+def _gains(pairs, gamma_th, ip1=1e2, ip2=1e5):
+    """(G_d, G_c) read off the asymptote OP = (G_c * I_p/N_0)^(-G_d) at two SNRs."""
+    op1, op2 = (outage_asymptotic(_alphas(pairs, ip), gamma_th) for ip in (ip1, ip2))
+    gd = -math.log(op2 / op1) / math.log(ip2 / ip1)
+    return gd, op1 ** (-1.0 / gd) / ip1
 
 
 def test_diversity_and_coding_gain():
     pairs = [(2.0, 1.0), (4.0, 1.0)]
-    gd, gc = diversity_coding_gain(pairs, 1.0)
-    assert gd == 1.0
+    gd, gc = _gains(pairs, 1.0)
+    assert gd == pytest.approx(1.0, rel=1e-12)
     assert gc == pytest.approx(4.0 / 3.0)
     # diversity order is one no matter the hop count
     for k in (1, 2, 5, 9):
-        gd, _ = diversity_coding_gain([(1.0, 3.0)] * k, 2.0)
-        assert gd == 1.0
+        gd, _ = _gains([(1.0, 3.0)] * k, 2.0)
+        assert gd == pytest.approx(1.0, rel=1e-12)
 
 
 def test_loglog_slope_is_minus_one():
@@ -79,8 +85,8 @@ def test_exact_bounded_by_asymptotic():
         pairs = [(10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2)) for _ in range(k)]
         ip = 10 ** rng.uniform(-1, 4)
         gth = 10 ** rng.uniform(-2, 1)
-        alphas = [ld / li * ip for ld, li in pairs]
-        assert outage_exact(alphas, gth) <= outage_asymptotic(pairs, ip, gth) + 1e-15
+        alphas = _alphas(pairs, ip)
+        assert outage_exact(alphas, gth) <= outage_asymptotic(alphas, gth) + 1e-15
 
 
 def test_iid_reduction():

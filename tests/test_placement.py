@@ -7,10 +7,9 @@ from cogrelay import (
     ConfigError,
     ConvergenceError,
     Scenario,
-    ber_min,
-    derive_hop_statistics,
+    alphas,
     direct_search,
-    op_min,
+    e2e_ber_asymptotic,
     outage_asymptotic,
     placement,
     placement_objective,
@@ -19,6 +18,17 @@ from cogrelay import (
 )
 
 PU = (0.35, 0.35)
+
+
+def _layout_alphas(p, ip_over_n0, eta=4.0):
+    """Per-hop alphas of the scenario with the hop lengths of layout p."""
+    scn = Scenario(hop_count=p.hop_count, pu_coord=PU, path_loss_exponent=eta,
+                   ip_over_n0=ip_over_n0)
+    return alphas(scn.with_hop_distances(p.d_data))
+
+
+def _ratio_product(p):
+    return math.prod(d / di for d, di in zip(p.d_data, p.d_interference))
 
 
 def _bisect_two_hop_root(px, py):
@@ -169,36 +179,43 @@ def test_positions_are_eta_free_but_performance_is_not():
     # the solved system never involves the path loss exponent; only the
     # performance evaluated on top of the positions changes with it
     p = solve_equal_ratio(3, PU)
-    values = [op_min(p, 1.0, 100.0, eta) for eta in (2.0, 4.0, 6.0)]
+    values = [outage_asymptotic(_layout_alphas(p, 100.0, eta), 1.0) for eta in (2.0, 4.0, 6.0)]
     assert len(set(values)) == 3
 
 
 def test_op_min_formula_and_example():
+    # the outage asymptote at the balanced layout is
+    # (gamma_th/(I_p/N_0)) * K * rho^eta
     p = solve_equal_ratio(2, PU)
     r = p.ratio
     expected = 0.02 * r ** 4
-    assert op_min(p, 1.0, 100.0, 4.0) == pytest.approx(expected, rel=1e-12)
-    assert op_min(p, 1.0, 100.0, 4.0) == pytest.approx(0.0307, abs=2e-4)
+    op_min = outage_asymptotic(_layout_alphas(p, 100.0), 1.0)
+    assert op_min == pytest.approx(expected, rel=1e-12)
+    assert op_min == pytest.approx(0.0307, abs=2e-4)
 
 
 def test_op_min_equals_asymptote_at_optimal_geometry():
+    # (gamma_th/(I_p/N_0)) * K * (prod_k d_k/d_I_k)^(eta/K) from the
+    # solved distances alone, against the asymptote on the layout's alphas
     for k in (2, 3, 4):
         p = solve_equal_ratio(k, PU)
-        scn = Scenario(hop_count=k, ip_over_n0=100.0).with_hop_distances(p.d_data)
-        pairs = [(h.lambda_d, h.lambda_i) for h in derive_hop_statistics(scn)]
-        assert op_min(p, 1.0, 100.0, 4.0) == pytest.approx(
-            outage_asymptotic(pairs, 100.0, 1.0), rel=1e-10
+        closed_form = (1.0 / 100.0) * k * _ratio_product(p) ** (4.0 / k)
+        assert closed_form == pytest.approx(
+            outage_asymptotic(_layout_alphas(p, 100.0), 1.0), rel=1e-10
         )
 
 
 def test_ber_min_formula():
+    # (a/2b) * K * (prod_k d_k/d_I_k)^(eta/K) / (I_p/N_0); a/2b = 1/4 for QPSK
     c4 = qam_constants(4)
     p1 = solve_equal_ratio(1, PU)
     r = 1.0 / math.sqrt(0.245)
-    assert ber_min(p1, c4, 4.0) == pytest.approx(0.25 * r ** 4, rel=1e-12)
+    assert e2e_ber_asymptotic(_layout_alphas(p1, 100.0), c4) == pytest.approx(
+        0.25 * r ** 4 / 100.0, rel=1e-12
+    )
     p2 = solve_equal_ratio(2, PU)
-    assert ber_min(p2, c4, 4.0) == pytest.approx(
-        0.25 * 2 * p2.ratio_product() ** 2, rel=1e-12
+    assert e2e_ber_asymptotic(_layout_alphas(p2, 100.0), c4) == pytest.approx(
+        0.25 * 2 * _ratio_product(p2) ** 2 / 100.0, rel=1e-12
     )
 
 
