@@ -15,9 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+from .numerics import libm
 
 _SQRT_PI = math.sqrt(math.pi)
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter of a double into halves
 # From x^2 = w*alpha = 100 on, 1 - sqrt(pi) x erfcx(x) is summed as its
 # asymptotic series; 12 terms keep the relative error below 4e-14 there.
 _TAIL_X2 = 100.0
@@ -74,6 +76,8 @@ def instantaneous_ber(gamma, constants: QamConstants):
     Terms sharing an omega share one erfc evaluation; the terms are still
     added in their table order, so the sum keeps its rounding.
     """
+    from scipy import special  # the closed-form paths need no scipy.special
+
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be non-negative")
@@ -106,23 +110,52 @@ def hop_ber(alpha, constants: QamConstants):
     fading average of erfc(sqrt(w*gamma)); erfcx keeps it finite for any
     alpha.  It cancels as x grows, so from x^2 = 100 on the summand is
     the asymptotic series sum_{m>=1} (-1)^(m+1) (2m-1)!!/(2x^2)^m
-    (Abramowitz & Stegun 7.1.23) instead.
+    (Abramowitz & Stegun 7.1.23) instead.  Terms sharing an omega share
+    one summand and are still added in table order.
     """
     al = np.asarray(alpha, dtype=float)
     if np.any(al <= 0):
         raise ValueError("alpha must be positive")
     flat = al.reshape(-1)
     acc = 0.0
-    term = np.empty_like(flat)
+    summands: dict = {}  # omega -> its summand over flat
     for _, _, _, omega, phi in constants.terms:
-        x2 = omega * flat
-        tail = x2 >= _TAIL_X2
-        root = np.sqrt(x2[~tail])
-        term[~tail] = 1.0 - _SQRT_PI * root * special.erfcx(root)
-        term[tail] = _erfcx_tail(x2[tail])
+        term = summands.get(omega)
+        if term is None:
+            term = summands[omega] = _summand(omega * flat)
         acc = acc + phi * term
     value = (acc / constants.denominator).reshape(al.shape)
     return float(value) if value.ndim == 0 else value
+
+
+def _summand(x2: np.ndarray) -> np.ndarray:
+    """1 - sqrt(pi) x erfcx(x) from x^2: through erfcx below _TAIL_X2,
+    by the asymptotic series from there on."""
+    term = np.empty_like(x2)
+    tail = x2 >= _TAIL_X2
+    root = np.sqrt(x2[~tail])
+    term[~tail] = 1.0 - _SQRT_PI * root * erfcx(root)
+    term[tail] = _erfcx_tail(x2[tail])
+    return term
+
+
+def erfcx(x) -> np.ndarray:
+    """exp(x^2) erfc(x) for 0 <= x < 26, element by element, from the C
+    library's erfc and exp (numerics.libm).
+
+    x^2 is split exactly into hi + lo (Dekker's product) and exp(x^2) is
+    taken as exp(hi)(1 + lo): exp of the rounded square would lose
+    x^2*eps, which the cancellation in 1 - sqrt(pi) x erfcx(x) then
+    multiplies by up to 2x^2.  Past x = 26 erfc(x) leaves the normal
+    range and exp(x^2) overflows near 26.6.
+    """
+    x = np.asarray(x, dtype=float)
+    hi = x * x
+    big = _SPLIT * x
+    x_hi = big - (big - x)
+    x_lo = x - x_hi
+    lo = ((x_hi * x_hi - hi) + 2.0 * x_hi * x_lo) + x_lo * x_lo
+    return libm(math.erfc, x) * (libm(math.exp, hi) * (1.0 + lo))
 
 
 def _erfcx_tail(x2: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ command with identical inputs reproduces the output byte for byte
 
 Every closed-form column is evaluated on the per-hop alphas of the
 sweep's points.  optimize's op_min and ber_min are the outage and BER
-asymptotes on the alphas of the balanced layout (with_performance).
+asymptotes on the alphas of the balanced layout (with_performance), and
+profiles evaluates its optimized profile on those same alphas
+(layout_alphas).
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def sweep_points(base: Scenario, variable: str, values: Sequence) -> list[_Point
     same (lambda_d/lambda_i)*ip rounding as derive_hop_statistics.
     """
     if variable != "ip_over_n0_db":
-        return _stack([scenario_at(base, variable, v) for v in values])
+        return _group([_alphas(scenario_at(base, variable, v)) for v in values])
     ips = np.array([db_to_linear(v) for v in values])
     if np.any(ips <= 0):
         raise ConfigError("ip_over_n0 must be positive (linear scale)")
@@ -200,14 +202,19 @@ def sweep_points(base: Scenario, variable: str, values: Sequence) -> list[_Point
     return [_Points(list(range(len(values))), alphas)]
 
 
-def _stack(scenarios: Sequence[Scenario]) -> list[_Points]:
-    """Points grouped by hop count, each group in sweep order."""
+def _alphas(scenario: Scenario) -> list[float]:
+    # through this module's derive_hop_statistics, which bench/spans.py wraps
+    return [h.alpha for h in derive_hop_statistics(scenario)]
+
+
+def _group(rows: Sequence[Sequence[float]]) -> list[_Points]:
+    """Points' alpha rows grouped by hop count, each group in sweep order."""
     groups: dict = {}
-    for i, point in enumerate(scenarios):
-        index, rows = groups.setdefault(point.hop_count, ([], []))
+    for i, row in enumerate(rows):
+        index, group = groups.setdefault(len(row), ([], []))
         index.append(i)
-        rows.append([h.alpha for h in derive_hop_statistics(point)])
-    return [_Points(index, np.array(rows)) for index, rows in groups.values()]
+        group.append(row)
+    return [_Points(index, np.array(group)) for index, group in groups.values()]
 
 
 def _estimates(estimator, points: _Points, sweep: _Sweep):
@@ -325,12 +332,10 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-# bench/spans.py wraps this module attribute by name: keep the name.
-def with_performance(scenario: Scenario, layout: PlacementResult, constants: QamConstants):
-    """(op_min, ber_min): the outage and BER asymptotes on the layout's
-    alphas, I_p/N_0 * (d_interference_k/d_data_k)^eta.
+def layout_alphas(scenario: Scenario, layout: PlacementResult) -> np.ndarray:
+    """The solved layout's alphas, I_p/N_0 * (d_interference_k/d_data_k)^eta.
 
-    The alphas come from the solved hop lengths rather than from relay
+    They come from the solved hop lengths rather than from relay
     positions, whose rounding can swallow a hop far shorter than them.
     Raises ConfigError where an alpha underflows to 0.
     """
@@ -339,6 +344,14 @@ def with_performance(scenario: Scenario, layout: PlacementResult, constants: Qam
         hop_alphas = scenario.ip_over_n0 * ratios ** scenario.path_loss_exponent
     if not np.all(hop_alphas > 0):
         raise ConfigError("an alpha of the balanced layout underflows to 0")
+    return hop_alphas
+
+
+# bench/spans.py wraps this module attribute by name: keep the name.
+def with_performance(scenario: Scenario, layout: PlacementResult, constants: QamConstants):
+    """(op_min, ber_min): the outage and BER asymptotes on the layout's
+    alphas (layout_alphas)."""
+    hop_alphas = layout_alphas(scenario, layout)
     return (
         outage_asymptotic(hop_alphas, scenario.gamma_th),
         e2e_ber_asymptotic(hop_alphas, constants),
@@ -398,12 +411,24 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _profile_alphas(name: str, scenario: Scenario, config: dict, seed: int):
+    """The alphas of profile `name` at the scenario's point.
+
+    The optimized profile is evaluated on the balanced layout's hop
+    lengths (layout_alphas), the others through relay positions.
+    """
+    k = scenario.hop_count
+    if name == "optimized":
+        return list(layout_alphas(scenario, solve_equal_ratio(k, scenario.pu_coord)))
+    return _alphas(
+        scenario.with_hop_distances(_profile_distances(name, scenario, config, seed))
+    )
+
+
 def _profile_distances(name: str, scenario: Scenario, config: dict, seed: int):
     k = scenario.hop_count
     if name == "uniform":
         return [1.0 / k] * k
-    if name == "optimized":
-        return list(solve_equal_ratio(k, scenario.pu_coord).d_data)
     if name == "random":
         rng = np.random.default_rng(seed)
         return list(rng.dirichlet(np.ones(k)))
@@ -441,12 +466,9 @@ def cmd_profiles(args) -> int:
     points = [scenario_at(scenario, variable, v) for v in values]
     cells = {}  # profile -> per point "op_exact,capacity"
     for name in names:
-        shaped = [
-            point.with_hop_distances(_profile_distances(name, point, config, seed))
-            for point in points
-        ]
+        rows = [_profile_alphas(name, point, config, seed) for point in points]
         cells[name] = [None] * len(values)
-        for group in _stack(shaped):
+        for group in _group(rows):
             op = outage_exact(group.alphas, scenario.gamma_th)
             cap = ergodic_capacity_ind(group.alphas)
             for i, op_i, cap_i in zip(group.index, op, cap):

@@ -134,12 +134,26 @@ def solve_equal_ratio(hop_count: int, pu_coord) -> PlacementResult:
     it from the uniform layout's ratio, with d pos/d rho carried through
     the same recursion, until rho settles: a short tail of hops can be
     far more sensitive to rho than the sum is, so a small |sum d - 1|
-    alone does not end the solve.  residual_norm is evaluated on the
-    returned d_data and d_interference.  Raises ConvergenceError when rho
-    does not settle or residual_norm exceeds 1e-10.  That has been seen
-    only with 16 or more hops and the primary receiver at most 1e-8 off
-    the segment, where mostly no double-precision rho brings the sum
-    within 1e-10 of one.
+    alone does not end the solve.
+
+    Monotonicity of the sum.  With h_k = hypot(x_p - pos_k, y_p) and
+    pos_1 = 0, differentiating the recursion gives
+
+        d pos_{k+1}/d rho = d pos_k * (1 + rho (pos_k - x_p)/h_k) + h_k.
+
+    Since |pos_k - x_p| <= h_k, the factor is at least 1 - rho, so for
+    rho <= 1 every d pos_{k+1}/d rho >= h_k > 0 by induction: the sum of
+    the hop lengths, pos_{K+1}, is strictly increasing on (0, 1] and
+    equals 1 at most once there.  For rho > 1 the factor turns negative where the
+    primary receiver lies ahead of a relay (pos_k < x_p) and
+    rho (x_p - pos_k) > h_k; no argument covers that case yet, so a root
+    above 1 is not known to be unique.
+
+    residual_norm is evaluated on the returned d_data and d_interference.
+    Raises ConvergenceError when rho does not settle or residual_norm
+    exceeds 1e-10.  That has been seen only with 16 or more hops and the
+    primary receiver at most 1e-8 off the segment, where mostly no
+    double-precision rho brings the sum within 1e-10 of one.
     """
     if hop_count < 1:
         raise ConfigError("hop_count must be >= 1")

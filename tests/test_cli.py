@@ -26,6 +26,8 @@ from cogrelay import (
 )
 from cogrelay.cli import (
     MAX_SWEEP_POINTS,
+    MC_OUTPUTS,
+    OUTPUT_ORDER,
     SWEEP_VARIABLES,
     _fmt,
     load_scenario,
@@ -231,6 +233,25 @@ def test_profiles_optimized_beats_uniform(tmp_path, capsys):
     assert by_profile["optimized"] < by_profile["uniform"]
 
 
+@pytest.mark.parametrize("k", [3, 64])
+def test_profiles_optimized_is_evaluated_on_the_solved_hop_lengths(tmp_path, capsys, k):
+    # the receiver 1e-300 above the destination: the balanced layout's
+    # last hops are far shorter than their positions' rounding, which
+    # made relay positions collide and exited 1
+    cfg = _write_config(tmp_path, hop_count=k, pu_coord=[1.0, 1e-300], ip_over_n0_db=0.0)
+    assert main(["profiles", "--config", cfg, "--profiles", "uniform,optimized",
+                 "--no-timestamp"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    layout = solve_equal_ratio(k, (1.0, 1e-300))
+    a = [(di / d) ** 4.0 for d, di in zip(layout.d_data, layout.d_interference)]
+    optimized = rows[1]
+    assert optimized["profile"] == "optimized"
+    assert optimized["op_exact"] == _fmt(outage_exact(a, 1.0))
+    assert optimized["capacity"] == _fmt(ergodic_capacity_ind(a))
+    assert main(["optimize", "--config", cfg, "--no-timestamp"]) == 0
+    assert _meta(capsys.readouterr().out)["op_min"] == _fmt(outage_asymptotic(a, 1.0))
+
+
 def test_profiles_accepts_explicit_table_distances(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, hop_count=4,
@@ -404,11 +425,14 @@ def test_sweep_point_limit_is_in_the_message():
         parse_sweep(f"eta=0:{MAX_SWEEP_POINTS}:1")
 
 
-def test_cli_import_loads_no_quadrature_optimizer_or_mpmath():
+def _modules_after(code):
+    """Run code in a fresh interpreter that imports this checkout's
+    cogrelay; the scipy.special, scipy.integrate, scipy.optimize and
+    mpmath modules loaded by its end."""
     src = os.path.dirname(os.path.dirname(cogrelay.__file__))
-    code = (
-        "import sys, cogrelay.cli; print('\\n'.join(m for m in sys.modules "
-        "if m.startswith(('scipy.integrate', 'scipy.optimize', 'mpmath'))))"
+    code += (
+        "\nimport sys; print('\\n'.join(m for m in sys.modules if m.startswith("
+        "('scipy.special', 'scipy.integrate', 'scipy.optimize', 'mpmath'))))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -416,7 +440,24 @@ def test_cli_import_loads_no_quadrature_optimizer_or_mpmath():
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.split() == []
+    return result.stdout.split()
+
+
+def test_cli_import_loads_no_scipy_special_quadrature_optimizer_or_mpmath():
+    assert _modules_after("import cogrelay.cli") == []
+
+
+def test_closed_form_analyze_leaves_scipy_special_unloaded_and_mc_loads_it(tmp_path):
+    cfg = _write_config(tmp_path, qam_order=16)
+    run = "import cogrelay.cli as cli; assert cli.main({!r}) == 0"
+    # every closed-form output, on both sides of hop_ber's series switch
+    analyze = ["analyze", "--config", cfg, "--sweep", "ip_over_n0_db=-30:60:5",
+               "--outputs", ",".join(n for n in OUTPUT_ORDER if n not in MC_OUTPUTS),
+               "--out", str(tmp_path / "analyze.csv")]
+    assert _modules_after(run.format(analyze)) == []
+    mc = ["mc", "--config", cfg, "--trials", "1000", "--chunks", "2",
+          "--out", str(tmp_path / "mc.csv")]
+    assert "scipy.special" in _modules_after(run.format(mc))
 
 
 def test_config_chunks_takes_effect_and_the_flag_wins(tmp_path, capsys, monkeypatch):

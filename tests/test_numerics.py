@@ -9,14 +9,19 @@ from scipy.optimize import fsolve
 
 from cogrelay import (
     ConvergenceError,
+    hop_ber,
     NumericError,
     placement,
+    qam_constants,
     solve_equal_ratio,
 )
+from cogrelay.ber import erfcx as float64_erfcx
 from oracles import quad_semiinfinite
 
-# The BER kernels call scipy.special.erfc/erfcx directly; the first tests
-# pin the accuracy and overflow behaviour those kernels rely on.
+# Only the Monte-Carlo kernel ber.instantaneous_ber calls scipy.special
+# (erfc); hop_ber evaluates erfcx with ber.erfcx, from the C library's
+# erfc and exp.  The first tests pin the accuracy and overflow behaviour
+# those kernels rely on; scipy's erfcx stays as a second reference.
 
 
 def test_erfc_reference_points():
@@ -58,6 +63,51 @@ def test_erfcx_never_overflows_and_matches_erfc():
     for x in np.linspace(0, 26, 27):
         if math.exp(-x * x) > 0:
             assert erfcx(x) * math.exp(-(x * x)) == pytest.approx(erfc(x), rel=1e-12)
+
+
+def _erfcx_reference(x: float):
+    with mp.workdps(50):
+        x = mp.mpf(x)
+        return mp.exp(x * x) * mp.erfc(x)
+
+
+# 0, tiny and subnormal x, a grid over [0, 10), and both sides of x = 10,
+# where hop_ber's summand switches from erfcx to the asymptotic series
+_ERFCX_POINTS = np.concatenate([
+    [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-20, 1e-8],
+    np.linspace(0.0, 10.0, 2001)[:-1],
+    np.random.default_rng(20).uniform(0.0, 10.0, 2000),
+    np.nextafter(10.0, 0.0) - np.arange(5) * 1e-12,
+    np.linspace(9.9, 10.1, 401),
+])
+
+
+def test_float64_erfcx_relative_accuracy():
+    values = float64_erfcx(_ERFCX_POINTS)
+    for x, value in zip(_ERFCX_POINTS.tolist(), values.tolist()):
+        ref = _erfcx_reference(x)
+        assert abs(value - ref) <= 4e-15 * ref, (x, value, ref)
+    assert float64_erfcx(0.0) == 1.0
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_hop_ber_relative_accuracy_across_the_series_switch(m):
+    # alphas putting each omega's x^2 = omega*alpha on both sides of 100
+    c = qam_constants(m)
+    alphas = np.concatenate([
+        100.0 / omega * np.array([0.99, 1 - 1e-9, 1 - 1e-16, 1, 1 + 1e-9, 1.01])
+        for omega in sorted({t[3] for t in c.terms})
+    ])
+    values = hop_ber(alphas, c)
+    with mp.workdps(60):
+        for alpha, value in zip(alphas.tolist(), values.tolist()):
+            ref = mp.fsum(
+                phi * (1 - mp.sqrt(mp.pi) * mp.sqrt(mp.mpf(omega) * alpha)
+                       * mp.exp(mp.mpf(omega) * alpha)
+                       * mp.erfc(mp.sqrt(mp.mpf(omega) * alpha)))
+                for _, _, _, omega, phi in c.terms
+            ) / mp.mpf(c.denominator)
+            assert abs(value - ref) <= 1e-12 * ref, (alpha, value, ref)
 
 
 def test_quad_semiinfinite_known_integrals():
