@@ -26,7 +26,7 @@ from .capacity import (
 )
 from .channel import substream
 from .errors import ConfigError, ConvergenceError, NumericError
-from .montecarlo import McEstimate, mc_ber, mc_capacity, mc_outage
+from .montecarlo import McEstimate, mc_ber, mc_capacity, mc_outage, monte_carlo
 from .outage import outage_asymptotic, outage_exact
 from .placement import (
     PlacementResult,
@@ -60,5 +60,5 @@ __all__ = [
     "capacity_pole_integral", "ergodic_capacity_ind", "per_hop_capacity",
     "PlacementResult", "solve_equal_ratio", "direct_search",
     "placement_objective",
-    "McEstimate", "mc_outage", "mc_ber", "mc_capacity",
+    "McEstimate", "monte_carlo", "mc_outage", "mc_ber", "mc_capacity",
 ]

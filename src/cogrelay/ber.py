@@ -32,7 +32,7 @@ class QamConstants:
 
     terms holds (j, n, upsilon_j, omega_n, phi_n_j) for every summand of
     the Gray-mapped BER expansion; a and b parameterize the dominant
-    erfc term used by the high-SNR asymptote.
+    erfc term, the only one the high-SNR asymptote keeps.
     """
 
     qam_order: int
@@ -186,6 +186,12 @@ def e2e_ber(per_hop_bers):
 
 def e2e_ber_asymptotic(alphas, constants: QamConstants):
     """High-SNR end-to-end BER (a/2b) * sum_k 1/alpha_k.
+
+    It keeps only the dominant erfc term of the BER expansion.  For QPSK
+    that is the only term, and this is the high-SNR limit of the exact
+    BER.  For larger orders every term adds phi/(2 omega alpha) per hop,
+    so it is not: at alpha = 1e10 on three hops, exact/asymptote is
+    1.061 for 16-QAM, 1.090 for 64-QAM and 1.105 for 256-QAM.
 
     Hops lie along the last axis: (K,) gives a float, (P, K) a (P,) array.
     """

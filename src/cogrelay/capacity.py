@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError
-from .numerics import libm, row_fsum
+from .numerics import libm, libm_pow, row_fsum
 
 _LN2 = math.log(2.0)
 _SERIES_RADIUS = 0.5       # switch between series and closed-form kernel
@@ -148,12 +148,12 @@ def _pole_kernel(l: int, pole: np.ndarray) -> np.ndarray:
 def _kernel_closed_form(l: int, pole: np.ndarray, delta: np.ndarray) -> np.ndarray:
     # (log(pole)/delta^l - sum_k 1/(delta^k (l-k) pole^(l-k))) / (l ln 2),
     # nan wherever a power overflows or a divisor is 0
-    delta_l = _pow(delta, l)
+    delta_l = libm_pow(delta, l)
     failed = np.isinf(delta_l) | (delta_l == 0.0)
     lead = libm(math.log, pole) / delta_l
     tail = 0.0
     for k in range(1, l):
-        delta_k, pole_k = _pow(delta, k), _pow(pole, l - k)
+        delta_k, pole_k = libm_pow(delta, k), libm_pow(pole, l - k)
         divisor = delta_k * (l - k) * pole_k
         failed |= np.isinf(delta_k) | np.isinf(pole_k) | (divisor == 0.0)
         tail = tail + 1.0 / divisor
@@ -211,7 +211,7 @@ def _kernel_remainder(l: int, pole: np.ndarray) -> np.ndarray:
         running &= ~done
         power = power * x
         m += 1
-    pole_l = _pow(pole, l)
+    pole_l = libm_pow(pole, l)
     return np.where(np.isinf(pole_l), math.nan, result / pole_l)
 
 
@@ -311,10 +311,10 @@ def _residue_coefficients(betas: np.ndarray, mults: tuple[int, ...]):
     # its powers are exactly 1 and leave the products below unchanged
     gaps = betas[:, None, :] - betas[:, :, None]
     gaps[:, range(size), range(size)] = 1.0
-    h0 = np.prod(_pow(gaps, [-r for r in mults]), axis=2)
+    h0 = np.prod(libm_pow(gaps, [-r for r in mults]), axis=2)
     logder: dict = {}  # (n, j) -> j-th log-derivative at -beta_n
     for j in range(1, max(mults)):
-        powers = _pow(gaps, j)
+        powers = libm_pow(gaps, j)
         numerators = [r_m * (-1.0) ** (j - 1) * math.factorial(j - 1) for r_m in mults]
         for n in (n for n, r_n in enumerate(mults) if r_n > j):
             total = np.zeros(count)
@@ -333,25 +333,6 @@ def _residue_coefficients(betas: np.ndarray, mults: tuple[int, ...]):
             l * h[r_n - l] / math.factorial(r_n - l) for l in range(1, r_n + 1)
         ])
     return coeffs
-
-
-def _pow(x: np.ndarray, n) -> np.ndarray:
-    """x ** n element by element (n an int or ints broadcast against x),
-    as the C library's pow rounds it, with inf where it overflows.
-
-    numpy's array power takes other routes, such as 1/x for n = -1 or
-    SIMD kernels, that differ from pow in the last bit.
-    """
-    if isinstance(n, int) and n == 1:
-        return x
-    exponents = np.broadcast_to(n, x.shape)
-    try:
-        values = np.fromiter(map(math.pow, x.flat, exponents.flat), float, x.size)
-    except (OverflowError, ValueError):
-        values = np.fromiter(
-            (np.float64(v) ** e for v, e in zip(x.flat, exponents.flat)), float, x.size
-        )
-    return values.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,10 @@ from . import __version__
 from .ber import QamConstants, e2e_ber, e2e_ber_asymptotic, hop_ber, qam_constants
 from .capacity import ergodic_capacity_ind, per_hop_capacity
 from .errors import ConfigError, NumericError
-from .montecarlo import mc_ber, mc_capacity, mc_outage
+# mc_outage, mc_ber and mc_capacity are not called here; bench/spans.py
+# binds them by name, so the names stay
+from .montecarlo import mc_ber, mc_capacity, mc_outage, monte_carlo  # noqa: F401
+from .numerics import libm_pow
 from .outage import outage_asymptotic, outage_exact
 from .placement import (
     PlacementResult,
@@ -46,7 +49,8 @@ from .scenario import (
 )
 
 SWEEP_VARIABLES = ("ip_over_n0_db", "hop_count", "eta", "pu_x", "pu_y")
-MC_OUTPUTS = ("mc_op", "mc_ber", "mc_capacity")
+# mc_* output -> the monte_carlo metric behind its value and std_error
+MC_OUTPUTS = {"mc_op": "op", "mc_ber": "ber", "mc_capacity": "capacity"}
 DEFAULT_OUTPUTS = ("op_exact", "op_asymptotic", "ber_exact", "capacity")
 MAX_SWEEP_POINTS = 1_000_000
 
@@ -217,13 +221,17 @@ def _group(rows: Sequence[Sequence[float]]) -> list[_Points]:
     return [_Points(index, np.array(group)) for index, group in groups.values()]
 
 
-def _estimates(estimator, points: _Points, sweep: _Sweep):
-    """A Monte-Carlo estimator's value and std_error columns, point by point."""
-    estimates = [
-        estimator(sweep.scenario(i), sweep.trials, sweep.seed, sweep.chunks)
+def _mc_columns(points: _Points, sweep: _Sweep, names: Sequence[str]):
+    """The value and std_error columns of the mc_* outputs `names`, from
+    one monte_carlo pass per point."""
+    metrics = tuple(MC_OUTPUTS[name] for name in names)
+    passes = [
+        monte_carlo(sweep.scenario(i), sweep.trials, sweep.seed, sweep.chunks, metrics)
         for i in points.index
     ]
-    return [e.value for e in estimates], [e.std_error for e in estimates]
+    for metric in metrics:
+        yield [p[metric].value for p in passes]
+        yield [p[metric].std_error for p in passes]
 
 
 # output name -> (its columns, the evaluator that returns them over points);
@@ -241,25 +249,34 @@ OUTPUTS = {
         ergodic_capacity_ind(pts.alphas),)),
     "per_hop_capacity_min": (("per_hop_capacity_min",), lambda pts, sw: (
         per_hop_capacity(pts.alphas, pts.alphas.shape[1]).min(axis=1),)),
-    "mc_op": (("mc_op", "mc_op_std_error"), lambda pts, sw: (
-        _estimates(mc_outage, pts, sw))),
-    "mc_ber": (("mc_ber", "mc_ber_std_error"), lambda pts, sw: (
-        _estimates(mc_ber, pts, sw))),
-    "mc_capacity": (("mc_capacity", "mc_capacity_std_error"), lambda pts, sw: (
-        _estimates(mc_capacity, pts, sw))),
 }
+# the mc_* outputs have no evaluator of their own: _mc_columns runs them together
+OUTPUTS.update({name: ((name, f"{name}_std_error"), None) for name in MC_OUTPUTS})
 OUTPUT_ORDER = tuple(OUTPUTS)
 
 
 def evaluate_outputs(sweep: _Sweep, points: list[_Points], outputs: Sequence[str]) -> dict:
-    """Every column of the outputs, as an array over the sweep's points."""
-    columns: dict = {}
+    """Every column of the outputs, as an array over the sweep's points.
+
+    The closed forms come first, output by output; then every point is
+    simulated once for all of the requested mc_* outputs.
+    """
+    columns = {
+        column: np.empty(len(sweep.values))
+        for name in outputs for column in OUTPUTS[name][0]
+    }
+    mc = [name for name in outputs if name in MC_OUTPUTS]
     for name in outputs:
+        if name in mc:
+            continue
         names, evaluate = OUTPUTS[name]
-        for column in names:
-            columns[column] = np.empty(len(sweep.values))
         for group in points:
             for column, cells in zip(names, evaluate(group, sweep)):
+                columns[column][group.index] = cells
+    if mc:
+        names = [column for name in mc for column in OUTPUTS[name][0]]
+        for group in points:
+            for column, cells in zip(names, _mc_columns(group, sweep, mc)):
                 columns[column][group.index] = cells
     return columns
 
@@ -283,7 +300,7 @@ def _setting(args, config: dict, name: str, default: int, minimum: int) -> int:
     if value is None:
         try:
             value = int(config.get(name, default))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
             raise ConfigError(f"config {name} must be an integer") from None
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
@@ -341,7 +358,7 @@ def layout_alphas(scenario: Scenario, layout: PlacementResult) -> np.ndarray:
     """
     ratios = np.array(layout.d_interference) / np.array(layout.d_data)
     with np.errstate(over="ignore", under="ignore"):
-        hop_alphas = scenario.ip_over_n0 * ratios ** scenario.path_loss_exponent
+        hop_alphas = scenario.ip_over_n0 * libm_pow(ratios, scenario.path_loss_exponent)
     if not np.all(hop_alphas > 0):
         raise ConfigError("an alpha of the balanced layout underflows to 0")
     return hop_alphas
@@ -493,11 +510,7 @@ def cmd_profiles(args) -> int:
 def cmd_mc(args) -> int:
     scenario, config = load_scenario(args.config)
     trials, seed, chunks = _mc_settings(args, config)
-    estimates = [
-        ("mc_op", mc_outage(scenario, trials, seed, chunks)),
-        ("mc_ber", mc_ber(scenario, trials, seed, chunks)),
-        ("mc_capacity", mc_capacity(scenario, trials, seed, chunks)),
-    ]
+    estimates = monte_carlo(scenario, trials, seed, chunks)
     out, close = _open_out(args.out)
     try:
         _write_meta(
@@ -510,7 +523,8 @@ def cmd_mc(args) -> int:
             },
         )
         out.write("metric,value,std_error,trials,seed\n")
-        for name, est in estimates:
+        for name, metric in MC_OUTPUTS.items():
+            est = estimates[metric]
             out.write(
                 f"{name},{_fmt(est.value)},{_fmt(est.std_error)},"
                 f"{est.trials},{est.seed}\n"

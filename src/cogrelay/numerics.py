@@ -1,5 +1,5 @@
-"""libm and row_fsum give the array closed forms the bits of Python's
-math module."""
+"""libm, libm_pow and row_fsum give the array closed forms the bits of
+Python's math module."""
 
 from __future__ import annotations
 
@@ -18,6 +18,31 @@ def libm(fn: Callable[[float], float], values) -> np.ndarray:
     """
     x = np.asarray(values, dtype=float)
     return np.fromiter(map(fn, x.flat), float, x.size).reshape(x.shape)
+
+
+def libm_pow(x: np.ndarray, n) -> np.ndarray:
+    """x ** n element by element (n a number or numbers broadcast against
+    x), as the C library's pow rounds it, with inf where it overflows.
+
+    numpy's array power takes other routes, such as 1/x for n = -1 or
+    SIMD kernels, that differ from pow in the last bit.
+    """
+    if isinstance(n, int) and n == 1:
+        return x
+    # Python floats, not numpy scalars, and no broadcast for a scalar n:
+    # on the few-element arrays of one chain that is most of the cost
+    bases = x.ravel().tolist()
+    if np.ndim(n) == 0:
+        exponents = [n] * x.size
+    else:
+        exponents = np.broadcast_to(n, x.shape).ravel().tolist()
+    try:
+        values = np.fromiter(map(math.pow, bases, exponents), float, x.size)
+    except (OverflowError, ValueError):
+        values = np.fromiter(
+            (np.float64(v) ** e for v, e in zip(bases, exponents)), float, x.size
+        )
+    return values.reshape(x.shape)
 
 
 def row_fsum(rows) -> np.ndarray:

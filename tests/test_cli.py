@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cogrelay
 from cogrelay import (
     McEstimate,
     NumericError,
+    Scenario,
     alphas,
     derive_hop_statistics,
     e2e_ber,
@@ -30,6 +36,7 @@ from cogrelay.cli import (
     OUTPUT_ORDER,
     SWEEP_VARIABLES,
     _fmt,
+    layout_alphas,
     load_scenario,
     main,
     parse_sweep,
@@ -252,6 +259,28 @@ def test_profiles_optimized_is_evaluated_on_the_solved_hop_lengths(tmp_path, cap
     assert _meta(capsys.readouterr().out)["op_min"] == _fmt(outage_asymptotic(a, 1.0))
 
 
+def test_layout_alphas_match_math_pow_element_by_element():
+    # numpy's array pow differs from the C library's in the last bit for
+    # about 5% of ratios on AVX-512 CPUs; every alpha must be Python's pow
+    rng = random.Random(11)
+    for _ in range(60):
+        k = rng.randint(1, 8)
+        pu = (rng.uniform(-1.0, 2.0), rng.uniform(0.05, 2.0))
+        layout = solve_equal_ratio(k, pu)
+        ratios = [di / d for d, di in zip(layout.d_data, layout.d_interference)]
+        for eta in (2.0, 3.0, 3.7, 4.0, 5.5):
+            ip = 10.0 ** rng.uniform(-3.0, 6.0)
+            scn = Scenario(hop_count=k, ip_over_n0=ip, pu_coord=pu, path_loss_exponent=eta)
+            expected = [ip * math.pow(r, eta) for r in ratios]
+            assert layout_alphas(scn, layout).tolist() == expected, (k, pu, eta)
+    # where pow overflows, the alpha stays inf
+    far = (0.5, 1e40)
+    scn = Scenario(hop_count=3, ip_over_n0=1.0, pu_coord=far, path_loss_exponent=8.0)
+    with pytest.raises(OverflowError):
+        math.pow(1e40 * 3.0, 8.0)
+    assert layout_alphas(scn, solve_equal_ratio(3, far)).tolist() == [math.inf] * 3
+
+
 def test_profiles_accepts_explicit_table_distances(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, hop_count=4,
@@ -358,6 +387,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad_seed = _write_config(tmp_path, "bad_seed.json", seed="x")
     bad_chunks = _write_config(tmp_path, "bad_chunks.json", chunks="x")
     zero_chunks = _write_config(tmp_path, "zero_chunks.json", chunks=0)
+    # JSON's Infinity: int() of it raised OverflowError, a traceback
+    inf_trials = _write_config(tmp_path, "inf_trials.json", trials=math.inf)
     for argv in (
         ["analyze", "--config", cfg, "--sweep", "hop_count=1,x"],
         ["optimize", "--config", cfg, "--grid-resolution", "0"],
@@ -376,6 +407,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         ["mc", "--config", bad_chunks],
         ["mc", "--config", zero_chunks],
         ["analyze", "--config", zero_chunks, "--outputs", "mc_op"],
+        ["mc", "--config", inf_trials],
+        ["analyze", "--config", inf_trials, "--outputs", "mc_ber,mc_op"],
         *([command, "--config", path] for command in ("analyze", "profiles", "mc")
           for path in (on_node, near_node)),
         ["analyze", "--config", off_node, "--sweep", "pu_y=0:1:0.5"],
@@ -463,15 +496,122 @@ def test_closed_form_analyze_leaves_scipy_special_unloaded_and_mc_loads_it(tmp_p
 def test_config_chunks_takes_effect_and_the_flag_wins(tmp_path, capsys, monkeypatch):
     seen = []
 
-    def estimator(scenario, trials, seed, chunks):
+    def estimator(scenario, trials, seed, chunks, metrics=montecarlo.METRICS):
         seen.append(chunks)
-        return McEstimate(value=0.5, std_error=0.1, trials=trials, seed=seed)
+        return {m: McEstimate(value=0.5, std_error=0.1, trials=trials, seed=seed)
+                for m in metrics}
 
-    for name in ("mc_outage", "mc_ber", "mc_capacity"):
-        monkeypatch.setattr(f"cogrelay.cli.{name}", estimator)
+    monkeypatch.setattr("cogrelay.cli.monte_carlo", estimator)
     cfg = _write_config(tmp_path, chunks=3)
     assert main(["mc", "--config", cfg]) == 0
     assert main(["analyze", "--config", cfg, "--outputs", "mc_op"]) == 0
     assert main(["mc", "--config", cfg, "--chunks", "2"]) == 0
     assert main(["mc", "--config", _write_config(tmp_path, "plain.json")]) == 0
-    assert seen == [3, 3, 3, 3, 2, 2, 2, 1, 1, 1]
+    # one monte_carlo call per command and point
+    assert seen == [3, 3, 2, 1]
+
+
+def _count_samplings(monkeypatch):
+    """A list that grows by one at every montecarlo.sample_exponential call."""
+    calls = []
+    sample = montecarlo.sample_exponential
+
+    def counting(*args):
+        calls.append(None)
+        return sample(*args)
+
+    monkeypatch.setattr(montecarlo, "sample_exponential", counting)
+    return calls
+
+
+def test_mc_samples_each_block_once_for_all_three_metrics(tmp_path, capsys, monkeypatch):
+    calls = _count_samplings(monkeypatch)
+    # 200000 trials fill 4 blocks of 65536
+    assert main(["mc", "--config", _write_config(tmp_path), "--trials", "200000"]) == 0
+    assert len(calls) == 4
+
+
+def test_analyze_samples_each_point_once_for_all_mc_outputs(tmp_path, capsys, monkeypatch):
+    calls = _count_samplings(monkeypatch)
+    assert main([
+        "analyze", "--config", _write_config(tmp_path), "--sweep", "ip_over_n0_db=10:20:10",
+        "--outputs", "mc_op,mc_ber,mc_capacity", "--trials", "200000",
+    ]) == 0
+    assert len(calls) == 4 * 2
+
+
+# setting -> (minimum, default) of the Monte-Carlo settings
+MC_SETTINGS = {"trials": (1, 100_000), "seed": (0, 0), "chunks": (1, 1)}
+# huge values never reach --trials: they would make a long run
+_flag_values = {
+    "trials": st.integers(1, 3000),
+    "seed": st.one_of(st.integers(0, 2**32), st.just(0), st.integers(max_value=-1),
+                      st.integers(2**63, 2**200)),
+    "chunks": st.one_of(st.integers(1, 20), st.just(0), st.integers(max_value=-1),
+                        st.integers(2**63, 2**200)),
+}
+_wrong_types = st.one_of(
+    st.sampled_from(["", "x", "1.5", "ten", "-"]), st.none(), st.booleans(),
+    st.lists(st.integers(0, 5), max_size=2), st.dictionaries(st.just("n"), st.integers(0, 5)),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(-10.0, 3000.0),
+)
+
+
+def _effective(name, flags, config):
+    """What the CLI should take for setting `name`, or None where it must exit 1."""
+    minimum, default = MC_SETTINGS[name]
+    if name in flags:
+        value = flags[name]
+    else:
+        try:
+            value = int(config.get(name, default))
+        except (TypeError, ValueError, OverflowError):
+            return None
+    return value if value >= minimum else None
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    command=st.sampled_from(["mc", "analyze"]),
+    outputs=st.lists(st.sampled_from(list(MC_OUTPUTS)), min_size=1, max_size=3, unique=True),
+    two_points=st.booleans(),
+    flags=st.fixed_dictionaries({}, optional=_flag_values),
+    config=st.fixed_dictionaries({}, optional={
+        # trials left to the config stay small, so every run is short
+        "trials": st.one_of(st.integers(1, 3000), _wrong_types),
+        "seed": st.one_of(_flag_values["seed"], _wrong_types),
+        "chunks": st.one_of(_flag_values["chunks"], _wrong_types),
+    }),
+)
+def test_mc_flags_fuzz_exit_code_contract(tmp_path_factory, command, outputs, two_points,
+                                          flags, config):
+    if "trials" not in flags and "trials" not in config:
+        flags = {**flags, "trials": 1000}
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps({"hop_count": 3, "qam_order": 16, **config}))
+    argv = [command, "--config", str(path), "--no-timestamp"]
+    if command == "analyze":
+        argv += ["--outputs", ",".join(outputs)]
+        if two_points:
+            argv += ["--sweep", "ip_over_n0_db=10:20:10"]
+    for name, value in flags.items():
+        argv += [f"--{name}", str(value)]
+    out, err = io.StringIO(), io.StringIO()
+    # at most 2 worker threads, whatever --chunks says
+    with mock.patch.object(montecarlo.os, "cpu_count", lambda: 2), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    valid = all(_effective(name, flags, config) is not None for name in MC_SETTINGS)
+    assert rc == (0 if valid else 1), (argv, config, err.getvalue())
+    if rc == 1:
+        assert err.getvalue().startswith("error: ")
+    else:
+        header, rows = _rows(out.getvalue())
+        if command == "mc":
+            assert [r["metric"] for r in rows] == list(MC_OUTPUTS)
+        else:
+            assert header[1:] == [n for n in MC_OUTPUTS if n in outputs] + [
+                f"{n}_std_error" for n in MC_OUTPUTS if n in outputs] + ["trials"]
+            assert len(rows) == (2 if two_points else 1)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 import threading
@@ -13,6 +14,7 @@ from cogrelay import (
     mc_ber,
     mc_capacity,
     mc_outage,
+    monte_carlo,
     montecarlo,
     outage_exact,
     qam_constants,
@@ -82,6 +84,45 @@ def test_determinism_and_chunk_invariance():
                 other = fn(scn, trials, 99, chunks=chunks)
                 assert other.value == base.value, (fn.__name__, trials, chunks)
                 assert other.std_error == base.std_error, (fn.__name__, trials, chunks)
+
+
+ONE_METRIC = {"op": mc_outage, "ber": mc_ber, "capacity": mc_capacity}
+SUBSETS = [s for r in (1, 2, 3) for s in itertools.permutations(montecarlo.METRICS, r)]
+
+
+@pytest.mark.parametrize("trials", [1000, 3 * montecarlo.BLOCK_TRIALS + 5])
+@pytest.mark.parametrize("chunks", [1, 2, 3, 16])
+def test_joint_pass_equals_the_one_metric_calls(monkeypatch, trials, chunks):
+    # at most 2 threads, whatever the chunk count
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    scn = Scenario(hop_count=3, ip_over_n0=10.0, qam_order=16)
+    alone = {m: fn(scn, trials, 5, chunks) for m, fn in ONE_METRIC.items()}
+    for metrics in SUBSETS:
+        joint = monte_carlo(scn, trials, 5, chunks, metrics)
+        assert list(joint) == list(metrics)
+        for m in metrics:
+            assert joint[m].value == alone[m].value, (metrics, m)
+            assert joint[m].std_error == alone[m].std_error, (metrics, m)
+            assert joint[m] == alone[m]
+
+
+def test_joint_pass_defaults_to_every_metric():
+    scn = _override_scenario([1.0, 2.0])
+    assert list(monte_carlo(scn, 100, 1)) == ["op", "ber", "capacity"]
+
+
+@pytest.mark.parametrize("metrics", [(), ("op", "op"), ("outage",), "op"])
+def test_joint_pass_rejects_bad_metric_lists(metrics):
+    with pytest.raises(ValueError, match="metrics"):
+        monte_carlo(_override_scenario([1.0]), 100, 1, metrics=metrics)
+
+
+def test_outage_alone_evaluates_no_erfc(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("instantaneous_ber called")
+
+    monkeypatch.setattr(montecarlo, "instantaneous_ber", forbidden)
+    monte_carlo(_override_scenario([1.0, 2.0]), 1000, 1, metrics=("op", "capacity"))
 
 
 def _record_threads(monkeypatch):
