@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .ber import QamConstants, e2e_ber, e2e_ber_asymptotic, hop_ber, qam_constants
 from .capacity import ergodic_capacity_ind, per_hop_capacity
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, ConvergenceError, NumericError
 # mc_outage, mc_ber and mc_capacity are not called here; bench/spans.py
 # binds them by name, so the names stay
 from .montecarlo import mc_ber, mc_capacity, mc_outage, monte_carlo  # noqa: F401
@@ -53,6 +53,7 @@ SWEEP_VARIABLES = ("ip_over_n0_db", "hop_count", "eta", "pu_x", "pu_y")
 MC_OUTPUTS = {"mc_op": "op", "mc_ber": "ber", "mc_capacity": "capacity"}
 DEFAULT_OUTPUTS = ("op_exact", "op_asymptotic", "ber_exact", "capacity")
 MAX_SWEEP_POINTS = 1_000_000
+MAX_TRIALS = 10**10  # hours of sampling; far larger block lists do not fit in memory
 
 
 class _UsageError(Exception):
@@ -310,6 +311,8 @@ def _setting(args, config: dict, name: str, default: int, minimum: int) -> int:
 def _mc_settings(args, config: dict) -> tuple[int, int, int]:
     """Checked trials, seed and chunks of a command with Monte-Carlo flags."""
     trials = _setting(args, config, "trials", 100_000, minimum=1)
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"trials must be <= {MAX_TRIALS}")
     seed = _setting(args, config, "seed", 0, minimum=0)
     return trials, seed, _setting(args, config, "chunks", 1, minimum=1)
 
@@ -377,16 +380,12 @@ def with_performance(scenario: Scenario, layout: PlacementResult, constants: Qam
 
 def cmd_optimize(args) -> int:
     scenario, _ = load_scenario(args.config)
-    if args.grid_resolution < 1:
-        raise ConfigError("grid resolution must be >= 1")
     k = scenario.hop_count
     eta = scenario.path_loss_exponent
     constants = qam_constants(scenario.qam_order)
     placement = solve_equal_ratio(k, scenario.pu_coord)
     op_min, ber_min = with_performance(scenario, placement, constants)
-    balanced_obj = placement_objective(
-        placement.d_data, scenario.pu_coord, eta
-    )
+    balanced_obj = placement_objective(placement.d_data, scenario.pu_coord, eta)
     meta = {
         "config": args.config,
         "hop_count": k,
@@ -398,15 +397,14 @@ def cmd_optimize(args) -> int:
         "ber_min": _fmt(ber_min),
         "objective_equal_ratio": _fmt(balanced_obj),
     }
-    if k <= 4:
-        d_search, obj_search = direct_search(
-            k, scenario.pu_coord, eta, args.grid_resolution
-        )
+    try:
+        d_search, obj_search = direct_search(k, scenario.pu_coord, eta)
+    except ConvergenceError as exc:
+        meta["objective_direct_search"] = f"not found ({exc})"
+    else:
         meta["objective_direct_search"] = _fmt(obj_search)
         meta["objective_gap"] = _fmt(balanced_obj - obj_search)
         meta["direct_search_d_data"] = " ".join(_fmt(v) for v in d_search)
-    else:
-        meta["objective_direct_search"] = "skipped (grid search supports <= 4 hops)"
 
     out, close = _open_out(args.out)
     try:
@@ -557,7 +555,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("optimize", help="balanced-ratio relay placement")
     common(p)
-    p.add_argument("--grid-resolution", type=int, default=200)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("profiles", help="compare relay-position profiles")

@@ -1,15 +1,10 @@
 """Relay placement on the linear network.
 
-solve_equal_ratio implements the balanced-ratio optimality condition:
-all hops share the same data-to-interference distance ratio rho, which
-makes the layout a forward recursion in rho and the sum-to-one
-constraint a scalar equation, solved by a scalar Newton iteration on
-the common ratio (newton_system).  direct_search minimizes the
-underlying objective sum_k (d_data_k / d_interf_k)^eta over the simplex
-directly; it is a diagnostic, because the balanced-ratio point is a
-stationary point of an arithmetic-geometric mean bound whose product
-term itself varies with placement, so the direct optimum can be
-(slightly) better.
+solve_equal_ratio gives the balanced layout, where every hop has the
+same data-to-interference distance ratio rho; direct_search gives the
+exact minimum of sum_k (d_data_k/d_interf_k)^eta over the simplex, which
+can be slightly better.  Both walk the chain from the source and solve
+for one scalar with newton_system.
 
 Only positions are solved here.  A layout's outage and BER minima are
 the high-SNR asymptotes outage_asymptotic and e2e_ber_asymptotic on its
@@ -22,11 +17,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, ConvergenceError, NumericError
 
-_D_MIN = 1e-6  # smallest hop length direct_search considers
 _RESIDUAL_TOL = 1e-10  # bound on residual_norm of a returned balanced layout
 _STEP_RTOL = 1e-8  # a Newton step this small relative to rho: rho has settled
 _MAX_ITER = 100
@@ -207,82 +199,92 @@ def solve_equal_ratio(hop_count: int, pu_coord) -> PlacementResult:
     )
 
 
-def direct_search(
-    hop_count: int,
-    pu_coord,
-    eta: float,
-    grid_resolution: int = 200,
-) -> tuple[tuple[float, ...], float]:
+def _hop_ratio(c: float, log_t: float, eta: float):
+    """(r, f'(r)) at the smallest positive root r of
+    f(r) = (eta-1) ln r + log1p(c r) - log_t if f'(r) > 0 there, else None.
+
+    f is concave and, for c < 0, peaks at r* = (eta-1)/(eta |c|): there
+    is no root where f(r*) < 0, else the smallest lies below r*.
+    """
+    e1 = eta - 1.0
+    if c < 0 and e1 * math.log(e1 / (eta * -c)) - math.log(eta) < log_t:
+        return None
+
+    def residual(r):
+        if c * r <= -1.0:  # past the pole of log1p
+            return math.inf, math.nan
+        return e1 * math.log(r) + math.log1p(c * r) - log_t, e1 / r + c / (1.0 + c * r)
+
+    # from the root at c = 0 (exp overflows above 709)
+    r = newton_system(residual, math.exp(min(log_t / e1, 700.0)))[0]
+    slope = residual(r)[1]
+    return (r, slope) if slope > 0 else None
+
+
+def direct_search(hop_count: int, pu_coord, eta: float) -> tuple[tuple[float, ...], float]:
     """Minimize the placement objective over the simplex directly.
 
-    Exhaustive grid over the free hop lengths (capped near 2e6 cells for
-    3 and 4 hops) followed by per-coordinate bounded refinement.  Ties
-    break toward lexicographically smallest hop lengths.  Diagnostic
-    oracle; not restricted to the balanced-ratio family.
-    """
-    from scipy import optimize  # the CLI's other paths need no scipy.optimize
+    With r_k = d_k/h_k, h_k = hypot(x_p - pos_k, y_p) and
+    c_k = (pos_k - x_p)/h_k, consecutive stationarity conditions of
+    sum_k r_k^eta - mu (sum_k d_k - 1) give
 
-    if not 1 <= hop_count <= 4:
-        raise ConfigError("direct search supports 1 to 4 hops")
-    if grid_resolution < hop_count - 1:
-        # coarser grids hold no layout with every hop positive
-        raise ConfigError(
-            f"grid resolution must be >= {hop_count - 1} for {hop_count} hops"
-        )
+        r_{k+1}^(eta-1)/h_{k+1} * (1 + c_{k+1} r_{k+1}) = r_k^(eta-1)/h_k,
+
+    a forward recursion in r_1: each hop takes the smallest positive root
+    (_hop_ratio), and newton_system shoots on r_1, from the balanced
+    layout's ratio, until the hop lengths sum to one.
+
+    Second order: the Hessian in the free positions pos_2..pos_K is
+    tridiagonal with negative off-diagonals (_hop_ratio's slope is
+    positive), and d pos/d r_1 solves its three-term recurrence, so the
+    LDL pivot of pos_k is -H_{k,k+1} (d pos_{k+1}/d r_1)/(d pos_k/d r_1).
+    The Hessian is positive definite iff every pos_k, up to pos_{K+1},
+    rises with r_1.
+
+    Returns the hop lengths and their objective.  Raises ConvergenceError
+    where no layout of positive hops summing to one within 1e-10 passes
+    that check, as seen with the primary receiver near the line (see
+    README).
+    """
     px, py = _check_pu(pu_coord)
     if eta < 2:
         raise ValueError("eta must be >= 2")
-    if hop_count == 1:
-        return (1.0,), placement_objective([1.0], (px, py), eta)
+    e1 = eta - 1.0
 
-    k = hop_count
-    res = grid_resolution
-    if k > 2:
-        res = min(res, int(2e6 ** (1.0 / (k - 1))))
-    axis = np.linspace(0.0, 1.0, res + 2)[1:-1]
-    grids = np.meshgrid(*([axis] * (k - 1)), indexing="ij")
-    u = np.stack([g.ravel() for g in grids], axis=1)
-    last = 1.0 - u.sum(axis=1)
-    feasible = last > _D_MIN
-    u = u[feasible]
-    d = np.column_stack([u, last[feasible]])
-    prefix = np.concatenate(
-        [np.zeros((d.shape[0], 1)), np.cumsum(d, axis=1)[:, :-1]], axis=1
-    )
-    d_i = np.hypot(px - prefix, py)
-    objs = ((d / d_i) ** eta).sum(axis=1)
-    best = int(np.argmin(objs))
-    u_best = u[best].copy()
+    def walk(r: float):
+        """Hop lengths from r_1 = r, pos_{K+1} - 1, its r-derivative, all pos_k rising."""
+        d = []
+        pos = dpos = 0.0
+        dr, rising = 1.0, True
+        for k in range(hop_count):
+            h = math.hypot(px - pos, py)
+            c = (pos - px) / h
+            dh = c * dpos
+            if k:
+                log_t = math.log(h / h_prev) + e1 * math.log(r)
+                root = _hop_ratio(c, log_t, eta)
+                if root is None:  # no stationary next hop: no candidate
+                    return None, math.inf, math.nan, False
+                # implicit derivative of (eta-1) ln r + log1p(c r) = log_t
+                dlog_t = dh / h - dh_prev / h_prev + e1 * dr / r
+                dc = dpos * (py / h) ** 2 / h
+                r, dr = root[0], (dlog_t - root[0] / (1.0 + c * root[0]) * dc) / root[1]
+            h_prev, dh_prev = h, dh
+            d.append(r * h)
+            miss = (pos - 1.0) + d[-1]
+            pos += d[-1]
+            dpos += dr * h + r * dh
+            rising = rising and dpos > 0
+        return d, miss, dpos, rising
 
-    def obj_of(u_vec: np.ndarray) -> float:
-        d_vec = np.concatenate([u_vec, [1.0 - u_vec.sum()]])
-        if np.any(d_vec <= 0):
-            return np.inf
-        return placement_objective(d_vec, (px, py), eta)
-
-    current = obj_of(u_best)
-    for _ in range(200):
-        improved = False
-        for j in range(k - 1):
-            others = u_best.sum() - u_best[j]
-            lo, hi = _D_MIN, 1.0 - others - _D_MIN
-            if hi <= lo:
-                continue
-
-            def line(t, j=j):
-                trial = u_best.copy()
-                trial[j] = t
-                return obj_of(trial)
-
-            sol = optimize.minimize_scalar(
-                line, bounds=(lo, hi), method="bounded",
-                options={"xatol": 1e-14},
-            )
-            if sol.fun < current - 1e-16:
-                u_best[j] = sol.x
-                current = sol.fun
-                improved = True
-        if not improved:
-            break
-    d_best = np.concatenate([u_best, [1.0 - u_best.sum()]])
-    return tuple(float(v) for v in d_best), float(current)
+    try:
+        start = solve_equal_ratio(hop_count, (px, py)).ratio
+        r = newton_system(lambda r: walk(r)[1:3], start)[0]
+    except NumericError as exc:
+        raise ConvergenceError(f"direct search: {exc}") from exc
+    d, miss, _, rising = walk(r)
+    if not abs(miss) <= _RESIDUAL_TOL:
+        raise ConvergenceError(f"direct search: hop lengths sum to 1 + {miss:.3e}")
+    if not (rising and min(d) > 0):
+        raise ConvergenceError("direct search: no stationary minimum with every hop positive")
+    return tuple(d), placement_objective(d, (px, py), eta)

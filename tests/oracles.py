@@ -1,8 +1,9 @@
 """Reference forms that only the tests use.
 
 The per-hop SNR law, the weakest-hop density, the identical-hop closed
-forms and an adaptive semi-infinite quadrature: independent routes to
-the quantities the library computes, kept out of its public API.
+forms, an adaptive semi-infinite quadrature and a grid search of the
+placement objective: independent routes to the quantities the library
+computes, kept out of its public API.
 """
 
 from __future__ import annotations
@@ -11,9 +12,19 @@ import warnings
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
-from cogrelay import NumericError, QamConstants, ergodic_capacity_ind, hop_ber
+from cogrelay import (
+    ConfigError,
+    NumericError,
+    QamConstants,
+    ergodic_capacity_ind,
+    hop_ber,
+    placement_objective,
+)
+from cogrelay.placement import _check_pu
+
+_D_MIN = 1e-6  # smallest hop length grid_search considers
 
 
 def quad_semiinfinite(f: Callable[[float], float], tol: float = 1e-10) -> float:
@@ -101,3 +112,82 @@ def ergodic_capacity_iid(alpha: float, hop_count: int) -> float:
     if hop_count < 1:
         raise ValueError("hop_count must be >= 1")
     return ergodic_capacity_ind([alpha] * hop_count)
+
+
+def grid_search(
+    hop_count: int,
+    pu_coord,
+    eta: float,
+    grid_resolution: int = 200,
+) -> tuple[tuple[float, ...], float]:
+    """Minimize the placement objective over the simplex directly.
+
+    Exhaustive grid over the free hop lengths (capped near 2e6 cells for
+    3 and 4 hops) followed by per-coordinate bounded refinement.  Ties
+    break toward lexicographically smallest hop lengths.  The reference
+    for placement.direct_search at 4 hops or fewer.
+    """
+    if not 1 <= hop_count <= 4:
+        raise ConfigError("direct search supports 1 to 4 hops")
+    if grid_resolution < hop_count - 1:
+        # coarser grids hold no layout with every hop positive
+        raise ConfigError(
+            f"grid resolution must be >= {hop_count - 1} for {hop_count} hops"
+        )
+    px, py = _check_pu(pu_coord)
+    if eta < 2:
+        raise ValueError("eta must be >= 2")
+    if hop_count == 1:
+        return (1.0,), placement_objective([1.0], (px, py), eta)
+
+    k = hop_count
+    res = grid_resolution
+    if k > 2:
+        res = min(res, int(2e6 ** (1.0 / (k - 1))))
+    axis = np.linspace(0.0, 1.0, res + 2)[1:-1]
+    grids = np.meshgrid(*([axis] * (k - 1)), indexing="ij")
+    u = np.stack([g.ravel() for g in grids], axis=1)
+    last = 1.0 - u.sum(axis=1)
+    feasible = last > _D_MIN
+    u = u[feasible]
+    d = np.column_stack([u, last[feasible]])
+    prefix = np.concatenate(
+        [np.zeros((d.shape[0], 1)), np.cumsum(d, axis=1)[:, :-1]], axis=1
+    )
+    d_i = np.hypot(px - prefix, py)
+    objs = ((d / d_i) ** eta).sum(axis=1)
+    best = int(np.argmin(objs))
+    u_best = u[best].copy()
+
+    def obj_of(u_vec: np.ndarray) -> float:
+        d_vec = np.concatenate([u_vec, [1.0 - u_vec.sum()]])
+        if np.any(d_vec <= 0):
+            return np.inf
+        return placement_objective(d_vec, (px, py), eta)
+
+    current = obj_of(u_best)
+    for _ in range(200):
+        improved = False
+        for j in range(k - 1):
+            others = u_best.sum() - u_best[j]
+            lo, hi = _D_MIN, 1.0 - others - _D_MIN
+            if hi <= lo:
+                continue
+
+            def line(t, j=j):
+                trial = u_best.copy()
+                trial[j] = t
+                return obj_of(trial)
+
+            sol = optimize.minimize_scalar(
+                line, bounds=(lo, hi), method="bounded",
+                options={"xatol": 1e-14},
+            )
+            if sol.fun < current - 1e-16:
+                u_best[j] = sol.x
+                current = sol.fun
+                improved = True
+        if not improved:
+            break
+    d_best = np.concatenate([u_best, [1.0 - u_best.sum()]])
+    return tuple(float(v) for v in d_best), float(current)

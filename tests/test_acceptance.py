@@ -293,3 +293,34 @@ def test_criterion_8_monte_carlo_determinism(tmp_path):
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+
+
+# (eta, K) -> high-SNR gain in dB of the balanced layout and of the exact
+# optimum over uniform relays, as measured on the default geometry
+_PLACEMENT_GAINS_DB = {
+    (4.0, 2): (1.167, 1.428),
+    (4.0, 3): (0.914, 1.085),
+    (4.0, 4): (0.684, 0.769),
+    (3.0, 2): (0.774, 1.054),
+    (3.0, 3): (0.520, 0.717),
+}
+
+
+def test_criterion_9_placement_gain_over_uniform():
+    # the abstract claims gains of more than 1 dB; at equal outage the
+    # high-SNR gain of a layout over uniform relays is the ratio of
+    # their outage asymptotes gamma_th * sum_k 1/alpha_k
+    with criterion(9, "placement gain over uniform relays as measured"):
+        for (eta, k), expected in _PLACEMENT_GAINS_DB.items():
+            scenario = Scenario(hop_count=k, pu_coord=PU, path_loss_exponent=eta)
+            uniform = outage_asymptotic(alphas(scenario), 1.0)
+            layouts = (solve_equal_ratio(k, PU).d_data, direct_search(k, PU, eta)[0])
+            gains = tuple(
+                round(10.0 * np.log10(
+                    uniform / outage_asymptotic(alphas(scenario.with_hop_distances(d)), 1.0)
+                ), 3)
+                for d in layouts
+            )
+            assert gains == expected, (eta, k)
+            print(f"  eta={eta:g} K={k}: balanced {gains[0]:.3f} dB, "
+                  f"optimum {gains[1]:.3f} dB")

@@ -32,6 +32,7 @@ from cogrelay import (
 )
 from cogrelay.cli import (
     MAX_SWEEP_POINTS,
+    MAX_TRIALS,
     MC_OUTPUTS,
     OUTPUT_ORDER,
     SWEEP_VARIABLES,
@@ -389,12 +390,19 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     zero_chunks = _write_config(tmp_path, "zero_chunks.json", chunks=0)
     # JSON's Infinity: int() of it raised OverflowError, a traceback
     inf_trials = _write_config(tmp_path, "inf_trials.json", trials=math.inf)
+    # counts above the cap: the block list overflowed or ran out of memory
+    huge_trials = [_write_config(tmp_path, f"huge_trials_{i}.json", trials=n)
+                   for i, n in enumerate((MAX_TRIALS + 1, 1e30))]
     for argv in (
         ["analyze", "--config", cfg, "--sweep", "hop_count=1,x"],
+        # optimize has no grid: --grid-resolution is an unknown flag
         ["optimize", "--config", cfg, "--grid-resolution", "0"],
         ["optimize", "--config", cfg, "--grid-resolution", "-3"],
-        # a one-point grid holds no three-hop layout with every hop positive
         ["optimize", "--config", cfg, "--grid-resolution", "1"],
+        *([command, "--config", cfg, "--trials", str(n)]
+          for command in ("mc", "analyze") for n in (MAX_TRIALS + 1, 10**30)),
+        *(["mc", "--config", path] for path in huge_trials),
+        ["analyze", "--config", huge_trials[1], "--outputs", "mc_op"],
         ["analyze", "--config", cfg, "--outputs", "mc_op", "--chunks", "0"],
         ["mc", "--config", cfg, "--chunks", "-1"],
         ["mc", "--config", cfg, "--seed", "-1"],
@@ -460,12 +468,11 @@ def test_sweep_point_limit_is_in_the_message():
 
 def _modules_after(code):
     """Run code in a fresh interpreter that imports this checkout's
-    cogrelay; the scipy.special, scipy.integrate, scipy.optimize and
-    mpmath modules loaded by its end."""
+    cogrelay; the scipy and mpmath modules loaded by its end."""
     src = os.path.dirname(os.path.dirname(cogrelay.__file__))
     code += (
         "\nimport sys; print('\\n'.join(m for m in sys.modules if m.startswith("
-        "('scipy.special', 'scipy.integrate', 'scipy.optimize', 'mpmath'))))"
+        "('scipy', 'mpmath'))))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -491,6 +498,17 @@ def test_closed_form_analyze_leaves_scipy_special_unloaded_and_mc_loads_it(tmp_p
     mc = ["mc", "--config", cfg, "--trials", "1000", "--chunks", "2",
           "--out", str(tmp_path / "mc.csv")]
     assert "scipy.special" in _modules_after(run.format(mc))
+
+
+def test_placement_commands_load_no_scipy(tmp_path):
+    run = "import cogrelay.cli as cli; assert cli.main({!r}) == 0"
+    for k in (3, 8):
+        cfg = _write_config(tmp_path, f"k{k}.json", hop_count=k)
+        optimize = ["optimize", "--config", cfg, "--out", str(tmp_path / f"opt{k}.csv")]
+        assert _modules_after(run.format(optimize)) == [], k
+    profiles = ["profiles", "--config", cfg, "--profiles", "uniform,optimized,random",
+                "--out", str(tmp_path / "profiles.csv")]
+    assert _modules_after(run.format(profiles)) == []
 
 
 def test_config_chunks_takes_effect_and_the_flag_wins(tmp_path, capsys, monkeypatch):
@@ -615,3 +633,28 @@ def test_mc_flags_fuzz_exit_code_contract(tmp_path_factory, command, outputs, tw
             assert header[1:] == [n for n in MC_OUTPUTS if n in outputs] + [
                 f"{n}_std_error" for n in MC_OUTPUTS if n in outputs] + ["trials"]
             assert len(rows) == (2 if two_points else 1)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    hop_count=st.integers(1, 64),
+    px=st.floats(-2.0, 3.0),
+    py=st.one_of(st.sampled_from([0.0, 1e-300, 1e-8, 1e-4]), st.floats(0.01, 2.0)),
+    eta=st.floats(2.0, 8.0),
+)
+def test_optimize_fuzz_exit_code_contract(tmp_path_factory, hop_count, px, py, eta):
+    path = tmp_path_factory.getbasetemp() / "fuzz_optimize.json"
+    path.write_text(json.dumps({"hop_count": hop_count, "pu_coord": [px, py],
+                                "path_loss_exponent": eta}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["optimize", "--config", str(path), "--no-timestamp"])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        meta = _meta(out.getvalue())
+        if "objective_gap" in meta:
+            gap, objective = float(meta["objective_gap"]), float(meta["objective_equal_ratio"])
+            assert gap >= -1e-9 * objective, meta
+        else:
+            assert meta["objective_direct_search"].startswith("not found ("), meta

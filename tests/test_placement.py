@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -16,6 +17,7 @@ from cogrelay import (
     qam_constants,
     solve_equal_ratio,
 )
+from oracles import grid_search
 
 PU = (0.35, 0.35)
 
@@ -220,13 +222,16 @@ def test_ber_min_formula():
 
 
 def test_direct_search_two_hops():
-    d, obj = direct_search(2, PU, 4.0, grid_resolution=400)
+    d, obj = grid_search(2, PU, 4.0, grid_resolution=400)
     assert d[0] == pytest.approx(0.5878, abs=1e-3)
     assert obj == pytest.approx(2.8893, abs=1e-3)
     balanced = solve_equal_ratio(2, PU)
     balanced_obj = placement_objective(balanced.d_data, PU, 4.0)
     assert balanced_obj == pytest.approx(3.0684, abs=1e-3)
     assert obj <= balanced_obj + 1e-9
+    d_exact, obj_exact = direct_search(2, PU, 4.0)
+    assert d_exact[0] == pytest.approx(d[0], abs=1e-7)
+    assert obj_exact <= obj * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -243,6 +248,63 @@ def test_direct_search_far_primary_agrees_with_balanced():
     assert list(d) == pytest.approx(list(balanced.d_data), abs=1e-6)
 
 
-def test_direct_search_hop_limit():
-    with pytest.raises(ConfigError):
-        direct_search(5, PU, 4.0)
+@pytest.mark.parametrize("k", [5, 8, 64])
+def test_direct_search_solves_long_chains(k):
+    d, obj = direct_search(k, PU, 4.0)
+    assert len(d) == k and all(v > 0 for v in d)
+    assert abs(math.fsum(d) - 1.0) <= 1e-10
+    assert obj == placement_objective(d, PU, 4.0)
+    assert obj <= placement_objective(solve_equal_ratio(k, PU).d_data, PU, 4.0)
+
+
+def _geometries(seed, count, hop_counts, etas):
+    rng = random.Random(seed)
+    return [
+        (rng.choice(hop_counts), (rng.uniform(-1.0, 2.0), rng.uniform(0.05, 1.0)),
+         rng.choice(etas))
+        for _ in range(count)
+    ]
+
+
+def test_direct_search_never_worse_than_the_grid_oracle():
+    # the exact stationary point against the grid search plus line
+    # searches, which reaches 4 hops at most
+    worst = 0.0
+    for k, pu, eta in _geometries(11, 300, (2, 3, 4), (2.0, 2.5, 3.0, 4.0)):
+        _, obj = direct_search(k, pu, eta)
+        _, obj_grid = grid_search(k, pu, eta)
+        worst = max(worst, obj / obj_grid - 1.0)
+    assert worst <= 1e-12
+
+
+def test_direct_search_no_feasible_perturbation_lowers_the_objective():
+    rng = random.Random(12)
+    geometries = _geometries(13, 60, (2, 3, 5, 8, 16, 32, 64), (2.0, 3.0, 4.0, 6.0, 8.0))
+    geometries += [(64, PU, 4.0), (64, (1.0, 0.05), 2.0), (64, (-0.5, 0.1), 8.0)]
+    for k, pu, eta in geometries:
+        d, obj = direct_search(k, pu, eta)
+        for _ in range(20):
+            # a direction along the simplex, scaled to keep every hop positive
+            v = [rng.uniform(-1.0, 1.0) for _ in range(k)]
+            mean = math.fsum(v) / k
+            v = [x - mean for x in v]
+            scale = min(d) / max(abs(x) for x in v)
+            for step in (1e-2, 1e-3, 1e-4):
+                moved = [a + step * scale * b for a, b in zip(d, v)]
+                assert placement_objective(moved, pu, eta) >= obj * (1 - 1e-13), (k, pu, eta)
+
+
+@pytest.mark.parametrize("py", [1e-300, 1e-8, 1e-4])
+@pytest.mark.parametrize("px", [-0.5, 0.0, 0.5, 1.0, 1.088])
+def test_direct_search_near_the_line_returns_or_raises_convergence_error(px, py):
+    # receivers this close to the line are where no stationary minimum
+    # may exist or be reachable in double precision
+    for k in (2, 3, 8, 64):
+        for eta in (2.0, 4.0, 8.0):
+            try:
+                d, obj = direct_search(k, (px, py), eta)
+            except ConvergenceError:
+                continue
+            assert abs(math.fsum(d) - 1.0) <= 1e-9
+            assert all(v > 0 for v in d)
+            assert obj == placement_objective(d, (px, py), eta)
