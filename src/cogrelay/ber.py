@@ -73,11 +73,10 @@ def qam_constants(qam_order: int) -> QamConstants:
 def instantaneous_ber(gamma, constants: QamConstants):
     """BER of the AWGN channel at instantaneous SNR gamma (scalar or array).
 
-    Terms sharing an omega share one erfc evaluation; the terms are still
-    added in their table order, so the sum keeps its rounding.
+    Terms sharing an omega share one erfc evaluation, the C library's
+    (numerics.libm); the terms are still added in their table order, so
+    the sum keeps its rounding.
     """
-    from scipy import special  # the closed-form paths need no scipy.special
-
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be non-negative")
@@ -87,9 +86,7 @@ def instantaneous_ber(gamma, constants: QamConstants):
     for i, (_, _, _, omega, phi) in enumerate(constants.terms):
         term = erfcs.pop(omega, None)
         if term is None:
-            term = np.multiply(omega, g, out=np.empty_like(g))
-            np.sqrt(term, out=term)
-            special.erfc(term, out=term)
+            term = libm(math.erfc, np.sqrt(omega * g))
         if last_use[omega] > i:  # kept for a later term: scale a copy
             erfcs[omega] = term
             if phi != 1.0:

@@ -1,9 +1,10 @@
 """Reference forms that only the tests use.
 
 The per-hop SNR law, the weakest-hop density, the identical-hop closed
-forms, an adaptive semi-infinite quadrature and a grid search of the
-placement objective: independent routes to the quantities the library
-computes, kept out of its public API.
+forms, an adaptive semi-infinite quadrature, a grid search of the
+placement objective and the raw Monte-Carlo estimator: independent
+routes to the quantities the library computes, kept out of its public
+API.
 """
 
 from __future__ import annotations
@@ -12,16 +13,23 @@ import warnings
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from cogrelay import (
     ConfigError,
+    McEstimate,
     NumericError,
     QamConstants,
+    Scenario,
+    derive_hop_statistics,
     ergodic_capacity_ind,
     hop_ber,
     placement_objective,
+    qam_constants,
+    substream,
 )
+from cogrelay.channel import sample_exponential
+from cogrelay.montecarlo import BLOCK_TRIALS
 from cogrelay.placement import _check_pu
 
 _D_MIN = 1e-6  # smallest hop length grid_search considers
@@ -191,3 +199,55 @@ def grid_search(
             break
     d_best = np.concatenate([u_best, [1.0 - u_best.sum()]])
     return tuple(float(v) for v in d_best), float(current)
+
+
+def raw_monte_carlo(
+    scenario: Scenario, trials: int, seed: int, metrics: Sequence[str] = ("op", "ber", "capacity")
+) -> dict[str, McEstimate]:
+    """The raw estimators that the library's conditional ones replace.
+
+    Every trial draws both gains of every hop, block b from
+    substream(seed, b) as a (2, n, K) array, and averages the outage
+    indicator, the instantaneous BER through scipy's erfc chained by the
+    odd-number-of-errors recursion, or log2(1 + min hop SNR)/K.  The
+    standard error takes a two-pass variance over all trials.
+    """
+    stats = derive_hop_statistics(scenario)
+    k = len(stats)
+    lam_d = np.array([h.lambda_d for h in stats])[:, None]
+    lam_i = np.array([h.lambda_i for h in stats])[:, None]
+    constants = qam_constants(scenario.qam_order)
+    values: dict[str, list] = {m: [] for m in metrics}
+    for block in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
+        n = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
+        draws = sample_exponential(substream(seed, block), 1.0, (2, n, k))
+        snr = scenario.ip_over_n0 * (draws[0].T * lam_d) / np.maximum(draws[1].T * lam_i, 1e-300)
+        weakest = snr.min(axis=0)
+        if "op" in values:
+            values["op"].append((weakest < scenario.gamma_th).astype(float))
+        if "ber" in values:
+            values["ber"].append(_raw_ber(snr, constants))
+        if "capacity" in values:
+            values["capacity"].append(np.log2(1.0 + weakest) / k)
+    estimates = {}
+    for metric, blocks in values.items():
+        v = np.concatenate(blocks)
+        estimates[metric] = McEstimate(
+            value=float(v.mean()),
+            std_error=float(np.sqrt(v.var(ddof=1) / trials)) if trials > 1 else 0.0,
+            trials=trials,
+            seed=seed,
+        )
+    return estimates
+
+
+def _raw_ber(snr: np.ndarray, constants: QamConstants) -> np.ndarray:
+    """Per-trial end-to-end BER from the (K, n) instantaneous SNRs."""
+    erfcs = {omega: special.erfc(np.sqrt(omega * snr))
+             for _, _, _, omega, _ in constants.terms}
+    hop = sum(phi * erfcs[omega] for _, _, _, omega, phi in constants.terms)
+    hop = np.clip(hop / constants.denominator, 0.0, 1.0)
+    acc = np.zeros(snr.shape[1])
+    for row in hop[::-1]:
+        acc = row + (1.0 - 2.0 * row) * acc
+    return acc

@@ -3,12 +3,13 @@ import pytest
 
 from cogrelay import Scenario, mc_outage, substream
 from cogrelay.channel import sample_exponential
-from oracles import quad_semiinfinite, snr_cdf, snr_pdf
+from oracles import quad_semiinfinite, raw_monte_carlo, snr_cdf, snr_pdf
 
 
 def _hop_snr(rng, lambda_d, lambda_i, ip_over_n0, size):
-    """Per-hop SNR draws (I_p/N_0) * X/Y the way the Monte-Carlo blocks
-    make them: one call draws the X then the Y exponentials."""
+    """Per-hop SNR draws (I_p/N_0) * X/Y the way the raw Monte-Carlo
+    oracle's blocks make them: one call draws the X then the Y
+    exponentials."""
     x, y = sample_exponential(rng, 1.0, (2, size))
     return ip_over_n0 * (x * lambda_d) / np.maximum(y * lambda_i, 1e-300)
 
@@ -72,12 +73,18 @@ def test_sampler_deterministic_per_seed_and_stream():
 
 
 def test_helper_draws_what_a_monte_carlo_block_draws():
-    # one hop, one block: mc_outage counts exactly the helper's draws below t
+    # one hop, one block: the raw oracle counts exactly the helper's draws
+    # below t.  mc_outage draws only the interference gains, the first
+    # exponentials of the same stream, and averages P(SNR < t | Y) over them.
     lam_d, lam_i, ip, t = 2.0, 5.0, 10.0, 3.0
     scn = Scenario(hop_count=1, ip_over_n0=ip, gamma_th=t,
                    lambda_overrides=((lam_d, lam_i),))
     draws = _hop_snr(substream(31, 0), lam_d, lam_i, ip, 50_000)
-    assert mc_outage(scn, 50_000, 31).value == np.count_nonzero(draws < t) / 50_000
+    raw = raw_monte_carlo(scn, 50_000, 31, ("op",))["op"]
+    assert raw.value == np.count_nonzero(draws < t) / 50_000
+    y = sample_exponential(substream(31, 0), 1.0, (2, 50_000))[0]
+    conditional = -np.expm1(-t * y / (lam_d / lam_i * ip))
+    assert mc_outage(scn, 50_000, 31).value == pytest.approx(conditional.mean(), rel=1e-14)
 
 
 def test_sample_mean_diverges():

@@ -487,17 +487,21 @@ def test_cli_import_loads_no_scipy_special_quadrature_optimizer_or_mpmath():
     assert _modules_after("import cogrelay.cli") == []
 
 
-def test_closed_form_analyze_leaves_scipy_special_unloaded_and_mc_loads_it(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     cfg = _write_config(tmp_path, qam_order=16)
-    run = "import cogrelay.cli as cli; assert cli.main({!r}) == 0"
-    # every closed-form output, on both sides of hop_ber's series switch
-    analyze = ["analyze", "--config", cfg, "--sweep", "ip_over_n0_db=-30:60:5",
-               "--outputs", ",".join(n for n in OUTPUT_ORDER if n not in MC_OUTPUTS),
-               "--out", str(tmp_path / "analyze.csv")]
-    assert _modules_after(run.format(analyze)) == []
-    mc = ["mc", "--config", cfg, "--trials", "1000", "--chunks", "2",
-          "--out", str(tmp_path / "mc.csv")]
-    assert "scipy.special" in _modules_after(run.format(mc))
+    # every output, closed form on both sides of hop_ber's series switch
+    # and Monte Carlo, then mc, in one interpreter; optimize and profiles
+    # are test_placement_commands_load_no_scipy's
+    commands = [
+        ["analyze", "--config", cfg, "--sweep", "ip_over_n0_db=-30:60:5",
+         "--outputs", ",".join(OUTPUT_ORDER), "--trials", "1000",
+         "--out", str(tmp_path / "analyze.csv")],
+        ["mc", "--config", cfg, "--trials", "1000", "--chunks", "2",
+         "--out", str(tmp_path / "mc.csv")],
+    ]
+    run = "import cogrelay.cli as cli\n" + "".join(
+        f"assert cli.main({argv!r}) == 0\n" for argv in commands)
+    assert _modules_after(run) == []
 
 
 def test_placement_commands_load_no_scipy(tmp_path):
@@ -593,6 +597,8 @@ def _effective(name, flags, config):
     command=st.sampled_from(["mc", "analyze"]),
     outputs=st.lists(st.sampled_from(list(MC_OUTPUTS)), min_size=1, max_size=3, unique=True),
     two_points=st.booleans(),
+    hop_count=st.integers(1, 64),
+    ip_db=st.one_of(st.floats(-300.0, 300.0), st.sampled_from([-300.0, 300.0])),
     flags=st.fixed_dictionaries({}, optional=_flag_values),
     config=st.fixed_dictionaries({}, optional={
         # trials left to the config stay small, so every run is short
@@ -602,16 +608,17 @@ def _effective(name, flags, config):
     }),
 )
 def test_mc_flags_fuzz_exit_code_contract(tmp_path_factory, command, outputs, two_points,
-                                          flags, config):
+                                          hop_count, ip_db, flags, config):
     if "trials" not in flags and "trials" not in config:
         flags = {**flags, "trials": 1000}
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    path.write_text(json.dumps({"hop_count": 3, "qam_order": 16, **config}))
+    path.write_text(json.dumps({"hop_count": hop_count, "qam_order": 16,
+                                "ip_over_n0_db": ip_db, **config}))
     argv = [command, "--config", str(path), "--no-timestamp"]
     if command == "analyze":
         argv += ["--outputs", ",".join(outputs)]
         if two_points:
-            argv += ["--sweep", "ip_over_n0_db=10:20:10"]
+            argv += ["--sweep", f"ip_over_n0_db={ip_db - 10.0!r}:{ip_db!r}:10"]
     for name, value in flags.items():
         argv += [f"--{name}", str(value)]
     out, err = io.StringIO(), io.StringIO()
@@ -629,10 +636,18 @@ def test_mc_flags_fuzz_exit_code_contract(tmp_path_factory, command, outputs, tw
         header, rows = _rows(out.getvalue())
         if command == "mc":
             assert [r["metric"] for r in rows] == list(MC_OUTPUTS)
+            estimates = [(r["metric"], r["value"], r["std_error"]) for r in rows]
         else:
             assert header[1:] == [n for n in MC_OUTPUTS if n in outputs] + [
                 f"{n}_std_error" for n in MC_OUTPUTS if n in outputs] + ["trials"]
             assert len(rows) == (2 if two_points else 1)
+            estimates = [(n, r[n], r[f"{n}_std_error"]) for r in rows
+                         for n in MC_OUTPUTS if n in outputs]
+        highest = {"mc_op": 1.0, "mc_ber": 0.5, "mc_capacity": math.inf}
+        for name, value, se in estimates:
+            value, se = float(value), float(se)
+            assert math.isfinite(value) and math.isfinite(se), (argv, name)
+            assert 0.0 <= value <= highest[name] and se >= 0.0, (argv, name, value, se)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)

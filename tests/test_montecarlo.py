@@ -1,8 +1,11 @@
 import itertools
+import math
 import os
 import sys
 import threading
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from cogrelay import (
@@ -19,6 +22,8 @@ from cogrelay import (
     outage_exact,
     qam_constants,
 )
+from cogrelay import ber
+from oracles import raw_monte_carlo
 
 
 def _override_scenario(alphas, gamma_th=1.0, qam_order=4):
@@ -117,12 +122,14 @@ def test_joint_pass_rejects_bad_metric_lists(metrics):
         monte_carlo(_override_scenario([1.0]), 100, 1, metrics=metrics)
 
 
-def test_outage_alone_evaluates_no_erfc(monkeypatch):
+def test_no_metric_calls_instantaneous_ber(monkeypatch):
     def forbidden(*args):
         raise AssertionError("instantaneous_ber called")
 
     monkeypatch.setattr(montecarlo, "instantaneous_ber", forbidden)
-    monte_carlo(_override_scenario([1.0, 2.0]), 1000, 1, metrics=("op", "capacity"))
+    monkeypatch.setattr(ber, "instantaneous_ber", forbidden)
+    scn = _override_scenario([1.0, 2.0], qam_order=16)
+    assert list(monte_carlo(scn, 1000, 1)) == list(montecarlo.METRICS)
 
 
 def _record_threads(monkeypatch):
@@ -232,3 +239,82 @@ def test_rejects_bad_arguments():
         mc_outage(scn, 0, 1)
     with pytest.raises(ValueError):
         mc_outage(scn, 100, 1, chunks=0)
+
+
+@pytest.mark.parametrize("ip_db", [-10.0, 15.0, 40.0])
+@pytest.mark.parametrize("qam_order", [16, 64])
+@pytest.mark.parametrize("hop_count", [1, 2, 4])
+def test_conditional_estimates_agree_with_the_raw_ones(hop_count, qam_order, ip_db):
+    # the raw estimator on its own seed, so the two are independent; 8
+    # blocks give the raw outage about 27 events at K = 4, 40 dB
+    scn = Scenario(hop_count=hop_count, ip_over_n0=10 ** (ip_db / 10), qam_order=qam_order)
+    trials = 8 * montecarlo.BLOCK_TRIALS
+    conditional = monte_carlo(scn, trials, 31)
+    raw = raw_monte_carlo(scn, trials, 32)
+    for m in montecarlo.METRICS:
+        c, r = conditional[m], raw[m]
+        assert abs(c.value - r.value) <= 4 * math.hypot(c.std_error, r.std_error), m
+
+
+def test_conditional_outage_has_a_twentieth_of_the_raw_std_error():
+    scn = Scenario(hop_count=3, ip_over_n0=1e4)
+    trials = 4 * montecarlo.BLOCK_TRIALS
+    conditional = mc_outage(scn, trials, 41)
+    raw = raw_monte_carlo(scn, trials, 41, ("op",))["op"]
+    assert 0 < conditional.std_error < raw.std_error / 20
+
+
+def test_constant_values_have_zero_std_error():
+    sizes = [montecarlo.BLOCK_TRIALS] * 4 + [37_857]
+    partials = [montecarlo._moments(np.full(n, 0.1)) for n in sizes]
+    est = montecarlo._estimate(partials, sum(sizes), 0)
+    assert est.value == 0.1
+    assert est.std_error == 0.0
+
+
+def test_std_error_matches_a_two_pass_variance_at_300_db(monkeypatch):
+    # capacity values near 33 spread by about 0.34: sum_sq - n mean^2
+    # cancels there and is 1.4e-12 relative off on these draws
+    blocks = []
+    moments = montecarlo._moments
+
+    def recording(values):
+        blocks.append(values.copy())
+        return moments(values)
+
+    monkeypatch.setattr(montecarlo, "_moments", recording)
+    trials = 1 << 20
+    est = mc_capacity(Scenario(hop_count=3, ip_over_n0=1e30), trials, 5, chunks=3)
+    values = np.concatenate(blocks)
+    assert values.size == trials
+    mean = math.fsum(values) / trials
+    var = math.fsum((values - mean) ** 2) / (trials - 1)
+    assert est.value == pytest.approx(mean, rel=1e-15)
+    assert est.std_error == pytest.approx(math.sqrt(var / trials), rel=1e-15)
+
+
+_E1_POINTS = np.concatenate([
+    [5e-324, 1e-310],
+    np.logspace(-300, 300, 601),
+    np.linspace(0.0, 8.0, 81)[1:],
+    # both sides of the switch from series to continued fraction
+    np.nextafter(montecarlo._E1_SWITCH, [0.0, 4.0]),
+    montecarlo._E1_SWITCH * np.array([0.99, 0.999, 1.0, 1.001, 1.01]),
+])
+
+
+def _exp_e1_reference(x: float) -> float:
+    with mp.workdps(40):
+        return float(mp.exp(x) * mp.e1(x))
+
+
+@pytest.mark.parametrize("together", [False, True])
+def test_exp_e1_matches_mpmath(together):
+    # the series length follows the array's largest value,
+    # so each point is checked alone and inside the whole array
+    if together:
+        ours = montecarlo._exp_e1(_E1_POINTS.copy())
+    else:
+        ours = [montecarlo._exp_e1(np.array([x]))[0] for x in _E1_POINTS]
+    for x, value in zip(_E1_POINTS, ours):
+        assert value == pytest.approx(_exp_e1_reference(x), rel=1e-13), x

@@ -1,9 +1,10 @@
 import math
+from math import erfc
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import erfc, erfcx
+from scipy.special import erfcx
 
 from scipy.optimize import fsolve
 
@@ -18,10 +19,10 @@ from cogrelay import (
 from cogrelay.ber import erfcx as float64_erfcx
 from oracles import quad_semiinfinite
 
-# Only the Monte-Carlo kernel ber.instantaneous_ber calls scipy.special
-# (erfc); hop_ber evaluates erfcx with ber.erfcx, from the C library's
-# erfc and exp.  The first tests pin the accuracy and overflow behaviour
-# those kernels rely on; scipy's erfcx stays as a second reference.
+# ber.instantaneous_ber takes erfc from the C library (math.erfc), and
+# hop_ber evaluates erfcx with ber.erfcx, from the C library's erfc and
+# exp.  The first tests pin the accuracy and overflow behaviour those
+# kernels rely on; scipy's erfcx stays as a second reference.
 
 
 def test_erfc_reference_points():
