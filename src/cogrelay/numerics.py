@@ -17,7 +17,8 @@ def libm(fn: Callable[[float], float], values) -> np.ndarray:
     agree neither with the scalar form nor across machines.
     """
     x = np.asarray(values, dtype=float)
-    return np.fromiter(map(fn, x.flat), float, x.size).reshape(x.shape)
+    # Python floats, not numpy scalars: about twice as fast through map
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def libm_pow(x: np.ndarray, n) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Rows are single chains of K hops with alpha from 1e-30 to 1e30; some
 repeat or nearly repeat a value, so one call mixes pole multiplicity
-patterns, and some take capacity's remainder series or its survival
-quadrature.
+patterns.  Chains of up to four hops take capacity's closed form, some
+of them its survival-quadrature fallback; longer ones take the
+quadrature itself.
 """
 
 import numpy as np
@@ -24,18 +25,20 @@ from cogrelay import (
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
-# rows that take the fallbacks (checked to do so below): an order-24 pole
-# at 1.45 whose series cancels (remainder series); poles 1e-5 apart whose
-# float64 sum cancels, and prod(alpha) overflowing or underflowing
-# (quadrature)
+# rows that take the survival quadrature (checked to do so below).  Every
+# chain of five hops or more does: an order-24 pole at 1.45, whose kernel
+# series cancels, and poles 1e-5 apart, whose float64 sum cancels.  At
+# four hops and fewer the closed form falls back to it where that sum
+# cancels and where prod(alpha) overflows or underflows.
 REMAINDER_ROWS = [[1.45] * 24, [1.45] * 23 + [9.0]]
 QUADRATURE_ROWS = [[3.0 * (1 + 1e-5 * k) for k in range(12)], [1e30] * 12, [1e-30] * 12]
+FALLBACK_ROWS = [[3.0 * (1 + 1e-5 * k) for k in range(4)], [1e300] * 4, [1e-300] * 4]
 
 
 @st.composite
 def alpha_matrices(draw):
     """(P, K) alphas; each row spread, clustered, or equal around a scale."""
-    k = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 16))
     rows = []
     for _ in range(draw(st.integers(1, 5))):
         scale = 10.0 ** draw(st.floats(-30, 30))
@@ -78,6 +81,7 @@ def test_ber_forms(alphas, m):
 @given(alpha_matrices())
 @example(np.array(REMAINDER_ROWS + [[0.7] * 23 + [1.3]]))
 @example(np.array(QUADRATURE_ROWS + [[2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0, 29.0, 31.0, 37.0]]))
+@example(np.array(FALLBACK_ROWS + [[2.0, 3.0, 5.0, 7.0]]))
 def test_capacity_forms(alphas):
     k = alphas.shape[1]
     assert per_hop_capacity(alphas, k).tolist() == [
@@ -86,20 +90,35 @@ def test_capacity_forms(alphas):
     _rows_equal(ergodic_capacity_ind(alphas), [ergodic_capacity_ind(r) for r in alphas])
 
 
-@pytest.mark.parametrize("rows, fallback", [
-    (REMAINDER_ROWS, "_kernel_remainder"),
-    (QUADRATURE_ROWS, "_survival_quadrature"),
-])
-def test_fallback_examples_take_the_fallbacks(monkeypatch, rows, fallback):
+def _spy(monkeypatch, name):
+    """Arguments of every call to capacity.<name> from now on."""
     calls = []
-    original = getattr(capacity, fallback)
+    original = getattr(capacity, name)
 
     def spy(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(capacity, fallback, spy)
+    monkeypatch.setattr(capacity, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("rows, fallback", [
+    (REMAINDER_ROWS, "_survival_quadrature"),
+    (QUADRATURE_ROWS, "_survival_quadrature"),
+    (FALLBACK_ROWS, "_survival_quadrature"),
+])
+def test_fallback_examples_take_the_fallbacks(monkeypatch, rows, fallback):
+    calls = _spy(monkeypatch, fallback)
     for row in rows:
         calls.clear()
         ergodic_capacity_ind(row)
         assert calls, row
+
+
+def test_kernel_remainder_serves_a_cancelling_series(monkeypatch):
+    # the order-24 pole of REMAINDER_ROWS, now reached only through the
+    # public kernel: its alternating series cancels above pole 1
+    calls = _spy(monkeypatch, "_kernel_remainder")
+    assert capacity.capacity_pole_integral(24, 1.45) > 0.0
+    assert calls

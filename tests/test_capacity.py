@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from cogrelay import (
@@ -362,3 +363,41 @@ def test_iid_capacity_at_extreme_alpha(alpha, hops):
 def test_kernel_outside_float64_range_raises(order, pole):
     with pytest.raises(NumericError, match=re.escape(f"order {order} at pole {pole:.6g}")):
         capacity_pole_integral(order, pole)
+
+
+@st.composite
+def long_chains(draw):
+    """K = 5..64 alphas in 1e-30..1e30: spread over six decades around a
+    scale, clustered within 1e-4 of it, or equal."""
+    k = draw(st.integers(5, 64))
+    scale = 10.0 ** draw(st.floats(-27, 27))
+    kind = draw(st.sampled_from(["spread", "clustered", "equal"]))
+    if kind == "equal":
+        return [scale] * k
+    if kind == "clustered":
+        return [scale * (1.0 + draw(st.floats(0.0, 1e-4))) for _ in range(k)]
+    return [scale * 10.0 ** draw(st.floats(-3, 3)) for _ in range(k)]
+
+
+def _chain(**config):
+    return scenario_alphas(scenario_from_config(config))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(long_chains())
+# the partial-fraction sum was off by 1.15e-9 here, and by 6.9e-10 on the
+# 15-hop chain at 30 dB
+@example(_chain(hop_count=16, pu_coord=[-0.104, 0.604], path_loss_exponent=3,
+                ip_over_n0_db=14.18))
+@example(_chain(hop_count=15, ip_over_n0_db=30.0))
+def test_long_chain_capacity_within_1e13_of_40_digits(alphas):
+    cap = ergodic_capacity_ind(alphas)
+    assert abs(cap - float(_survival_reference(alphas))) <= 1e-13 * cap
+
+
+@pytest.mark.parametrize("hops", [5, 64])
+@pytest.mark.parametrize("alpha", [1e-300, 1e300])
+def test_long_chain_capacity_at_the_float64_extremes(alpha, hops):
+    # the nodes pass e^709 at 1e300 and reach subnormal gains at 1e-300
+    cap = ergodic_capacity_ind([alpha] * hops)
+    assert abs(cap - float(_survival_reference([alpha] * hops))) <= 1e-13 * cap

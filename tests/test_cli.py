@@ -18,6 +18,7 @@ from cogrelay import (
     NumericError,
     Scenario,
     alphas,
+    capacity,
     derive_hop_statistics,
     e2e_ber,
     e2e_ber_asymptotic,
@@ -344,7 +345,7 @@ def test_mc_output_contents(tmp_path, capsys):
     assert "# seed: 1" in out and "# trials: 5000" in out
 
 
-@pytest.mark.parametrize("db", [0.0, 30.0, -150.0])
+@pytest.mark.parametrize("db", [0.0, 30.0, -150.0, 300.0, -300.0])
 def test_deep_chain_capacity_finite_and_quiet(tmp_path, capsys, db):
     cfg = _write_config(tmp_path, ip_over_n0_db=db)
     with warnings.catch_warnings():
@@ -362,6 +363,31 @@ def test_deep_chain_capacity_finite_and_quiet(tmp_path, capsys, db):
         cap = float(r["capacity"])
         assert 0.0 < cap < math.inf, r
         assert cap <= float(r["per_hop_capacity_min"]) * (1 + 1e-12), r
+
+
+def test_no_long_chain_builds_a_partial_fraction_expansion(tmp_path, capsys, monkeypatch):
+    # chains of five hops or more take the survival quadrature; only the
+    # closed form of the shorter ones clusters poles and finds residues
+    seen = {"_cluster_poles": set(), "_residue_coefficients": set()}
+    cluster_poles, residue_coefficients = capacity._cluster_poles, capacity._residue_coefficients
+
+    def cluster_spy(rows):
+        seen["_cluster_poles"].add(rows.shape[1])
+        return cluster_poles(rows)
+
+    def residue_spy(betas, mults):
+        seen["_residue_coefficients"].add(sum(mults))
+        return residue_coefficients(betas, mults)
+
+    monkeypatch.setattr(capacity, "_cluster_poles", cluster_spy)
+    monkeypatch.setattr(capacity, "_residue_coefficients", residue_spy)
+    cfg = _write_config(tmp_path)
+    assert main([
+        "analyze", "--config", cfg, "--sweep", "hop_count=1:64:1",
+        "--outputs", "capacity", "--no-timestamp",
+    ]) == 0
+    assert len(_rows(capsys.readouterr().out)[1]) == 64
+    assert seen == {"_cluster_poles": {1, 2, 3, 4}, "_residue_coefficients": {1, 2, 3, 4}}
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):
