@@ -1,48 +1,30 @@
 """Ergodic capacity of the weakest-hop SNR approximation.
 
-Two routes give the same quantity; the number of hops K picks one.
+With the weakest hop's survival function S(g) = prod_k alpha_k/(g+alpha_k),
+integration by parts turns the capacity into
 
-* K >= _QUADRATURE_HOPS (5): the survival integral
-  (1/(K ln 2)) int_0^inf S(g)/(1+g) dg, S(g) = prod_k alpha_k/(g+alpha_k),
-  by the trapezoid rule in ln g (_survival_quadrature).  Its integrand is
-  a product of factors in (0, 1], so it keeps its relative accuracy on
-  every chain: within 3e-16 of 40 digits on the 5- to 64-hop chains of
-  the default geometry at 0, 15 and 30 dB.  The partial-fraction sum
-  below cancels on such chains: it is off by more than 1e-12 on 15-27%
-  of random chains from K = 5 on, and by up to 1.15e-9.
-* K <= 4: the paper's closed form.  The end-to-end PDF is a rational
-  function with poles at the negated per-hop scale parameters.
-  Expanding it in partial fractions reduces the capacity integral to a
-  weighted sum of one closed-form kernel per pole and multiplicity.
-  Here it is off by more than 1e-12 on 0.3% of random chains, and on a
-  sweep of three-hop chains it is three times as fast as the quadrature.
+    C = (1/(K ln 2)) int_0^inf S(g)/(1+g) dg.
 
-Numerical notes on the closed form, earned the hard way:
+Two routes evaluate it; the number of hops K picks one.
 
-* Expansion coefficients are computed by residue calculus through a
-  log-derivative recurrence.
-* Near-coincident poles are merged into one pole of higher multiplicity
-  before expanding; unmerged near-duplicates would produce gigantic
-  cancelling coefficients.
-* The pole kernel has a removable singularity at pole = 1; a power
-  series in (pole - 1) is used on |pole - 1| <= 1/2 because the closed
-  form loses all precision to cancellation there once the multiplicity
-  exceeds 2.  Where that alternating series or the closed form cancels
-  for a pole above 1 (high orders), the kernel is summed instead as a
-  series of positive terms (_kernel_remainder).
-* Where the float64 sum cannot be trusted, the chain takes the
-  quadrature: when a term is not finite (a pole kernel leaves the
-  float64 range), when the terms cancel by more than _CANCEL_LIMIT
-  (poles just outside the merge tolerance of each other), or when the
-  result is not in (0, inf) (the prefactor prod(alpha) overflowed or
-  underflowed).
+* K <= 4: the paper's closed form for non-identical hops.  Every pole is
+  simple, S(g) = prod(alpha) sum_n c_n/(g+alpha_n) with
+  c_n = 1/prod_{m!=n}(alpha_m - alpha_n), and
+  int_0^inf dg/((1+g)(g+alpha)) = ln(alpha)/(alpha-1), so
+  C = prod(alpha)/(K ln 2) * sum_n t_n, t_n = c_n ln(alpha_n)/(alpha_n-1).
+  A row keeps this sum only where an a-priori bound holds it within
+  1e-13 (_closed_form); every other row takes the quadrature.
+* K >= _QUADRATURE_HOPS (5), and the rows the closed form does not keep:
+  the trapezoid rule in ln g on the integral above
+  (_survival_quadrature).  Its integrand is a product of factors in
+  (0, 1], so it keeps its relative accuracy on every chain, equal and
+  clustered hops included.
 
-A sweep is evaluated in one call: alphas of shape (P, K) hold P chains.
-On the closed form, chains with the same pattern of pole multiplicities
-share one vectorized expansion and one kernel call per order, with every
-elementary function and sum rounded as the one-chain call rounds it.
-The quadrature shares each node's exponential between chains and sums
-each chain over its own nodes.  Either way each chain gets the bits of its own call.
+A sweep is evaluated in one call: alphas of shape (P, K) hold P chains,
+and each chain gets the bits of its own call.
+
+The general partial-fraction expansion, with near-equal poles merged
+into poles of higher order, survives only as partial_fraction_expand.
 """
 
 from __future__ import annotations
@@ -57,19 +39,17 @@ from .errors import NumericError
 from .numerics import libm, libm_pow, row_fsum
 
 _LN2 = math.log(2.0)
-# Chains of this many hops or more take the survival quadrature.  On
-# 1,200 random chains the partial-fraction sum is off by more than 1e-12
-# on 0.3% of those with K <= 4 but on 15-27% from K = 5 on; below, it is
-# also the faster route (3,300 three-hop rows: 16 ms against 47-55 ms).
+# Chains of this many hops or more take the survival quadrature: from
+# K = 5 on the closed form's terms cancel on most chains, and below it the
+# closed form is the faster route on long sweeps of short chains.
 _QUADRATURE_HOPS = 5
-_SERIES_RADIUS = 0.5       # switch between series and closed-form kernel
-_CANCEL_LIMIT = 1e6        # max |term| / |sum| tolerated in float64
-_KERNEL_CANCEL_LIMIT = 1e3  # same, inside the closed-form pole kernel
-_CLUSTER_TOL = 1e-6        # relative gap within which poles merge
+_CANCEL_LIMIT = 64.0       # max sum|t_n| / |sum t_n| the closed form keeps
+_CLUSTER_TOL = 1e-6        # relative gap within which expanded poles merge
 _QUAD_STEP = 0.25          # survival quadrature step in ln(gamma)
 _QUAD_MARGIN = 40.0        # e-folds integrated past the outermost pole
 _QUAD_BLOCK = 1 << 12      # values in each quadrature working array
 _EXP_MAX = 709.0           # math.exp overflows just above this
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -101,7 +81,7 @@ def partial_fraction_expand(alphas: Sequence[float]) -> PartialFractionExpansion
 
     Scale parameters within relative _CLUSTER_TOL of each other are
     merged into a single pole with summed multiplicity; the coefficients
-    come from residue calculus.
+    come from residue calculus.  No capacity route uses it.
     """
     al = _checked_alphas(alphas)
     if al.ndim != 1:
@@ -121,8 +101,11 @@ def capacity_pole_integral(order: int, pole):
     """Kernel int_0^inf log2(1+g)/(pole+g)^(order+1) dg, always positive;
     element by element for an array of poles.
 
-    Raises NumericError when that value is outside the float64 range,
-    as it is at high orders for poles far from 1.
+    Integrated by parts, it is (1/(order ln 2)) int_0^inf
+    dg/((1+g)(pole+g)^order): the capacity of order equal hops at pole,
+    divided by pole^order.  Raises NumericError when that value is
+    outside the float64 range, as it is at high orders for poles far
+    from 1.
     """
     l = order
     if not isinstance(l, int) or l < 1:
@@ -130,122 +113,29 @@ def capacity_pole_integral(order: int, pole):
     poles = np.asarray(pole, dtype=float)
     if np.any(poles <= 0):
         raise ValueError("pole must be positive")
+    flat = poles.reshape(-1)
+    # pole^order as mantissa^order * 2^(exponent*order): no intermediate
+    # leaves the float64 range before the quotient does
+    mantissa, exponent = np.frexp(flat)
     with np.errstate(all="ignore"):
-        value = _pole_kernel(l, poles.reshape(-1))
-    failed = np.isnan(value)
+        scaled = _survival_quadrature(np.repeat(flat[:, None], l, axis=1))
+        value = np.ldexp(scaled / libm_pow(mantissa, l), -exponent * l)
+    failed = ~((value > 0.0) & (value < math.inf))
     if failed.any():
         raise NumericError(
-            f"capacity kernel of order {l} at pole {poles.reshape(-1)[failed][0]:.6g} "
+            f"capacity kernel of order {l} at pole {flat[failed][0]:.6g} "
             "is outside the float64 range"
         )
     return float(value[0]) if poles.ndim == 0 else value.reshape(poles.shape)
-
-
-def _pole_kernel(l: int, pole: np.ndarray) -> np.ndarray:
-    """capacity_pole_integral of a 1-D array of poles; nan where the
-    value is outside (0, inf) or an intermediate leaves the float64 range."""
-    value = np.full(pole.shape, math.nan)
-    delta = pole - 1.0
-    value[delta == 0.0] = 1.0 / (l * l * _LN2)
-    near = np.flatnonzero((delta != 0.0) & (np.abs(delta) <= _SERIES_RADIUS))
-    if near.size:
-        series = _kernel_series(l, delta[near])
-        # high orders make the alternating series cancel internally; no
-        # pole below 1 has been seen to (orders up to 200), and one would
-        # stay nan
-        cancels = np.isnan(series) & (delta[near] > 0.0)
-        if cancels.any():
-            series[cancels] = _kernel_remainder(l, pole[near[cancels]])
-        value[near] = series / (l * _LN2)
-    far = np.abs(delta) > _SERIES_RADIUS
-    if far.any():
-        value[far] = _kernel_closed_form(l, pole[far], delta[far])
-    value[~((value > 0.0) & (value < math.inf))] = math.nan
-    return value
-
-
-def _kernel_closed_form(l: int, pole: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    # (log(pole)/delta^l - sum_k 1/(delta^k (l-k) pole^(l-k))) / (l ln 2),
-    # nan wherever a power overflows or a divisor is 0
-    delta_l = libm_pow(delta, l)
-    failed = np.isinf(delta_l) | (delta_l == 0.0)
-    lead = libm(math.log, pole) / delta_l
-    tail = 0.0
-    for k in range(1, l):
-        delta_k, pole_k = libm_pow(delta, k), libm_pow(pole, l - k)
-        divisor = delta_k * (l - k) * pole_k
-        failed |= np.isinf(delta_k) | np.isinf(pole_k) | (divisor == 0.0)
-        tail = tail + 1.0 / divisor
-    value = (lead - tail) / (l * _LN2)
-    cancels = (pole > 1.0) & (np.abs(lead) > _KERNEL_CANCEL_LIMIT * np.abs(lead - tail))
-    if cancels.any():
-        value[cancels] = _kernel_remainder(l, pole[cancels]) / (l * _LN2)
-    value[failed] = math.nan
-    return value
-
-
-def _kernel_series(l: int, delta: np.ndarray) -> np.ndarray:
-    # int_0^1 u^(l-1) (1 + delta*u)^(-l) du as a binomial series in delta;
-    # geometric convergence for |delta| <= 1/2.  nan where the partial
-    # sums cancel too heavily for float64 (large l, |delta| near the
-    # radius), signalling the remainder series.  Each element
-    # stops at its own first negligible term; sums already stopped keep
-    # being updated but are never read again.
-    result = np.full(delta.shape, math.nan)
-    running = np.ones(delta.shape, dtype=bool)
-    coeff = np.ones(delta.shape)
-    total = np.zeros(delta.shape)
-    largest = np.zeros(delta.shape)
-    for m in range(1200):
-        term = coeff / (l + m)
-        total = total + term
-        largest = np.maximum(largest, np.abs(term))
-        done = running & (np.abs(term) < 1e-18 * np.maximum(np.abs(total), 1e-300))
-        trusted = done & ~(largest > _CANCEL_LIMIT * np.abs(total))
-        result[trusted] = total[trusted]
-        running &= ~done
-        if not running.any():
-            return result
-        coeff = coeff * (-delta * (l + m) / (m + 1))
-    raise NumericError("capacity kernel series failed to converge")
-
-
-def _kernel_remainder(l: int, pole: np.ndarray) -> np.ndarray:
-    # lead - tail above is pole^-l sum_{m>=0} x^m/(l+m), x = 1 - 1/pole:
-    # the remainder of the series of log(pole) = -log(1-x).  For pole > 1
-    # its terms are positive, and where the closed form or the series in
-    # delta cancels x^l is small (x <= 1/3 on the series' side of 1.5),
-    # so they fall off fast.  nan where pole^l overflows.
-    result = np.empty(pole.shape)
-    running = np.ones(pole.shape, dtype=bool)
-    x = 1.0 - 1.0 / pole
-    total = np.zeros(pole.shape)
-    power = np.ones(pole.shape)
-    m = 0
-    while running.any():
-        term = power / (l + m)
-        total = total + term
-        done = running & (term < 1e-18 * total)
-        result[done] = total[done]
-        running &= ~done
-        power = power * x
-        m += 1
-    pole_l = libm_pow(pole, l)
-    return np.where(np.isinf(pole_l), math.nan, result / pole_l)
 
 
 def ergodic_capacity_ind(alphas):
     """Ergodic capacity (bits/s/Hz) for non-identical hops.
 
     alphas of shape (K,) give a float, (P, K) a (P,) array.  Chains of
-    _QUADRATURE_HOPS (5) hops or more take the survival quadrature: from
-    K = 5 on, the float64 partial-fraction sum is off by more than 1e-12
-    on 15-27% of random chains, and the quadrature is within 3e-16 of 40
-    digits on the 5- to 64-hop chains of the default geometry.  Shorter
-    chains take the paper's closed form, which is accurate there and the
-    faster route for long sweeps.  Its points are grouped by their pattern
-    of pole multiplicities, each group is expanded and summed at once, and
-    a point whose float64 sum cannot be trusted takes the quadrature.
+    _QUADRATURE_HOPS (5) hops or more take the survival quadrature;
+    shorter ones take the paper's simple-pole closed form where it is
+    provably accurate, and the quadrature elsewhere.
     """
     al = _checked_alphas(alphas)
     rows = al.reshape(-1, al.shape[-1])
@@ -257,50 +147,73 @@ def ergodic_capacity_ind(alphas):
 
 
 def _closed_form(rows: np.ndarray) -> np.ndarray:
-    """ergodic_capacity_ind of (P, K) rows by partial fractions, with the
-    quadrature where a row's sum is not finite or cancels."""
+    """ergodic_capacity_ind of (P, K) rows, K <= 4, as
+    prod(alpha)/(K ln 2) * sum_n t_n, with the quadrature where that sum
+    is not provably within 1e-13.
+
+    The bound: with the inputs exact, each t_n = _log_ratio(alpha_n) /
+    prod_{m!=n}(alpha_m - alpha_n) takes at most 9 roundings at K <= 4
+    (3 gaps, 2 products, up to 3 in _log_ratio, the quotient); count 12
+    to cover log's error of up to an ulp.  So each t_n is within 12u|t_n|
+    to first order, u = 2^-53, and the exactly rounded sum within
+    12u*sum|t_n| + u|sum t_n|.  A row is kept only where sum|t_n| <=
+    _CANCEL_LIMIT * |sum t_n|, so the sum is within (64*12 + 1)u of exact,
+    and the prefactor and the final quotient add about 5u: 774u < 8.6e-14
+    in all.  A row is also dropped where prod(alpha) leaves the normal
+    range or the result is not in (0, inf).  That sends equal, clustered
+    and cancelling hops, and the extremes of the range, to the quadrature,
+    which has no such limits.
+    """
     k = rows.shape[1]
-    # overflow is judged from the values, so numpy need not warn about it
+    # overflow and division by a zero gap are judged from the values
     with np.errstate(all="ignore"):
+        # gaps[:, n, m] = alpha_m - alpha_n; the diagonal is set to 1 so
+        # that it leaves the product unchanged
+        gaps = rows[:, None, :] - rows[:, :, None]
+        gaps[:, range(k), range(k)] = 1.0
+        terms = _log_ratio(rows) / np.prod(gaps, axis=2)
+        totals = row_fsum(terms)
         prefactor = np.prod(rows, axis=1)
-        capacity = prefactor / k
-        # prod(alpha) at 0 or inf would only lead to the quadrature
-        expandable = np.flatnonzero((prefactor > 0.0) & (prefactor < math.inf))
-        ordered, merged = _cluster_poles(rows[expandable])
-        patterns, group_of = np.unique(merged, axis=0, return_inverse=True)
-        for g, pattern in enumerate(patterns.tolist()):
-            members = np.flatnonzero(group_of == g)
-            starts, mults = _pole_pattern(pattern)
-            betas = ordered[members][:, starts]
-            coeffs = _residue_coefficients(betas, mults)
-            # one kernel call per order, over every pole of that order
-            terms = []
-            for l in range(1, max(mults) + 1):
-                poles = [n for n, r_n in enumerate(mults) if r_n >= l]
-                kernel = _pole_kernel(l, betas[:, poles].ravel()).reshape(-1, len(poles))
-                terms += [coeffs[n][l - 1] * kernel[:, i] for i, n in enumerate(poles)]
-            # the sum is exactly rounded, so the order of its terms is free
-            capacity[expandable[members]] *= _trusted_sums(np.stack(terms, axis=1))
-        untrusted = np.flatnonzero(~((capacity > 0.0) & (capacity < math.inf)))
-    if untrusted.size:
-        capacity[untrusted] = _survival_quadrature(rows[untrusted])
+        capacity = prefactor * totals / (k * _LN2)
+        # a product of two or more hops that rounds to a subnormal has lost bits
+        exact_prefactor = (prefactor >= _TINY) | (k == 1)
+        kept = ((np.abs(terms).sum(axis=1) <= _CANCEL_LIMIT * np.abs(totals))
+                & exact_prefactor & (capacity > 0.0) & (capacity < math.inf))
+    dropped = np.flatnonzero(~kept)
+    if dropped.size:
+        capacity[dropped] = _survival_quadrature(rows[dropped])
     return capacity
 
 
 def per_hop_capacity(alpha_k, hop_count: int):
-    """Time-shared Shannon capacity of a single hop, element by element
-    for an array; min over hops bounds the end-to-end capacity from above."""
+    """Time-shared Shannon capacity of a single hop,
+    alpha ln(alpha)/((alpha - 1) K ln 2), element by element for an
+    array; min over hops bounds the end-to-end capacity from above.  At
+    one hop it is ergodic_capacity_ind([alpha]) bit for bit."""
     al = np.asarray(alpha_k, dtype=float)
     if np.any(al <= 0):
         raise ValueError("alpha must be positive")
     if hop_count < 1:
         raise ValueError("hop_count must be >= 1")
-    value = al * capacity_pole_integral(1, al) / hop_count
+    value = al * _log_ratio(al) / (hop_count * _LN2)
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _log_ratio(alpha: np.ndarray) -> np.ndarray:
+    """ln(alpha)/(alpha - 1) element by element, 1 at alpha = 1.
+
+    Nothing cancels near the removable singularity: alpha - 1 is exact
+    for alpha in [1/2, 2] (Sterbenz) and log of an exact input is within
+    an ulp, so the quotient stays within 2u of exact there too, as
+    log1p(alpha - 1)/(alpha - 1) would.
+    """
+    d = alpha - 1.0
+    with np.errstate(invalid="ignore"):
+        return np.where(d == 0.0, 1.0, libm(math.log, alpha) / d)
+
+
 # ---------------------------------------------------------------------------
-# expansion internals
+# expansion internals, behind partial_fraction_expand only
 
 
 def _checked_alphas(alphas) -> np.ndarray:
@@ -369,18 +282,7 @@ def _residue_coefficients(betas: np.ndarray, mults: tuple[int, ...]):
 
 
 # ---------------------------------------------------------------------------
-# fallbacks
-
-
-def _trusted_sums(terms: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of terms, or nan where a term is not finite,
-    the partial sums overflow, or the terms cancel by more than
-    _CANCEL_LIMIT."""
-    totals = np.full(len(terms), math.nan)
-    finite = np.isfinite(terms).all(axis=1)
-    totals[finite] = row_fsum(terms[finite])
-    totals[np.abs(terms).max(axis=1) > _CANCEL_LIMIT * np.abs(totals)] = math.nan
-    return totals
+# the quadrature
 
 
 def _survival_quadrature(rows: np.ndarray) -> np.ndarray:

@@ -201,9 +201,10 @@ def sweep_points(base: Scenario, variable: str, values: Sequence) -> list[_Point
         raise ConfigError("ip_over_n0 must be positive (linear scale)")
     stats = derive_hop_statistics(base)
     ratios = np.array([h.lambda_d / h.lambda_i for h in stats])
-    alphas = ratios * ips[:, None]
-    if np.any(alphas <= 0):
-        raise ConfigError("ip_over_n0 is so small that a hop's alpha is 0")
+    with np.errstate(over="ignore"):
+        alphas = ratios * ips[:, None]
+    if not np.all((alphas > 0) & (alphas < math.inf)):
+        raise ConfigError("ip_over_n0 is so small or large that a hop's alpha is 0 or inf")
     return [_Points(list(range(len(values))), alphas)]
 
 

@@ -20,6 +20,8 @@ Coord = tuple[float, float]
 
 
 def db_to_linear(value_db: float) -> float:
+    if not math.isfinite(value_db):
+        raise ConfigError(f"{value_db:g} dB is not a finite level")
     try:
         return 10.0 ** (value_db / 10.0)
     except OverflowError:
@@ -54,8 +56,8 @@ class HopStatistics:
     alpha: float
 
     def __post_init__(self):
-        if self.lambda_d <= 0 or self.lambda_i <= 0 or self.alpha <= 0:
-            raise ValueError("HopStatistics fields must be positive")
+        if not all(0 < v < math.inf for v in (self.lambda_d, self.lambda_i, self.alpha)):
+            raise ValueError("HopStatistics fields must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,16 @@ class Scenario:
                 raise ConfigError(f"expected {k} lambda override pairs, got {len(ov)}")
             if any(d <= 0 or i <= 0 for d, i in ov):
                 raise ConfigError("lambda overrides must be positive")
+        # NaN passes every comparison above, and infinities some of them
+        for name, values in (
+            ("pu_coord", self.pu_coord),
+            ("path_loss_exponent", (self.path_loss_exponent,)),
+            ("ip_over_n0", (self.ip_over_n0,)),
+            ("gamma_th", (self.gamma_th,)),
+            ("lambda_overrides", [v for pair in self.lambda_overrides or () for v in pair]),
+        ):
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{name} must be finite")
 
     @property
     def node_positions(self) -> tuple[float, ...]:
@@ -241,7 +253,7 @@ def scenario_from_config(config: dict) -> Scenario:
             relay_x_positions=relays,
             lambda_overrides=overrides,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc

@@ -1,10 +1,11 @@
 """The array closed forms: a (P, K) call equals P per-row calls bit for bit.
 
 Rows are single chains of K hops with alpha from 1e-30 to 1e30; some
-repeat or nearly repeat a value, so one call mixes pole multiplicity
-patterns.  Chains of up to four hops take capacity's closed form, some
-of them its survival-quadrature fallback; longer ones take the
-quadrature itself.
+repeat or nearly repeat a value.  Chains of up to four hops take
+capacity's simple-pole closed form, and those whose sum it cannot bound
+(repeated, nearly repeated or overflowing hops) take the survival
+quadrature within the same call; longer chains take the quadrature
+itself.
 """
 
 import numpy as np
@@ -26,11 +27,10 @@ from cogrelay import (
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
 # rows that take the survival quadrature (checked to do so below).  Every
-# chain of five hops or more does: an order-24 pole at 1.45, whose kernel
-# series cancels, and poles 1e-5 apart, whose float64 sum cancels.  At
-# four hops and fewer the closed form falls back to it where that sum
-# cancels and where prod(alpha) overflows or underflows.
-REMAINDER_ROWS = [[1.45] * 24, [1.45] * 23 + [9.0]]
+# chain of five hops or more does: hops that repeat 1.45, and hops 1e-5
+# apart.  At four hops and fewer the closed form falls back to it where
+# its terms cancel and where prod(alpha) overflows or underflows.
+REPEAT_ROWS = [[1.45] * 24, [1.45] * 23 + [9.0]]
 QUADRATURE_ROWS = [[3.0 * (1 + 1e-5 * k) for k in range(12)], [1e30] * 12, [1e-30] * 12]
 FALLBACK_ROWS = [[3.0 * (1 + 1e-5 * k) for k in range(4)], [1e300] * 4, [1e-300] * 4]
 
@@ -79,7 +79,7 @@ def test_ber_forms(alphas, m):
 
 @SETTINGS
 @given(alpha_matrices())
-@example(np.array(REMAINDER_ROWS + [[0.7] * 23 + [1.3]]))
+@example(np.array(REPEAT_ROWS + [[0.7] * 23 + [1.3]]))
 @example(np.array(QUADRATURE_ROWS + [[2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0, 29.0, 31.0, 37.0]]))
 @example(np.array(FALLBACK_ROWS + [[2.0, 3.0, 5.0, 7.0]]))
 def test_capacity_forms(alphas):
@@ -104,7 +104,7 @@ def _spy(monkeypatch, name):
 
 
 @pytest.mark.parametrize("rows, fallback", [
-    (REMAINDER_ROWS, "_survival_quadrature"),
+    (REPEAT_ROWS, "_survival_quadrature"),
     (QUADRATURE_ROWS, "_survival_quadrature"),
     (FALLBACK_ROWS, "_survival_quadrature"),
 ])
@@ -115,10 +115,3 @@ def test_fallback_examples_take_the_fallbacks(monkeypatch, rows, fallback):
         ergodic_capacity_ind(row)
         assert calls, row
 
-
-def test_kernel_remainder_serves_a_cancelling_series(monkeypatch):
-    # the order-24 pole of REMAINDER_ROWS, now reached only through the
-    # public kernel: its alternating series cancels above pole 1
-    calls = _spy(monkeypatch, "_kernel_remainder")
-    assert capacity.capacity_pole_integral(24, 1.45) > 0.0
-    assert calls

@@ -232,7 +232,7 @@ def test_kernel_matches_quadrature_everywhere(order, pole):
 
 
 def test_kernel_continuous_across_branch_switches():
-    # the series/closed-form switch sits at |pole-1| = 0.5; values on both
+    # earlier kernels switched form at |pole-1| = 0.5; values on both
     # sides of each boundary must agree with the oracle, leaving no seam
     for order in (1, 2, 4, 6):
         for pole in (0.5 - 1e-9, 0.5 + 1e-9, 1.5 - 1e-9, 1.5 + 1e-9,
@@ -283,6 +283,26 @@ def test_per_hop_capacity_values():
     assert per_hop_capacity(2.0, 1) == pytest.approx(2.0, rel=1e-13)
 
 
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    alpha=st.one_of(
+        st.floats(-30, 30).map(lambda e: 10.0 ** e),
+        st.floats(-1e-12, 1e-12).map(lambda d: 1.0 + d),
+        st.sampled_from([1.0, 0.5, 1.5, math.nextafter(0.5, 0), math.nextafter(1.5, 2)]),
+    ),
+    hops=st.integers(1, 64),
+)
+def test_per_hop_capacity_within_1e15_of_50_digits(alpha, hops):
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        ratio = mp.mpf(1) if a == 1 else mp.log(a) / (a - 1)
+        ref = a * ratio / (hops * mp.log(2))
+    value = per_hop_capacity(alpha, hops)
+    assert abs(value - float(ref)) <= 1e-15 * value
+    # deep_chain's capacity <= per_hop_capacity_min holds with equality here
+    assert per_hop_capacity(alpha, 1) == ergodic_capacity_ind([alpha])
+
+
 def test_min_cut_bound():
     rng = np.random.default_rng(77)
     for _ in range(40):
@@ -302,9 +322,8 @@ def test_capacity_nonincreasing_in_hop_count_at_fixed_alpha():
 @pytest.mark.parametrize("order", [20, 40, 64, 100, 200])
 @pytest.mark.parametrize("pole", [0.8, 1.05, 1.2, 1.45, 1.5])
 def test_kernel_deep_orders_near_unit_pole(order, pole):
-    # identical-hop chains can stack up to 64 poles at one value; the
-    # alternating series cancels internally there above pole 1 and must
-    # switch to the positive remainder series rather than return noise
+    # identical-hop chains can stack up to 64 poles at one value; an
+    # alternating series in (pole - 1) cancels here above pole 1
     assert capacity_pole_integral(order, pole) == pytest.approx(
         _kernel_oracle(order, pole), rel=1e-8
     )
@@ -314,7 +333,7 @@ def test_kernel_deep_orders_near_unit_pole(order, pole):
 @pytest.mark.parametrize("pole", [1.6, 3.0, 10.0, 40.0])
 def test_kernel_high_orders_away_from_unit_pole(order, pole):
     # the closed form log(pole)/delta^l - tail cancels here (by 4e12 at
-    # l=64, pole=3); the positive remainder series must take over
+    # l=64, pole=3)
     # the integrand is scaled by pole^(l+1): mp.quad's tolerance is absolute
     with mp.workdps(30):
         ref = mp.quad(
@@ -333,17 +352,16 @@ def _check_against_survival_integral(alphas):
 @pytest.mark.parametrize("hops", [2, 16, 33, 64])
 @pytest.mark.parametrize("db", [-300, -150, 0, 30, 150, 300])
 def test_capacity_relative_accuracy_across_range(db, hops):
-    # alpha from about 1e-30 to 1e30 at the default geometry; long chains
-    # overflow the residue coefficients and prod(alpha) and take the
-    # survival quadrature
+    # alpha from about 1e-30 to 1e30 at the default geometry; on long
+    # chains the closed form's coefficients and prod(alpha) overflow
     config = {"hop_count": hops, "ip_over_n0_db": db}
     _check_against_survival_integral(scenario_alphas(scenario_from_config(config)))
 
 
 @pytest.mark.parametrize("spacing", [0.0, 1e-5], ids=["equal", "clustered"])
 def test_capacity_relative_accuracy_deep_clusters(spacing):
-    # 64 equal poles are one pole of order 64; poles 1e-5 apart stay
-    # distinct and their residues overflow
+    # 64 equal poles are one pole of order 64; poles 1e-5 apart have
+    # simple-pole coefficients that overflow
     _check_against_survival_integral(list(3.0 * (1.0 + spacing * np.arange(64))))
 
 
@@ -356,6 +374,15 @@ def test_iid_capacity_at_extreme_alpha(alpha, hops):
     assert abs(cap - ref) <= 1e-12 * ref
 
 
+def test_kernel_where_pole_to_the_order_is_subnormal():
+    # 1e-20 ** 16 = 1e-320 keeps 14 bits, but the kernel is 6e297
+    with mp.workdps(40):
+        pole = mp.mpf(1e-20)
+        ref = mp.quad(lambda g: 1 / ((1 + g) * (pole + g) ** 16),
+                      [0, pole, 1, mp.inf]) / (16 * mp.log(2))
+    assert capacity_pole_integral(16, 1e-20) == pytest.approx(float(ref), rel=1e-14, abs=0)
+
+
 @pytest.mark.parametrize(
     "order, pole", [(16, 1e-30), (64, 1e30), (64, np.float64(1e30))],
     ids=["overflow", "underflow", "numpy-underflow"],
@@ -366,30 +393,36 @@ def test_kernel_outside_float64_range_raises(order, pole):
 
 
 @st.composite
-def long_chains(draw):
-    """K = 5..64 alphas in 1e-30..1e30: spread over six decades around a
-    scale, clustered within 1e-4 of it, or equal."""
-    k = draw(st.integers(5, 64))
+def chains(draw):
+    """K = 1..4 or 5..64 alphas in 1e-30..1e30 around a scale: spread
+    over six decades, narrow (within 30% of it), clustered within 1e-4,
+    near (within 1e-6, the window in which poles used to merge) or equal."""
+    k = draw(st.one_of(st.integers(1, 4), st.integers(5, 64)))
     scale = 10.0 ** draw(st.floats(-27, 27))
-    kind = draw(st.sampled_from(["spread", "clustered", "equal"]))
+    kind = draw(st.sampled_from(["spread", "narrow", "clustered", "near", "equal"]))
     if kind == "equal":
         return [scale] * k
-    if kind == "clustered":
-        return [scale * (1.0 + draw(st.floats(0.0, 1e-4))) for _ in range(k)]
-    return [scale * 10.0 ** draw(st.floats(-3, 3)) for _ in range(k)]
+    if kind == "spread":
+        return [scale * 10.0 ** draw(st.floats(-3, 3)) for _ in range(k)]
+    width = {"narrow": 0.3, "clustered": 1e-4, "near": 1e-6}[kind]
+    return [scale * (1.0 + draw(st.floats(0.0, width))) for _ in range(k)]
 
 
 def _chain(**config):
     return scenario_alphas(scenario_from_config(config))
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
-@given(long_chains())
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(chains())
 # the partial-fraction sum was off by 1.15e-9 here, and by 6.9e-10 on the
 # 15-hop chain at 30 dB
 @example(_chain(hop_count=16, pu_coord=[-0.104, 0.604], path_loss_exponent=3,
                 ip_over_n0_db=14.18))
 @example(_chain(hop_count=15, ip_over_n0_db=30.0))
+# merged into one double pole, these two were off by 6.6e-7
+@example([3.0, 3.0000027])
+# prod(alpha) = 1e-320 keeps 14 bits; the closed form must not use it
+@example([1e-290, 1e-30])
 def test_long_chain_capacity_within_1e13_of_40_digits(alphas):
     cap = ergodic_capacity_ind(alphas)
     assert abs(cap - float(_survival_reference(alphas))) <= 1e-13 * cap

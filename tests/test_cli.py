@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -365,29 +366,31 @@ def test_deep_chain_capacity_finite_and_quiet(tmp_path, capsys, db):
         assert cap <= float(r["per_hop_capacity_min"]) * (1 + 1e-12), r
 
 
-def test_no_long_chain_builds_a_partial_fraction_expansion(tmp_path, capsys, monkeypatch):
-    # chains of five hops or more take the survival quadrature; only the
-    # closed form of the shorter ones clusters poles and finds residues
-    seen = {"_cluster_poles": set(), "_residue_coefficients": set()}
-    cluster_poles, residue_coefficients = capacity._cluster_poles, capacity._residue_coefficients
-
-    def cluster_spy(rows):
-        seen["_cluster_poles"].add(rows.shape[1])
-        return cluster_poles(rows)
-
-    def residue_spy(betas, mults):
-        seen["_residue_coefficients"].add(sum(mults))
-        return residue_coefficients(betas, mults)
-
-    monkeypatch.setattr(capacity, "_cluster_poles", cluster_spy)
-    monkeypatch.setattr(capacity, "_residue_coefficients", residue_spy)
+def test_no_chain_builds_a_partial_fraction_expansion(tmp_path, capsys, monkeypatch):
+    # capacity is the simple-pole sum or the survival quadrature at every
+    # K: only partial_fraction_expand clusters poles and finds residues
+    calls = []
+    for name in ("_cluster_poles", "_residue_coefficients"):
+        monkeypatch.setattr(capacity, name, lambda *args, name=name: calls.append(name))
     cfg = _write_config(tmp_path)
     assert main([
         "analyze", "--config", cfg, "--sweep", "hop_count=1:64:1",
         "--outputs", "capacity", "--no-timestamp",
     ]) == 0
     assert len(_rows(capsys.readouterr().out)[1]) == 64
-    assert seen == {"_cluster_poles": {1, 2, 3, 4}, "_residue_coefficients": {1, 2, 3, 4}}
+    assert calls == []
+
+
+def test_nearly_equal_hops_are_not_merged(tmp_path, capsys):
+    # poles 9e-7 apart used to merge into one double pole and print
+    # 0.7010621636; 40-digit mpmath gives 0.701061704076379
+    cfg = tmp_path / "near.json"
+    cfg.write_text(json.dumps({"hop_count": 2,
+                               "lambda_overrides": [[3.0, 1.0], [3.0000027, 1.0]]}))
+    assert main(["analyze", "--config", str(cfg), "--outputs", "capacity",
+                 "--no-timestamp"]) == 0
+    assert _rows(capsys.readouterr().out)[1] == [
+        {"ip_over_n0_db": "0", "capacity": "0.701061704076"}]
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):
@@ -416,6 +419,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     zero_chunks = _write_config(tmp_path, "zero_chunks.json", chunks=0)
     # JSON's Infinity: int() of it raised OverflowError, a traceback
     inf_trials = _write_config(tmp_path, "inf_trials.json", trials=math.inf)
+    # finite powers whose alpha overflows ended in a ZeroDivisionError
+    inf_alpha = _write_config(tmp_path, "inf_alpha.json",
+                              lambda_overrides=[[1e300, 1e-300], [1, 1], [1, 1]])
+    strong_hop = _write_config(tmp_path, "strong_hop.json",
+                               lambda_overrides=[[1e10, 1], [1, 1], [1, 1]])
     # counts above the cap: the block list overflowed or ran out of memory
     huge_trials = [_write_config(tmp_path, f"huge_trials_{i}.json", trials=n)
                    for i, n in enumerate((MAX_TRIALS + 1, 1e30))]
@@ -442,6 +450,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         ["mc", "--config", zero_chunks],
         ["analyze", "--config", zero_chunks, "--outputs", "mc_op"],
         ["mc", "--config", inf_trials],
+        ["analyze", "--config", inf_alpha],
+        ["mc", "--config", inf_alpha],
+        ["analyze", "--config", strong_hop, "--sweep", "ip_over_n0_db=2990:3000:10"],
         ["analyze", "--config", inf_trials, "--outputs", "mc_ber,mc_op"],
         *([command, "--config", path] for command in ("analyze", "profiles", "mc")
           for path in (on_node, near_node)),
@@ -699,3 +710,52 @@ def test_optimize_fuzz_exit_code_contract(tmp_path_factory, hop_count, px, py, e
             assert gap >= -1e-9 * objective, meta
         else:
             assert meta["objective_direct_search"].startswith("not found ("), meta
+
+
+# a valid config with every numeric scenario key; each path names one number
+_SCENARIO = {"hop_count": 3, "qam_order": 16, "pu_coord": [0.35, 0.35],
+             "path_loss_exponent": 4.0, "ip_over_n0_db": 15.0, "gamma_th": 1.0,
+             "relay_x_positions": [0.3, 0.6], "lambda_overrides": [[1, 2], [1, 1], [2, 1]]}
+_NUMBERS = [("hop_count",), ("qam_order",), ("path_loss_exponent",),
+            ("ip_over_n0",), ("ip_over_n0_db",), ("gamma_th",), ("gamma_th_db",),
+            ("pu_coord", 0), ("pu_coord", 1), ("relay_x_positions", 0),
+            ("relay_x_positions", 1), *(("lambda_overrides", k, j)
+                                        for k in range(3) for j in range(2))]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    command=st.sampled_from(["analyze", "mc", "profiles", "optimize"]),
+    optional=st.sets(st.sampled_from(["relay_x_positions", "lambda_overrides"])),
+    changes=st.dictionaries(st.sampled_from(_NUMBERS),
+                            st.sampled_from([math.nan, math.inf, -math.inf]), max_size=2),
+)
+def test_non_finite_scenario_values_exit_1(tmp_path_factory, command, optional, changes):
+    config = copy.deepcopy(_SCENARIO)
+    for key in {"relay_x_positions", "lambda_overrides"} - optional - {p[0] for p in changes}:
+        del config[key]
+    for path, value in changes.items():
+        # the linear key wins over its _db twin, so drop the twin
+        stem = path[0].removesuffix("_db")
+        for twin in {stem, f"{stem}_db"} - {path[0]}:
+            config.pop(twin, None)
+        *parents, last = path
+        target = config
+        for step in parents:
+            target = target[step]
+        target[last] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz_scenario.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--no-timestamp"]
+    if command == "mc":
+        argv += ["--trials", "200"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if changes:
+        assert rc == 1, (argv, config, out.getvalue())
+        assert err.getvalue().startswith("error: "), (config, err.getvalue())
+    else:
+        assert rc == 0, (argv, config, err.getvalue())
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
