@@ -35,13 +35,10 @@ from .placement import (
     solve_equal_ratio,
 )
 from .scenario import (
-    HopStatistics,
     Scenario,
-    alphas,
-    average_channel_power,
     db_to_linear,
     derive_hop_statistics,
-    hop_geometry,
+    hop_alphas,
     linear_to_db,
     scenario_from_config,
 )
@@ -49,9 +46,8 @@ from .scenario import (
 __all__ = [
     "__version__",
     "ConfigError", "ConvergenceError", "NumericError",
-    "Scenario", "HopStatistics", "scenario_from_config",
-    "average_channel_power", "hop_geometry", "derive_hop_statistics",
-    "alphas", "db_to_linear", "linear_to_db",
+    "Scenario", "scenario_from_config", "hop_alphas", "derive_hop_statistics",
+    "db_to_linear", "linear_to_db",
     "substream",
     "outage_exact", "outage_asymptotic",
     "QamConstants", "qam_constants", "instantaneous_ber", "hop_ber",

@@ -7,10 +7,15 @@ command with identical inputs reproduces the output byte for byte
 (the timestamp line is suppressible with --no-timestamp).
 
 Every closed-form column is evaluated on the per-hop alphas of the
-sweep's points.  optimize's op_min and ber_min are the outage and BER
-asymptotes on the alphas of the balanced layout (with_performance), and
-profiles evaluates its optimized profile on those same alphas
-(layout_alphas).
+sweep's points, from one derive_hop_statistics call per hop count with
+the swept value as a column.  optimize's op_min and ber_min are the
+outage and BER asymptotes on the alphas of the balanced layout's hop
+lengths (with_performance), and profiles evaluates its optimized profile
+on those same alphas.  lambda_overrides fix each hop's alpha/(I_p/N_0),
+so they apply to one point or an ip_over_n0_db sweep only.
+
+A reader that closes the pipe early (analyze ... | head) ends the
+command quietly with exit code 141, as a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TextIO
@@ -32,7 +38,6 @@ from .errors import ConfigError, ConvergenceError, NumericError
 # mc_outage, mc_ber and mc_capacity are not called here; bench/spans.py
 # binds them by name, so the names stay
 from .montecarlo import mc_ber, mc_capacity, mc_outage, monte_carlo  # noqa: F401
-from .numerics import libm_pow
 from .outage import outage_asymptotic, outage_exact
 from .placement import (
     PlacementResult,
@@ -66,9 +71,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+    return "%.12g" % value
 
 
 def _open_out(path: Optional[str]):
@@ -147,12 +150,7 @@ def scenario_at(base: Scenario, variable: str, value) -> Scenario:
         return replace(base, ip_over_n0=db_to_linear(value))
     if variable == "hop_count":
         # hop-count sweeps rebuild an equidistant layout
-        return replace(
-            base,
-            hop_count=int(value),
-            relay_x_positions=None,
-            lambda_overrides=None,
-        )
+        return replace(base, hop_count=int(value), relay_x_positions=None)
     if variable == "eta":
         return replace(base, path_loss_exponent=float(value))
     if variable == "pu_x":
@@ -187,40 +185,39 @@ class _Sweep:
         return scenario_at(self.base, self.variable, self.values[i])
 
 
+def _without_overrides(scenario: Scenario, use: str) -> None:
+    if scenario.lambda_overrides is not None:
+        raise ConfigError(
+            "lambda_overrides fix each hop's alpha/(I_p/N_0): they apply to one "
+            f"point or an ip_over_n0_db sweep, not to {use}"
+        )
+
+
+def _sweep_groups(base: Scenario, variable: str, values: Sequence) -> list:
+    """(positions in the sweep, scenario, derive_hop_statistics columns)
+    per hop count, each column (P, 1) over the group's P points: the
+    swept value, or I_p/N_0 in a hop_count sweep."""
+    if variable == "hop_count":
+        _without_overrides(base, "a hop_count sweep")
+        groups: dict = {}
+        for i, k in enumerate(values):
+            groups.setdefault(k, []).append(i)
+        return [(index, scenario_at(base, variable, k),
+                 {"ip_over_n0": np.full((len(index), 1), base.ip_over_n0)})
+                for k, index in groups.items()]
+    if variable == "ip_over_n0_db":
+        variable, values = "ip_over_n0", [db_to_linear(v) for v in values]
+    else:
+        _without_overrides(base, f"a {variable} sweep")
+    return [(list(range(len(values))), base, {variable: np.array(values, dtype=float)[:, None]})]
+
+
 def sweep_points(base: Scenario, variable: str, values: Sequence) -> list[_Points]:
-    """The sweep's points, one group per hop count.
-
-    An I_p/N_0 sweep keeps every hop's lambda pair, so its channel
-    statistics are derived once and alpha is scaled per point, with the
-    same (lambda_d/lambda_i)*ip rounding as derive_hop_statistics.
-    """
-    if variable != "ip_over_n0_db":
-        return _group([_alphas(scenario_at(base, variable, v)) for v in values])
-    ips = np.array([db_to_linear(v) for v in values])
-    if np.any(ips <= 0):
-        raise ConfigError("ip_over_n0 must be positive (linear scale)")
-    stats = derive_hop_statistics(base)
-    ratios = np.array([h.lambda_d / h.lambda_i for h in stats])
-    with np.errstate(over="ignore"):
-        alphas = ratios * ips[:, None]
-    if not np.all((alphas > 0) & (alphas < math.inf)):
-        raise ConfigError("ip_over_n0 is so small or large that a hop's alpha is 0 or inf")
-    return [_Points(list(range(len(values))), alphas)]
-
-
-def _alphas(scenario: Scenario) -> list[float]:
-    # through this module's derive_hop_statistics, which bench/spans.py wraps
-    return [h.alpha for h in derive_hop_statistics(scenario)]
-
-
-def _group(rows: Sequence[Sequence[float]]) -> list[_Points]:
-    """Points' alpha rows grouped by hop count, each group in sweep order."""
-    groups: dict = {}
-    for i, row in enumerate(rows):
-        index, group = groups.setdefault(len(row), ([], []))
-        index.append(i)
-        group.append(row)
-    return [_Points(index, np.array(group)) for index, group in groups.values()]
+    """The sweep's points, one group per hop count."""
+    return [
+        _Points(index, derive_hop_statistics(point, **columns))
+        for index, point, columns in _sweep_groups(base, variable, values)
+    ]
 
 
 def _mc_columns(points: _Points, sweep: _Sweep, names: Sequence[str]):
@@ -332,11 +329,11 @@ def cmd_analyze(args) -> int:
     constants = qam_constants(scenario.qam_order)
     sweep = _Sweep(scenario, variable, values, constants, trials, seed, chunks)
     columns = evaluate_outputs(sweep, sweep_points(scenario, variable, values), outputs)
-    rows = zip(values, *(columns[name] for name in header[1:]))
-    end = "\n"
+    rows = zip(values, *(columns.pop(name).tolist() for name in header[1:]))
+    row_format = ",".join(["%.12g"] * len(header)) + "\n"
     if mc_requested:
         header.append("trials")
-        end = f",{trials}\n"
+        row_format = row_format[:-1] + f",{trials}\n"
 
     out, close = _open_out(args.out)
     try:
@@ -346,41 +343,27 @@ def cmd_analyze(args) -> int:
             meta["sampling"] = "per-block substreams, 65536 trials per block"
         _write_meta(out, "analyze", args, meta)
         out.write(",".join(header) + "\n")
-        out.writelines(",".join(map(_fmt, row)) + end for row in rows)
+        out.writelines(row_format % row for row in rows)
     finally:
         if close:
             out.close()
     return 0
 
 
-def layout_alphas(scenario: Scenario, layout: PlacementResult) -> np.ndarray:
-    """The solved layout's alphas, I_p/N_0 * (d_interference_k/d_data_k)^eta.
-
-    They come from the solved hop lengths rather than from relay
-    positions, whose rounding can swallow a hop far shorter than them.
-    Raises ConfigError where an alpha underflows to 0.
-    """
-    ratios = np.array(layout.d_interference) / np.array(layout.d_data)
-    with np.errstate(over="ignore", under="ignore"):
-        hop_alphas = scenario.ip_over_n0 * libm_pow(ratios, scenario.path_loss_exponent)
-    if not np.all(hop_alphas > 0):
-        raise ConfigError("an alpha of the balanced layout underflows to 0")
-    return hop_alphas
-
-
 # bench/spans.py wraps this module attribute by name: keep the name.
 def with_performance(scenario: Scenario, layout: PlacementResult, constants: QamConstants):
-    """(op_min, ber_min): the outage and BER asymptotes on the layout's
-    alphas (layout_alphas)."""
-    hop_alphas = layout_alphas(scenario, layout)
+    """(op_min, ber_min): the outage and BER asymptotes on the alphas of
+    the layout's hop lengths."""
+    alphas = derive_hop_statistics(scenario, layout.d_data)
     return (
-        outage_asymptotic(hop_alphas, scenario.gamma_th),
-        e2e_ber_asymptotic(hop_alphas, constants),
+        outage_asymptotic(alphas, scenario.gamma_th),
+        e2e_ber_asymptotic(alphas, constants),
     )
 
 
 def cmd_optimize(args) -> int:
     scenario, _ = load_scenario(args.config)
+    _without_overrides(scenario, "optimize")
     k = scenario.hop_count
     eta = scenario.path_loss_exponent
     constants = qam_constants(scenario.qam_order)
@@ -427,18 +410,18 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _profile_alphas(name: str, scenario: Scenario, config: dict, seed: int):
-    """The alphas of profile `name` at the scenario's point.
-
-    The optimized profile is evaluated on the balanced layout's hop
-    lengths (layout_alphas), the others through relay positions.
-    """
-    k = scenario.hop_count
-    if name == "optimized":
-        return list(layout_alphas(scenario, solve_equal_ratio(k, scenario.pu_coord)))
-    return _alphas(
-        scenario.with_hop_distances(_profile_distances(name, scenario, config, seed))
+def _profile_layouts(name: str, point: Scenario, columns: dict, n: int,
+                     config: dict, seed: int):
+    """Hop lengths of profile `name` at a group's n points: the balanced
+    layouts, (n, K), for the optimized profile, which moves with the
+    primary receiver; (K,) for the others, which do not."""
+    if name != "optimized":
+        return _profile_distances(name, point, config, seed)
+    px, py = (
+        np.broadcast_to(columns.get(axis, value), (n, 1))[:, 0].tolist()
+        for axis, value in zip(("pu_x", "pu_y"), point.pu_coord)
     )
+    return [solve_equal_ratio(point.hop_count, pu).d_data for pu in zip(px, py)]
 
 
 def _profile_distances(name: str, scenario: Scenario, config: dict, seed: int):
@@ -455,6 +438,8 @@ def _profile_distances(name: str, scenario: Scenario, config: dict, seed: int):
                 raise ConfigError(
                     f"profile {name!r} has {len(distances)} distances, expected {k}"
                 )
+            if not all(v > 0 for v in distances):
+                raise ConfigError(f"profile {name!r} has a distance that is not positive")
             if abs(sum(distances) - 1.0) > 1e-9:
                 raise ConfigError(
                     f"profile {name!r} distances sum to {sum(distances)!r}, expected 1"
@@ -465,6 +450,7 @@ def _profile_distances(name: str, scenario: Scenario, config: dict, seed: int):
 
 def cmd_profiles(args) -> int:
     scenario, config = load_scenario(args.config)
+    _without_overrides(scenario, "profiles")
     seed = _setting(args, config, "seed", 0, minimum=0)
     if args.profiles:
         names = [n.strip() for n in args.profiles.split(",") if n.strip()]
@@ -479,16 +465,15 @@ def cmd_profiles(args) -> int:
     else:
         variable, values = "ip_over_n0_db", [linear_to_db(scenario.ip_over_n0)]
 
-    points = [scenario_at(scenario, variable, v) for v in values]
-    cells = {}  # profile -> per point "op_exact,capacity"
-    for name in names:
-        rows = [_profile_alphas(name, point, config, seed) for point in points]
-        cells[name] = [None] * len(values)
-        for group in _group(rows):
-            op = outage_exact(group.alphas, scenario.gamma_th)
-            cap = ergodic_capacity_ind(group.alphas)
-            for i, op_i, cap_i in zip(group.index, op, cap):
-                cells[name][i] = f"{_fmt(op_i)},{_fmt(cap_i)}"
+    cells = {name: [None] * len(values) for name in names}  # "op_exact,capacity" per point
+    for index, point, columns in _sweep_groups(scenario, variable, values):
+        for name in names:
+            layouts = _profile_layouts(name, point, columns, len(index), config, seed)
+            alphas = derive_hop_statistics(point, layouts, **columns)
+            op = outage_exact(alphas, scenario.gamma_th).tolist()
+            cap = ergodic_capacity_ind(alphas).tolist()
+            for i, cell in zip(index, zip(op, cap)):
+                cells[name][i] = "%.12g,%.12g" % cell
 
     out, close = _open_out(args.out)
     try:
@@ -584,6 +569,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the flush at exit,
+        # to devnull instead of a second BrokenPipeError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

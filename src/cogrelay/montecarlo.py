@@ -122,6 +122,8 @@ def _kernel(metric: str, scenario: Scenario):
     a pass gets the same array."""
     if metric == "op":
         gamma_th = scenario.gamma_th
+        if gamma_th == 0.0:  # no trial is in outage, not even where 0 * inf is nan
+            return lambda inv_mu: np.zeros(inv_mu.shape[1])
         return lambda inv_mu: -np.expm1(-gamma_th * inv_mu.sum(axis=0))
     if metric == "capacity":
         scale = 1.0 / (scenario.hop_count * _LN2)
@@ -132,6 +134,10 @@ def _kernel(metric: str, scenario: Scenario):
         weights[omega] = weights.get(omega, 0.0) + phi
     pairs = [(1.0 / omega, phi / constants.denominator)
              for omega, phi in weights.items() if phi != 0.0]
+    # from 1/mu = cap on every t exceeds 2^109, where (1 + t) + sqrt(1 + t)
+    # rounds to t and each term is 1 exactly: capping 1/mu there keeps t
+    # finite (not inf/inf) and changes no bit
+    cap = 2.0 ** 110 * max(weights)
 
     def ber(inv_mu: np.ndarray) -> np.ndarray:
         k, n = inv_mu.shape
@@ -139,6 +145,8 @@ def _kernel(metric: str, scenario: Scenario):
         t, u, s, hop = (np.empty((k, min(n, _SLICE))) for _ in range(4))
         for lo in range(0, n, _SLICE):
             cols = inv_mu[:, lo:lo + _SLICE]
+            if cols.max() > cap:
+                cols = np.minimum(cols, cap)
             w = cols.shape[1]
             tw, uw, sw, hw = t[:, :w], u[:, :w], s[:, :w], hop[:, :w]
             hw.fill(0.0)
@@ -232,10 +240,9 @@ def _run(scenario, trials, seed, chunks, kernels) -> list[McEstimate]:
         raise ValueError("trials must be >= 1")
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
-    stats = derive_hop_statistics(scenario)
-    k = len(stats)
-    # 1/mu_k = Y_k / alpha_k = lambda_i Y_k / (I_p/N_0 lambda_d)
-    alpha = np.array([h.alpha for h in stats])[:, None]
+    # 1/mu_k = Y_k / alpha_k
+    alpha = derive_hop_statistics(scenario)[:, None]
+    k = len(alpha)
 
     n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     per_chunk = (n_blocks + chunks - 1) // chunks
@@ -251,8 +258,11 @@ def _run(scenario, trials, seed, chunks, kernels) -> list[McEstimate]:
         n = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
         inv_mu = sample_exponential(substream(seed, block), 1.0, (k, n))
         np.maximum(inv_mu, 1e-300, out=inv_mu)
-        inv_mu /= alpha
-        return [_moments(kernel(inv_mu)) for kernel in kernels]
+        # near the smallest normal alpha, 1/mu and the kernels' sums
+        # overflow to inf, where every kernel takes its limit
+        with np.errstate(over="ignore"):
+            inv_mu /= alpha
+            return [_moments(kernel(inv_mu)) for kernel in kernels]
 
     def run_chunks(worker: int) -> None:
         for blocks in chunk_blocks[worker::workers]:

@@ -9,34 +9,38 @@ from typing import Callable
 import numpy as np
 
 
-def libm(fn: Callable[[float], float], values) -> np.ndarray:
-    """fn, a function of the math module, applied element by element.
+def libm(fn: Callable[..., float], *values) -> np.ndarray:
+    """fn, a function of the math module, applied element by element to
+    its broadcast arguments.
 
     numpy's own log/exp kernels differ from the C library's in the last
     bit on CPUs with AVX-512, so an array evaluation through them would
     agree neither with the scalar form nor across machines.
     """
-    x = np.asarray(values, dtype=float)
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
     # Python floats, not numpy scalars: about twice as fast through map
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    args = [a.ravel().tolist() for a in arrays]
+    return np.fromiter(map(fn, *args), float, arrays[0].size).reshape(arrays[0].shape)
 
 
-def libm_pow(x: np.ndarray, n) -> np.ndarray:
-    """x ** n element by element (n a number or numbers broadcast against
-    x), as the C library's pow rounds it, with inf where it overflows.
+def libm_pow(x, n) -> np.ndarray:
+    """x ** n element by element over the broadcast arguments, as the C
+    library's pow rounds it, with inf where it overflows.
 
     numpy's array power takes other routes, such as 1/x for n = -1 or
     SIMD kernels, that differ from pow in the last bit.
     """
     if isinstance(n, int) and n == 1:
         return x
+    x = np.asarray(x, dtype=float)
     # Python floats, not numpy scalars, and no broadcast for a scalar n:
     # on the few-element arrays of one chain that is most of the cost
-    bases = x.ravel().tolist()
     if np.ndim(n) == 0:
         exponents = [n] * x.size
     else:
-        exponents = np.broadcast_to(n, x.shape).ravel().tolist()
+        x, n = np.broadcast_arrays(x, n)
+        exponents = n.ravel().tolist()
+    bases = x.ravel().tolist()
     try:
         values = np.fromiter(map(math.pow, bases, exponents), float, x.size)
     except (OverflowError, ValueError):

@@ -150,9 +150,16 @@ def solve_equal_ratio(hop_count: int, pu_coord) -> PlacementResult:
     if hop_count < 1:
         raise ConfigError("hop_count must be >= 1")
     px, py = _check_pu(pu_coord)
+    try:
+        uniform_d_i = [math.hypot(px - k / hop_count, py) for k in range(hop_count)]
+        start = 1.0 / math.fsum(uniform_d_i)
+    except OverflowError:
+        raise ConfigError(
+            f"primary receiver at {(px, py)} is so far off that its distances overflow"
+        ) from None
     if hop_count == 1:
         # exact: rho * hypot with rho = 1/hypot need not round to 1.0
-        d_i = math.hypot(px, py)
+        d_i = uniform_d_i[0]
         return PlacementResult(
             d_data=(1.0,),
             d_interference=(d_i,),
@@ -175,10 +182,7 @@ def solve_equal_ratio(hop_count: int, pu_coord) -> PlacementResult:
             dpos += h + rho * dh
         return d, miss, dpos
 
-    uniform_d_i = [math.hypot(px - k / hop_count, py) for k in range(hop_count)]
-    rho, iterations = newton_system(
-        lambda r: walk(r)[1:], 1.0 / math.fsum(uniform_d_i)
-    )
+    rho, iterations = newton_system(lambda r: walk(r)[1:], start)
     d = walk(rho)[0]
     d_i = interference_distances(d, (px, py))
     ratios = [a / b for a, b in zip(d, d_i)]

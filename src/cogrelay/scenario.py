@@ -1,20 +1,25 @@
-"""Network scenario: geometry, path loss, and per-hop channel statistics.
+"""Network scenario: geometry, path loss, and per-hop SNR scales.
 
 A scenario describes a linear secondary network on the unit segment
 (source at (0,0), destination at (1,0)) sharing spectrum with a primary
-receiver at an arbitrary coordinate.  Per-hop average channel powers are
-either derived from single-slope path loss over that geometry or
-supplied directly as overrides, which makes the analysis modules usable
-without any geometric assumptions.
+receiver at an arbitrary coordinate.  Every result depends on a hop only
+through alpha = I_p/N_0 * (d_i/d)^eta (hop_alphas), from single-slope
+path loss over that geometry, or alpha = (lambda_d/lambda_i) * I_p/N_0
+from per-hop channel powers supplied as overrides, which makes the
+analysis modules usable without any geometric assumptions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+import sys
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 
 from .errors import ConfigError
+from .numerics import libm, libm_pow
 
 Coord = tuple[float, float]
 
@@ -34,40 +39,14 @@ def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-def average_channel_power(distance: float, eta: float) -> float:
-    """Single-slope path loss: mean channel power distance**(-eta)."""
-    if distance <= 0:
-        raise ValueError("distance must be positive")
-    if eta < 2:
-        raise ValueError("path loss exponent must be >= 2")
-    return distance ** (-eta)
-
-
-@dataclass(frozen=True)
-class HopStatistics:
-    """Per-hop average channel powers and the derived ratio parameter.
-
-    alpha is (lambda_d / lambda_i) * (I_p/N_0): the scale parameter of
-    the per-hop SNR distribution under the interference-power cap.
-    """
-
-    lambda_d: float
-    lambda_i: float
-    alpha: float
-
-    def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.lambda_d, self.lambda_i, self.alpha)):
-            raise ValueError("HopStatistics fields must be positive and finite")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Immutable description of one network configuration.
 
     ip_over_n0 and gamma_th are stored linear; dB values are converted
     at the config/CLI layer.  relay_x_positions=None means equidistant
-    relays.  lambda_overrides, when given, replace the geometry-derived
-    average channel powers entirely.
+    relays.  lambda_overrides, when given, replace the geometry entirely:
+    each hop's (lambda_d, lambda_i) average channel powers.
     """
 
     hop_count: int
@@ -128,22 +107,6 @@ class Scenario:
             return (0.0,) + self.relay_x_positions + (1.0,)
         return tuple(i / k for i in range(k + 1))
 
-    def with_hop_distances(self, distances: Sequence[float]) -> "Scenario":
-        """New scenario with the given hop lengths (must sum to 1)."""
-        d = [float(v) for v in distances]
-        if len(d) != self.hop_count:
-            raise ConfigError(f"expected {self.hop_count} hop distances")
-        if any(v <= 0 for v in d):
-            raise ConfigError("hop distances must be positive")
-        if abs(sum(d) - 1.0) > 1e-9:
-            raise ConfigError(f"hop distances sum to {sum(d)!r}, expected 1")
-        xs = []
-        acc = 0.0
-        for v in d[:-1]:
-            acc += v
-            xs.append(acc)
-        return replace(self, relay_x_positions=tuple(xs), lambda_overrides=None)
-
 
 def _validate_qam_order(m: int) -> None:
     if not isinstance(m, int) or m < 4:
@@ -153,58 +116,69 @@ def _validate_qam_order(m: int) -> None:
         raise ConfigError(f"qam_order {m} is not a power of 4")
 
 
-def hop_geometry(scenario: Scenario) -> list[tuple[float, float]]:
-    """Per hop (d_data, d_interference) for the linear layout.
+def hop_alphas(ip_over_n0, eta, pu_x, pu_y, x, d) -> np.ndarray:
+    """Per-hop alpha = I_p/N_0 * (d_i/d)^eta, element by element over the
+    broadcast arguments: d is the hop's length and d_i = hypot(pu_x - x,
+    pu_y) the distance from its transmitter at x to the primary receiver.
+    Hops lie along the last axis; a sweep passes its swept value as a
+    (P, 1) column.
 
-    d_data is the spacing between consecutive nodes; d_interference is
-    the Euclidean distance from the hop's transmitter to the primary
-    receiver.
+    Each element is ip_over_n0 * math.pow(math.hypot(pu_x - x, pu_y) / d,
+    eta), bit for bit.  The ratio takes no power of a hop length alone,
+    which overflows for the 1e-300-long hops of a balanced layout with
+    the receiver next to the line.  Raises ConfigError unless every
+    alpha is a finite double no smaller than the smallest normal,
+    2^-1022: below it 1/alpha, which the closed forms and Monte Carlo
+    divide by, is inf or has lost digits.
     """
-    if scenario.lambda_overrides is not None:
-        raise ConfigError("scenario uses lambda overrides; it has no geometry")
-    xs = scenario.node_positions
-    px, py = scenario.pu_coord
-    out = []
-    for k in range(scenario.hop_count):
-        d_data = xs[k + 1] - xs[k]
-        d_interf = math.hypot(px - xs[k], py)
-        out.append((d_data, d_interf))
-    return out
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            d_i = libm(math.hypot, np.subtract(pu_x, x), pu_y)
+        except OverflowError:  # a distance beyond the double range: alpha is inf
+            d_i = math.inf
+        return _normal(np.multiply(ip_over_n0, libm_pow(np.divide(d_i, d), eta)))
 
 
-def derive_hop_statistics(scenario: Scenario) -> list[HopStatistics]:
-    """Average channel powers per hop, from overrides or path loss.
-
-    Raises ConfigError where a hop's power or alpha is not a positive
-    double: the primary receiver on a transmitter node or within about
-    1e-300 of one (its power overflows), or a power or alpha that
-    underflows to 0.
-    """
-    ip = scenario.ip_over_n0
-    try:
-        if scenario.lambda_overrides is not None:
-            pairs = scenario.lambda_overrides
-        else:
-            eta = scenario.path_loss_exponent
-            pairs = [
-                (average_channel_power(dd, eta), average_channel_power(di, eta))
-                for dd, di in hop_geometry(scenario)
-            ]
-        return [
-            HopStatistics(lambda_d=ld, lambda_i=li, alpha=(ld / li) * ip)
-            for ld, li in pairs
-        ]
-    except (ValueError, ArithmeticError):
+def _normal(alphas: np.ndarray) -> np.ndarray:
+    normal = (alphas >= sys.float_info.min) & (alphas < math.inf)  # NaN fails both
+    if not normal.all():
         raise ConfigError(
-            f"a hop's channel power or alpha is not a positive double "
-            f"(primary receiver at {scenario.pu_coord}: on or too near a node, "
-            "or a power or alpha out of the float64 range)"
-        ) from None
+            f"a hop's alpha is {float(alphas[~normal].flat[0])!r}, not a finite double "
+            ">= 2^-1022: the primary receiver is on, too near or too far from a "
+            "transmitter, or I_p/N_0 or a lambda override is out of range"
+        )
+    return alphas
 
 
-def alphas(scenario: Scenario) -> list[float]:
-    """Convenience: the per-hop SNR scale parameters."""
-    return [h.alpha for h in derive_hop_statistics(scenario)]
+def derive_hop_statistics(scenario: Scenario, hop_lengths=None, **columns) -> np.ndarray:
+    """The scenario's per-hop alphas (hop_alphas): (K,), or the broadcast
+    shape of the arguments.
+
+    hop_lengths (..., K) replace the relay positions; their transmitters
+    sit at 0 and at the running sums of the hops before, added as
+    placement.interference_distances adds them.  columns replace the
+    scenario's ip_over_n0, eta, pu_x or pu_y, e.g. with a sweep's (P, 1)
+    column.  lambda_overrides give alpha = (lambda_d/lambda_i) * I_p/N_0
+    under the same rule; they fix every alpha/(I_p/N_0), so only
+    ip_over_n0 may vary with them.
+    """
+    px, py = scenario.pu_coord
+    params = {"ip_over_n0": scenario.ip_over_n0, "eta": scenario.path_loss_exponent,
+              "pu_x": px, "pu_y": py, **columns}
+    if scenario.lambda_overrides is not None:
+        if hop_lengths is not None or set(columns) - {"ip_over_n0"}:
+            raise ConfigError("lambda_overrides fix each hop's alpha/(I_p/N_0); no geometry applies")
+        ratios = np.array([d / i for d, i in scenario.lambda_overrides])
+        with np.errstate(over="ignore"):
+            return _normal(ratios * params["ip_over_n0"])
+    if hop_lengths is None:
+        xs = np.array(scenario.node_positions)
+        x, d = xs[:-1], np.diff(xs)
+    else:
+        d = np.asarray(hop_lengths, dtype=float)
+        x = np.zeros_like(d)
+        np.cumsum(d[..., :-1], axis=-1, out=x[..., 1:])
+    return hop_alphas(**params, x=x, d=d)
 
 
 def scenario_from_config(config: dict) -> Scenario:
@@ -244,16 +218,26 @@ def scenario_from_config(config: dict) -> Scenario:
         relays = tuple(float(x) for x in relays)
     try:
         return Scenario(
-            hop_count=int(config.get("hop_count", 3)),
+            hop_count=_count(config, "hop_count", 3),
             pu_coord=pu,
             path_loss_exponent=float(config.get("path_loss_exponent", 4.0)),
             ip_over_n0=float(pick("ip_over_n0", 1.0)),
             gamma_th=float(pick("gamma_th", 1.0)),
-            qam_order=int(config.get("qam_order", 4)),
+            qam_order=_count(config, "qam_order", 4),
             relay_x_positions=relays,
             lambda_overrides=overrides,
         )
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
+
+
+def _count(config: dict, name: str, default: int) -> int:
+    """The config's count `name`: 3 and 3.0 pass; 3.7, true and "3" do not."""
+    value = config.get(name, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value

@@ -207,21 +207,21 @@ def raw_monte_carlo(
     """The raw estimators that the library's conditional ones replace.
 
     Every trial draws both gains of every hop, block b from
-    substream(seed, b) as a (2, n, K) array, and averages the outage
+    substream(seed, b) as a (2, n, K) array, takes each hop's SNR as
+    alpha * X / Y from the data gain X and the interference gain Y, and
+    averages the outage
     indicator, the instantaneous BER through scipy's erfc chained by the
     odd-number-of-errors recursion, or log2(1 + min hop SNR)/K.  The
     standard error takes a two-pass variance over all trials.
     """
-    stats = derive_hop_statistics(scenario)
-    k = len(stats)
-    lam_d = np.array([h.lambda_d for h in stats])[:, None]
-    lam_i = np.array([h.lambda_i for h in stats])[:, None]
+    alpha = derive_hop_statistics(scenario)[:, None]
+    k = len(alpha)
     constants = qam_constants(scenario.qam_order)
     values: dict[str, list] = {m: [] for m in metrics}
     for block in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
         n = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
         draws = sample_exponential(substream(seed, block), 1.0, (2, n, k))
-        snr = scenario.ip_over_n0 * (draws[0].T * lam_d) / np.maximum(draws[1].T * lam_i, 1e-300)
+        snr = alpha * draws[0].T / np.maximum(draws[1].T, 1e-300)
         weakest = snr.min(axis=0)
         if "op" in values:
             values["op"].append((weakest < scenario.gamma_th).astype(float))

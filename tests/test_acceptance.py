@@ -14,7 +14,6 @@ from scipy.integrate import quad
 
 from cogrelay import (
     Scenario,
-    alphas,
     derive_hop_statistics,
     direct_search,
     e2e_ber,
@@ -69,7 +68,7 @@ def test_criterion_1_outage_closed_form_vs_monte_carlo():
     with criterion(1, "closed-form/MC outage agreement on the reference grid"):
         for k, db in GRID:
             scn = _scenario(k, db)
-            exact = outage_exact(alphas(scn), scn.gamma_th)
+            exact = outage_exact(derive_hop_statistics(scn), scn.gamma_th)
             start = time.perf_counter()
             est = mc_outage(scn, TRIALS, SEED)
             elapsed = time.perf_counter() - start
@@ -100,7 +99,7 @@ def test_criterion_2_ber_quadrature_and_monte_carlo():
         c4 = qam_constants(4)
         for k, db in GRID:
             scn = _scenario(k, db)
-            closed = e2e_ber([hop_ber(a, c4) for a in alphas(scn)])
+            closed = e2e_ber([hop_ber(a, c4) for a in derive_hop_statistics(scn)])
             est = mc_ber(scn, TRIALS, SEED)
             assert abs(est.value - closed) <= 3.0 * est.std_error, (
                 f"K={k} {db}dB: mc={est.value} closed={closed}"
@@ -153,17 +152,17 @@ def test_criterion_3_capacity_triple_agreement():
 def test_criterion_4_high_snr_asymptotics():
     with criterion(4, "diversity-order slope and exact/asymptote ratios"):
         scn0 = _scenario(3, 0.0)
-        pairs = [(h.lambda_d, h.lambda_i) for h in derive_hop_statistics(scn0)]
+        a0 = derive_hop_statistics(scn0)
         dbs = np.arange(40.0, 61.0, 2.0)
         ops = []
         for db in dbs:
             ip = 10 ** (db / 10.0)
-            ops.append(outage_exact([ld / li * ip for ld, li in pairs], 1.0))
+            ops.append(outage_exact(a0 * ip, 1.0))
         slope = np.polyfit(dbs / 10.0, np.log10(ops), 1)[0]
         assert -1.05 <= slope <= -0.95, f"slope {slope}"
 
         scn60 = _scenario(3, 60.0)
-        a60 = alphas(scn60)
+        a60 = derive_hop_statistics(scn60)
         op_ratio = outage_exact(a60, 1.0) / outage_asymptotic(a60, 1.0)
         assert 0.95 <= op_ratio <= 1.0, f"OP ratio {op_ratio}"
         c4 = qam_constants(4)
@@ -178,7 +177,7 @@ def test_criterion_5_figure_trends():
         c4 = qam_constants(4)
         ops, bers = [], []
         for k in range(1, 6):
-            a = alphas(_scenario(k, 20.0))
+            a = derive_hop_statistics(_scenario(k, 20.0))
             ops.append(outage_exact(a, 1.0))
             bers.append(e2e_ber([hop_ber(v, c4) for v in a]))
         for series in (ops, bers):
@@ -188,8 +187,8 @@ def test_criterion_5_figure_trends():
                 f"increments not diminishing: {drops}"
             )
 
-        caps_low = [ergodic_capacity_ind(alphas(_scenario(k, 0.0))) for k in range(1, 6)]
-        caps_high = [ergodic_capacity_ind(alphas(_scenario(k, 30.0))) for k in range(1, 6)]
+        caps_low = [ergodic_capacity_ind(derive_hop_statistics(_scenario(k, 0.0))) for k in range(1, 6)]
+        caps_high = [ergodic_capacity_ind(derive_hop_statistics(_scenario(k, 30.0))) for k in range(1, 6)]
         # crossover: many hops win in the interference-limited regime,
         # few hops win when the cap is loose.  The K=1->2 step at 0 dB is
         # genuinely negative for this geometry (the midpoint relay sits
@@ -204,11 +203,11 @@ def test_criterion_5_figure_trends():
         )
 
         for db in np.arange(0.0, 31.0, 5.0):
-            near = ergodic_capacity_ind(alphas(_scenario(3, db)))
+            near = ergodic_capacity_ind(derive_hop_statistics(_scenario(3, db)))
             scn_far = Scenario(
                 hop_count=3, ip_over_n0=10 ** (db / 10.0), pu_coord=(0.7, 0.7)
             )
-            far = ergodic_capacity_ind(alphas(scn_far))
+            far = ergodic_capacity_ind(derive_hop_statistics(scn_far))
             assert far > near, f"{db} dB: far {far} <= near {near}"
 
 
@@ -228,9 +227,9 @@ def test_criterion_6_placement_solver():
         p2 = solve_equal_ratio(3, PU)
         assert p1.d_data == p2.d_data
         minima = {
-            outage_asymptotic(alphas(Scenario(
+            outage_asymptotic(derive_hop_statistics(Scenario(
                 hop_count=3, pu_coord=PU, path_loss_exponent=eta, ip_over_n0=100.0,
-            ).with_hop_distances(p1.d_data)), 1.0)
+            ), p1.d_data), 1.0)
             for eta in (2.0, 4.0, 6.0)
         }
         assert len(minima) == 3
@@ -261,11 +260,10 @@ def test_criterion_7_profile_comparison():
             balanced = solve_equal_ratio(k, PU)
             for db in np.arange(0.0, 31.0, 5.0):
                 ip = 10 ** (db / 10.0)
-                uniform = alphas(Scenario(hop_count=k, ip_over_n0=ip))
-                scn_opt = Scenario(hop_count=k, ip_over_n0=ip).with_hop_distances(
-                    balanced.d_data
+                uniform = derive_hop_statistics(Scenario(hop_count=k, ip_over_n0=ip))
+                optimized = derive_hop_statistics(
+                    Scenario(hop_count=k, ip_over_n0=ip), balanced.d_data
                 )
-                optimized = alphas(scn_opt)
                 assert outage_exact(optimized, 1.0) < outage_exact(uniform, 1.0), (
                     f"K={k} {db} dB"
                 )
@@ -313,11 +311,11 @@ def test_criterion_9_placement_gain_over_uniform():
     with criterion(9, "placement gain over uniform relays as measured"):
         for (eta, k), expected in _PLACEMENT_GAINS_DB.items():
             scenario = Scenario(hop_count=k, pu_coord=PU, path_loss_exponent=eta)
-            uniform = outage_asymptotic(alphas(scenario), 1.0)
+            uniform = outage_asymptotic(derive_hop_statistics(scenario), 1.0)
             layouts = (solve_equal_ratio(k, PU).d_data, direct_search(k, PU, eta)[0])
             gains = tuple(
                 round(10.0 * np.log10(
-                    uniform / outage_asymptotic(alphas(scenario.with_hop_distances(d)), 1.0)
+                    uniform / outage_asymptotic(derive_hop_statistics(scenario, d), 1.0)
                 ), 3)
                 for d in layouts
             )

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from cogrelay import (
     NumericError,
-    alphas as scenario_alphas,
+    derive_hop_statistics,
     capacity_pole_integral,
     ergodic_capacity_ind,
     partial_fraction_expand,
@@ -355,7 +355,7 @@ def test_capacity_relative_accuracy_across_range(db, hops):
     # alpha from about 1e-30 to 1e30 at the default geometry; on long
     # chains the closed form's coefficients and prod(alpha) overflow
     config = {"hop_count": hops, "ip_over_n0_db": db}
-    _check_against_survival_integral(scenario_alphas(scenario_from_config(config)))
+    _check_against_survival_integral(derive_hop_statistics(scenario_from_config(config)))
 
 
 @pytest.mark.parametrize("spacing", [0.0, 1e-5], ids=["equal", "clustered"])
@@ -409,7 +409,7 @@ def chains(draw):
 
 
 def _chain(**config):
-    return scenario_alphas(scenario_from_config(config))
+    return derive_hop_statistics(scenario_from_config(config))
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)

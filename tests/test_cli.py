@@ -18,7 +18,6 @@ from cogrelay import (
     McEstimate,
     NumericError,
     Scenario,
-    alphas,
     capacity,
     derive_hop_statistics,
     e2e_ber,
@@ -39,7 +38,6 @@ from cogrelay.cli import (
     OUTPUT_ORDER,
     SWEEP_VARIABLES,
     _fmt,
-    layout_alphas,
     load_scenario,
     main,
     parse_sweep,
@@ -105,8 +103,8 @@ SWEEPS = {
 def _per_point_rows(config_path, sweep):
     """The analyze rows of CLOSED_FORMS, one scalar call per point and output.
 
-    op_asymptotic is the paper's pair form (gamma_th/(I_p/N_0)) *
-    sum_k lambda_i/lambda_d, so a printed cell that drifts from it shows.
+    Each point's alphas come from its own scenario, not from the sweep's
+    column, and op_asymptotic is summed here in plain Python.
     """
     base, _ = load_scenario(config_path)
     constants = qam_constants(base.qam_order)
@@ -114,12 +112,10 @@ def _per_point_rows(config_path, sweep):
     rows = []
     for value in values:
         point = scenario_at(base, variable, value)
-        stats = derive_hop_statistics(point)
-        alphas = [h.alpha for h in stats]
-        pairs = [(h.lambda_d, h.lambda_i) for h in stats]
+        alphas = derive_hop_statistics(point).tolist()
         cells = [
             outage_exact(alphas, point.gamma_th),
-            (point.gamma_th / point.ip_over_n0) * sum(li / ld for ld, li in pairs),
+            point.gamma_th * sum(1.0 / a for a in alphas),
             e2e_ber([hop_ber(a, constants) for a in alphas]),
             e2e_ber_asymptotic(alphas, constants),
             ergodic_capacity_ind(alphas),
@@ -212,7 +208,7 @@ def test_optimize_minima_are_the_asymptotes_at_the_layout(tmp_path, capsys, ip_d
     # alpha_k = I_p/N_0 * (d_interference_k/d_data_k)^eta of the solved layout
     a = [scenario.ip_over_n0 * (di / d) ** 3.0
          for d, di in zip(layout.d_data, layout.d_interference)]
-    assert a == pytest.approx(alphas(scenario.with_hop_distances(layout.d_data)), rel=1e-12)
+    assert derive_hop_statistics(scenario, layout.d_data).tolist() == a
     op_min = outage_asymptotic(a, 2.0)
     ber_min = e2e_ber_asymptotic(a, qam_constants(4))
     assert meta["op_min"] == _fmt(op_min)
@@ -275,13 +271,70 @@ def test_layout_alphas_match_math_pow_element_by_element():
             ip = 10.0 ** rng.uniform(-3.0, 6.0)
             scn = Scenario(hop_count=k, ip_over_n0=ip, pu_coord=pu, path_loss_exponent=eta)
             expected = [ip * math.pow(r, eta) for r in ratios]
-            assert layout_alphas(scn, layout).tolist() == expected, (k, pu, eta)
-    # where pow overflows, the alpha stays inf
+            assert derive_hop_statistics(scn, layout.d_data).tolist() == expected, (k, pu, eta)
+    # where pow overflows, alpha is inf and refused (as by every command:
+    # test_alpha_out_of_range_exits_1_in_every_command)
     far = (0.5, 1e40)
     scn = Scenario(hop_count=3, ip_over_n0=1.0, pu_coord=far, path_loss_exponent=8.0)
     with pytest.raises(OverflowError):
         math.pow(1e40 * 3.0, 8.0)
-    assert layout_alphas(scn, solve_equal_ratio(3, far)).tolist() == [math.inf] * 3
+    with pytest.raises(cogrelay.ConfigError, match="alpha is inf"):
+        derive_hop_statistics(scn, solve_equal_ratio(3, far).d_data)
+
+
+@pytest.mark.parametrize("config", [
+    # alpha overflows: optimize printed op_min=0 ber_min=0 with exit 0
+    {"hop_count": 3, "pu_coord": [0.5, 1e40], "path_loss_exponent": 8.0},
+    # alpha is subnormal: analyze printed op_asymptotic inf, mc printed nan
+    {"hop_count": 3, "ip_over_n0_db": -3150.0},
+])
+@pytest.mark.parametrize("command", ["analyze", "mc", "optimize", "profiles"])
+def test_alpha_out_of_range_exits_1_in_every_command(tmp_path, capsys, config, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path)]
+    if command in ("analyze", "mc"):
+        argv += ["--trials", "1000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: a hop's alpha is "), err
+    assert "not a finite double >= 2^-1022" in err and "Traceback" not in err
+
+
+OVERRIDES = {"hop_count": 3, "lambda_overrides": [[1e-3, 1], [1, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize"],
+    ["profiles"],
+    ["profiles", "--sweep", "ip_over_n0_db=0:10:10"],
+    ["analyze", "--sweep", "hop_count=1,3"],
+    ["analyze", "--sweep", "hop_count=3,3"],
+    ["analyze", "--sweep", "eta=2:4:1"],
+    ["analyze", "--sweep", "pu_x=0:1:0.5"],
+    ["analyze", "--sweep", "pu_y=0.1:0.2:0.1", "--outputs", "mc_op", "--trials", "100"],
+])
+def test_lambda_overrides_are_refused_where_they_cannot_apply(tmp_path, capsys, argv):
+    # they fix every alpha/(I_p/N_0): a layout or a geometry sweep used to
+    # ignore them, and a hop_count sweep dropped them
+    path = tmp_path / "overrides.json"
+    path.write_text(json.dumps(OVERRIDES))
+    assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda_overrides fix each hop's alpha/(I_p/N_0)"), err
+
+
+def test_lambda_overrides_apply_at_one_point_and_over_an_ip_sweep(tmp_path, capsys):
+    path = tmp_path / "overrides.json"
+    path.write_text(json.dumps(OVERRIDES))
+    assert main(["analyze", "--config", str(path), "--sweep", "ip_over_n0_db=0:10:10",
+                 "--outputs", "op_exact", "--no-timestamp"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    for row, ip in zip(rows, (1.0, 10.0)):
+        assert row["op_exact"] == _fmt(outage_exact([1e-3 * ip, ip, ip], 1.0))
+    assert main(["mc", "--config", str(path), "--trials", "1000"]) == 0
 
 
 def test_profiles_accepts_explicit_table_distances(tmp_path, capsys):
@@ -308,6 +361,16 @@ def test_profiles_rejects_bad_distance_sum(tmp_path, capsys):
     assert main([
         "profiles", "--config", cfg, "--profiles", "broken", "--no-timestamp",
     ]) == 1
+
+
+def test_profiles_rejects_a_non_positive_distance(tmp_path, capsys):
+    # an even eta would give a negative hop a valid-looking alpha
+    cfg = _write_config(
+        tmp_path, hop_count=2,
+        profiles=[{"name": "backwards", "distances": [1.5, -0.5]}],
+    )
+    assert main(["profiles", "--config", cfg, "--profiles", "backwards"]) == 1
+    assert "not positive" in capsys.readouterr().err
 
 
 def test_profiles_random_reproducible(tmp_path, capsys):
@@ -424,6 +487,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                               lambda_overrides=[[1e300, 1e-300], [1, 1], [1, 1]])
     strong_hop = _write_config(tmp_path, "strong_hop.json",
                                lambda_overrides=[[1e10, 1], [1, 1], [1, 1]])
+    # a receiver so far off that the placement's distances overflow
+    # ended optimize and the optimized profile in a traceback
+    far_off = [_write_config(tmp_path, f"far_off_{k}.json", hop_count=k, pu_coord=[1e308, 1e308])
+               for k in (1, 3)]
+    # counts that int() truncated: 3.7 ran three hops, true one, 16.9 16-QAM
+    fractional = [_write_config(tmp_path, f"fractional_{i}.json", **{key: value})
+                  for i, (key, value) in enumerate((("hop_count", 3.7), ("hop_count", True),
+                                                    ("qam_order", 16.9)))]
     # counts above the cap: the block list overflowed or ran out of memory
     huge_trials = [_write_config(tmp_path, f"huge_trials_{i}.json", trials=n)
                    for i, n in enumerate((MAX_TRIALS + 1, 1e30))]
@@ -460,6 +531,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         ["profiles", "--config", off_node, "--sweep", "pu_y=0:1:0.5",
          "--profiles", "uniform"],
         ["optimize", "--config", tiny_alpha],
+        *([command, "--config", path] for command in ("analyze", "mc", "optimize", "profiles")
+          for path in fractional + far_off),
+        *(["profiles", "--config", path, "--profiles", "optimized"] for path in far_off),
     ):
         capsys.readouterr()
         assert main(argv) == 1, argv
@@ -503,21 +577,42 @@ def test_sweep_point_limit_is_in_the_message():
         parse_sweep(f"eta=0:{MAX_SWEEP_POINTS}:1")
 
 
+def _checkout_env():
+    """The environment of a fresh interpreter that imports this checkout's cogrelay."""
+    src = os.path.dirname(os.path.dirname(cogrelay.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+
+
 def _modules_after(code):
     """Run code in a fresh interpreter that imports this checkout's
     cogrelay; the scipy and mpmath modules loaded by its end."""
-    src = os.path.dirname(os.path.dirname(cogrelay.__file__))
     code += (
         "\nimport sys; print('\\n'.join(m for m in sys.modules if m.startswith("
         "('scipy', 'mpmath'))))"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    ))
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_checkout_env(),
+        check=True,
     )
     return result.stdout.split()
+
+
+def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
+    # head -2: the reader leaves while about 2 MB of rows are still to come
+    cfg = _write_config(tmp_path)
+    with subprocess.Popen(
+        [sys.executable, "-m", "cogrelay.cli", "analyze", "--config", cfg,
+         "--sweep", "ip_over_n0_db=0:300:0.01", "--no-timestamp"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_checkout_env(),
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"# cogrelay ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=120)
+    assert rc == 141
+    assert err == b""
 
 
 def test_cli_import_loads_no_scipy_special_quadrature_optimizer_or_mpmath():
@@ -756,6 +851,10 @@ def test_non_finite_scenario_values_exit_1(tmp_path_factory, command, optional, 
     if changes:
         assert rc == 1, (argv, config, out.getvalue())
         assert err.getvalue().startswith("error: "), (config, err.getvalue())
+    elif "lambda_overrides" in config and command in ("optimize", "profiles"):
+        # overrides fix every alpha/(I_p/N_0): no layout applies
+        assert rc == 1, (argv, config, out.getvalue())
+        assert err.getvalue().startswith("error: lambda_overrides"), err.getvalue()
     else:
         assert rc == 0, (argv, config, err.getvalue())
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue()

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from cogrelay import (
     NumericError,
     Scenario,
+    derive_hop_statistics,
     e2e_ber,
     ergodic_capacity_ind,
     hop_ber,
@@ -50,9 +52,7 @@ def test_outage_median_threshold():
 def test_outage_matches_closed_form_paper_scenario():
     scn = Scenario(hop_count=3, ip_over_n0=10 ** 1.5, gamma_th=1.0)
     est = mc_outage(scn, 400_000, 7)
-    from cogrelay import alphas
-
-    exact = outage_exact(alphas(scn), scn.gamma_th)
+    exact = outage_exact(derive_hop_statistics(scn), scn.gamma_th)
     assert abs(est.value - exact) <= 3 * est.std_error
 
 
@@ -207,13 +207,11 @@ def test_different_seeds_differ():
 
 @pytest.mark.parametrize("ip_db", [0.0, 10.0, 20.0, 30.0])
 def test_every_closed_form_on_reference_grid(ip_db):
-    from cogrelay import alphas
-
     trials = 200_000
     c = qam_constants(4)
     for k in range(1, 6):
         scn = Scenario(hop_count=k, ip_over_n0=10 ** (ip_db / 10), gamma_th=1.0)
-        a = alphas(scn)
+        a = derive_hop_statistics(scn)
 
         est = mc_outage(scn, trials, 8)
         assert abs(est.value - outage_exact(a, 1.0)) <= 3 * est.std_error
@@ -318,3 +316,37 @@ def test_exp_e1_matches_mpmath(together):
         ours = [montecarlo._exp_e1(np.array([x]))[0] for x in _E1_POINTS]
     for x, value in zip(_E1_POINTS, ours):
         assert value == pytest.approx(_exp_e1_reference(x), rel=1e-13), x
+
+
+@pytest.mark.parametrize("gamma_th", [1.0, 0.0])
+def test_smallest_normal_alpha_gives_finite_quiet_estimates(gamma_th):
+    # 1/mu = Y/alpha overflows to inf for most draws; the BER kernel took
+    # inf/inf and printed nan, and 0 * inf made outage nan at gamma_th = 0
+    scn = _override_scenario([2.0 ** -1022, 1.0, 1.0], gamma_th=gamma_th, qam_order=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = [monte_carlo(scn, 150_000, 3, chunks) for chunks in (1, 2)]
+    assert runs[0] == runs[1]
+    for metric, estimate in runs[0].items():
+        assert math.isfinite(estimate.value) and math.isfinite(estimate.std_error), metric
+    # the first hop fails every trial: outage is certain (unless the
+    # threshold is 0) and the bit error rate is one half
+    assert runs[0]["op"].value == (1.0 if gamma_th else 0.0)
+    assert runs[0]["ber"].value == 0.5
+    assert 0.0 <= runs[0]["capacity"].value < 1e-300
+
+
+def test_ber_cap_changes_no_bit_where_one_over_mu_is_finite():
+    # each term is t/((1 + t) + sqrt(1 + t)), exactly 1 from t = 2^109 on
+    t = np.geomspace(2.0 ** 109, 1e307, 20_001)
+    assert np.all(t / ((t + 1.0) + np.sqrt(t + 1.0)) == 1.0)
+    # so a slice with a 1/mu above the cap 2^110 max(omega), which the
+    # kernel caps, gives the bits of the same slice with 1/mu at the cap
+    constants = qam_constants(64)
+    cap = 2.0 ** 110 * max(term[3] for term in constants.terms)
+    kernel = montecarlo._kernel("ber", _override_scenario([1.0] * 3, qam_order=64))
+    inv_mu = np.exp(np.random.default_rng(5).uniform(-50.0, 50.0, size=(3, 20_000)))
+    above, at = inv_mu.copy(), inv_mu.copy()
+    above[0, ::3], at[0, ::3] = 1e300, cap
+    above[1, ::5], at[1, ::5] = math.inf, cap
+    assert kernel(above).tolist() == kernel(at).tolist()

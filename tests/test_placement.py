@@ -8,7 +8,7 @@ from cogrelay import (
     ConfigError,
     ConvergenceError,
     Scenario,
-    alphas,
+    derive_hop_statistics,
     direct_search,
     e2e_ber_asymptotic,
     outage_asymptotic,
@@ -26,7 +26,7 @@ def _layout_alphas(p, ip_over_n0, eta=4.0):
     """Per-hop alphas of the scenario with the hop lengths of layout p."""
     scn = Scenario(hop_count=p.hop_count, pu_coord=PU, path_loss_exponent=eta,
                    ip_over_n0=ip_over_n0)
-    return alphas(scn.with_hop_distances(p.d_data))
+    return derive_hop_statistics(scn, p.d_data)
 
 
 def _ratio_product(p):
