@@ -195,5 +195,6 @@ def e2e_ber_asymptotic(alphas, constants: QamConstants):
     al = np.asarray(alphas, dtype=float)
     if al.ndim == 0 or al.shape[-1] == 0 or np.any(al <= 0):
         raise ValueError("alphas must be positive")
-    value = (constants.a / (2.0 * constants.b)) * sum(np.moveaxis(1.0 / al, -1, 0))
+    with np.errstate(over="ignore"):  # beyond the double range the asymptote is inf
+        value = (constants.a / (2.0 * constants.b)) * sum(np.moveaxis(1.0 / al, -1, 0))
     return float(value) if np.ndim(value) == 0 else value

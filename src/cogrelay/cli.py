@@ -50,6 +50,7 @@ from .scenario import (
     db_to_linear,
     derive_hop_statistics,
     linear_to_db,
+    read_count,
     scenario_from_config,
 )
 
@@ -115,9 +116,10 @@ def parse_sweep(text: str) -> tuple[str, list]:
         if name != "hop_count":
             raise ConfigError("list-valued sweeps are only supported for hop_count")
         try:
-            return name, [int(v) for v in rest.split(",")]
+            values = [float(v) for v in rest.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad hop_count list {rest!r}") from exc
+        return name, [read_count(v, name) for v in values]
     parts = rest.split(":")
     if len(parts) != 3:
         raise ConfigError(f"sweep range must be START:STOP:STEP, got {rest!r}")
@@ -141,7 +143,7 @@ def parse_sweep(text: str) -> tuple[str, list]:
     if values[-1] > stop + 1e-9 * step:
         values.pop()
     if name == "hop_count":
-        values = [int(round(v)) for v in values]
+        values = [read_count(v, name) for v in values]
     return name, values
 
 
@@ -150,13 +152,13 @@ def scenario_at(base: Scenario, variable: str, value) -> Scenario:
         return replace(base, ip_over_n0=db_to_linear(value))
     if variable == "hop_count":
         # hop-count sweeps rebuild an equidistant layout
-        return replace(base, hop_count=int(value), relay_x_positions=None)
+        return replace(base, hop_count=value, relay_x_positions=None)
     if variable == "eta":
-        return replace(base, path_loss_exponent=float(value))
+        return replace(base, path_loss_exponent=value)
     if variable == "pu_x":
-        return replace(base, pu_coord=(float(value), base.pu_coord[1]))
+        return replace(base, pu_coord=(value, base.pu_coord[1]))
     if variable == "pu_y":
-        return replace(base, pu_coord=(base.pu_coord[0], float(value)))
+        return replace(base, pu_coord=(base.pu_coord[0], value))
     raise ConfigError(f"unknown sweep variable {variable!r}")
 
 
@@ -196,7 +198,8 @@ def _without_overrides(scenario: Scenario, use: str) -> None:
 def _sweep_groups(base: Scenario, variable: str, values: Sequence) -> list:
     """(positions in the sweep, scenario, derive_hop_statistics columns)
     per hop count, each column (P, 1) over the group's P points: the
-    swept value, or I_p/N_0 in a hop_count sweep."""
+    swept value, or I_p/N_0 in a hop_count sweep.  Swept values obey their
+    config key's rule, which holds on an interval: a column's ends check it."""
     if variable == "hop_count":
         _without_overrides(base, "a hop_count sweep")
         groups: dict = {}
@@ -205,10 +208,12 @@ def _sweep_groups(base: Scenario, variable: str, values: Sequence) -> list:
         return [(index, scenario_at(base, variable, k),
                  {"ip_over_n0": np.full((len(index), 1), base.ip_over_n0)})
                 for k, index in groups.items()]
+    if variable != "ip_over_n0_db":
+        _without_overrides(base, f"a {variable} sweep")
+    for end in (min(values), max(values)):
+        scenario_at(base, variable, end)
     if variable == "ip_over_n0_db":
         variable, values = "ip_over_n0", [db_to_linear(v) for v in values]
-    else:
-        _without_overrides(base, f"a {variable} sweep")
     return [(list(range(len(values))), base, {variable: np.array(values, dtype=float)[:, None]})]
 
 
@@ -297,10 +302,7 @@ def _setting(args, config: dict, name: str, default: int, minimum: int) -> int:
     """The --name flag, else the config's name, else default; >= minimum."""
     value = getattr(args, name)
     if value is None:
-        try:
-            value = int(config.get(name, default))
-        except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
-            raise ConfigError(f"config {name} must be an integer") from None
+        value = read_count(config.get(name, default), name)
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
     return value
@@ -411,51 +413,63 @@ def cmd_optimize(args) -> int:
 
 
 def _profile_layouts(name: str, point: Scenario, columns: dict, n: int,
-                     config: dict, seed: int):
+                     table: dict, seed: int):
     """Hop lengths of profile `name` at a group's n points: the balanced
     layouts, (n, K), for the optimized profile, which moves with the
     primary receiver; (K,) for the others, which do not."""
-    if name != "optimized":
-        return _profile_distances(name, point, config, seed)
-    px, py = (
-        np.broadcast_to(columns.get(axis, value), (n, 1))[:, 0].tolist()
-        for axis, value in zip(("pu_x", "pu_y"), point.pu_coord)
-    )
-    return [solve_equal_ratio(point.hop_count, pu).d_data for pu in zip(px, py)]
-
-
-def _profile_distances(name: str, scenario: Scenario, config: dict, seed: int):
-    k = scenario.hop_count
+    k = point.hop_count
     if name == "uniform":
         return [1.0 / k] * k
     if name == "random":
-        rng = np.random.default_rng(seed)
-        return list(rng.dirichlet(np.ones(k)))
-    for entry in config.get("profiles", []):
-        if entry.get("name") == name:
-            distances = [float(v) for v in entry.get("distances", [])]
-            if len(distances) != k:
-                raise ConfigError(
-                    f"profile {name!r} has {len(distances)} distances, expected {k}"
-                )
+        return list(np.random.default_rng(seed).dirichlet(np.ones(k)))
+    if name == "optimized":
+        px, py = (
+            np.broadcast_to(columns.get(axis, value), (n, 1))[:, 0].tolist()
+            for axis, value in zip(("pu_x", "pu_y"), point.pu_coord)
+        )
+        return [solve_equal_ratio(k, pu).d_data for pu in zip(px, py)]
+    if name not in table:
+        raise ConfigError(f"unknown profile {name!r}")
+    if len(table[name]) != k:
+        raise ConfigError(f"profile {name!r} has {len(table[name])} distances, expected {k}")
+    return table[name]
+
+
+def _profile_table(config: dict) -> dict:
+    """The config's profiles, a list of {"name", "distances"} objects, as
+    name -> hop lengths: new names, positive lengths that sum to 1."""
+    table = {}
+    try:
+        for entry in config.get("profiles", []):
+            name, distances = entry["name"], [float(v) for v in entry["distances"]]
+            if not isinstance(name, str):
+                raise ConfigError(f"profile name {name!r} is not a string")
+            if name in table or name in ("uniform", "optimized", "random"):
+                raise ConfigError(f"profile name {name!r} is built in or already taken")
             if not all(v > 0 for v in distances):
                 raise ConfigError(f"profile {name!r} has a distance that is not positive")
             if abs(sum(distances) - 1.0) > 1e-9:
                 raise ConfigError(
                     f"profile {name!r} distances sum to {sum(distances)!r}, expected 1"
                 )
-            return distances
-    raise ConfigError(f"unknown profile {name!r}")
+            table[name] = distances
+    except (TypeError, ValueError, OverflowError, KeyError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(
+            f'profiles must be [{{"name": ..., "distances": [...]}}, ...]: {exc!r}') from exc
+    return table
 
 
 def cmd_profiles(args) -> int:
     scenario, config = load_scenario(args.config)
     _without_overrides(scenario, "profiles")
     seed = _setting(args, config, "seed", 0, minimum=0)
+    table = _profile_table(config)
     if args.profiles:
         names = [n.strip() for n in args.profiles.split(",") if n.strip()]
-    elif config.get("profiles"):
-        names = [entry["name"] for entry in config["profiles"]]
+    elif table:
+        names = list(table)
     else:
         names = ["uniform", "optimized"]
     if not names:
@@ -468,7 +482,7 @@ def cmd_profiles(args) -> int:
     cells = {name: [None] * len(values) for name in names}  # "op_exact,capacity" per point
     for index, point, columns in _sweep_groups(scenario, variable, values):
         for name in names:
-            layouts = _profile_layouts(name, point, columns, len(index), config, seed)
+            layouts = _profile_layouts(name, point, columns, len(index), table, seed)
             alphas = derive_hop_statistics(point, layouts, **columns)
             op = outage_exact(alphas, scenario.gamma_th).tolist()
             cap = ergodic_capacity_ind(alphas).tolist()

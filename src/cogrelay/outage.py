@@ -47,5 +47,6 @@ def outage_asymptotic(alphas, gamma_th: float):
         raise ValueError("alphas must be positive")
     if gamma_th < 0:
         raise ValueError("gamma_th must be non-negative")
-    value = gamma_th * sum(np.moveaxis(1.0 / al, -1, 0))
+    with np.errstate(over="ignore"):  # beyond the double range the asymptote is inf
+        value = gamma_th * sum(np.moveaxis(1.0 / al, -1, 0))
     return float(value) if np.ndim(value) == 0 else value

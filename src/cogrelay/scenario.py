@@ -68,19 +68,16 @@ class Scenario:
             raise ConfigError("ip_over_n0 must be positive (linear scale)")
         if self.gamma_th < 0:
             raise ConfigError("gamma_th must be non-negative (linear scale)")
-        _validate_qam_order(self.qam_order)
+        m = self.qam_order
+        if not isinstance(m, int) or m < 4 or 4 ** round(math.log(m, 4)) != m:
+            raise ConfigError(f"qam_order must be an integer power of 4, at least 4, got {m!r}")
         if self.relay_x_positions is not None:
             xs = tuple(float(x) for x in self.relay_x_positions)
             object.__setattr__(self, "relay_x_positions", xs)
             if len(xs) != k - 1:
                 raise ConfigError(f"expected {k - 1} relay positions, got {len(xs)}")
-            prev = 0.0
-            for x in xs:
-                if not prev < x < 1.0:
-                    raise ConfigError(
-                        "relay positions must be strictly increasing within (0, 1)"
-                    )
-                prev = x
+            if not all(a < b for a, b in zip((0.0,) + xs, xs + (1.0,))):
+                raise ConfigError("relay positions must be strictly increasing within (0, 1)")
         if self.lambda_overrides is not None:
             ov = tuple((float(d), float(i)) for d, i in self.lambda_overrides)
             object.__setattr__(self, "lambda_overrides", ov)
@@ -106,14 +103,6 @@ class Scenario:
         if self.relay_x_positions is not None:
             return (0.0,) + self.relay_x_positions + (1.0,)
         return tuple(i / k for i in range(k + 1))
-
-
-def _validate_qam_order(m: int) -> None:
-    if not isinstance(m, int) or m < 4:
-        raise ConfigError("qam_order must be an integer power of 4, at least 4")
-    exp = round(math.log(m, 4))
-    if 4 ** exp != m:
-        raise ConfigError(f"qam_order {m} is not a power of 4")
 
 
 def hop_alphas(ip_over_n0, eta, pu_x, pu_y, x, d) -> np.ndarray:
@@ -184,9 +173,9 @@ def derive_hop_statistics(scenario: Scenario, hop_lengths=None, **columns) -> np
 def scenario_from_config(config: dict) -> Scenario:
     """Build a Scenario from a JSON-style config dict.
 
-    Fields named *_db are accepted in decibels and converted; linear
-    variants win if both are present.  Unknown keys are rejected so
-    typos fail loudly.
+    Fields named *_db are accepted in decibels and converted; a field
+    given both ways is refused, as are unknown keys, so typos fail loudly.
+    Each value is converted once, here or in Scenario.
     """
     known = {
         "hop_count", "pu_coord", "path_loss_exponent",
@@ -199,43 +188,32 @@ def scenario_from_config(config: dict) -> Scenario:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
 
     def pick(name: str, default):
-        if name in config:
-            return config[name]
+        if name in config and f"{name}_db" in config:
+            raise ConfigError(f"give {name} or {name}_db, not both")
         if f"{name}_db" in config:
             return db_to_linear(float(config[f"{name}_db"]))
-        return default
+        return config.get(name, default)
 
-    pu = config.get("pu_coord", (0.35, 0.35))
     try:
-        pu = (float(pu[0]), float(pu[1]))
-    except (TypeError, ValueError, IndexError):
-        raise ConfigError("pu_coord must be a [x, y] pair") from None
-    overrides = config.get("lambda_overrides")
-    if overrides is not None:
-        overrides = tuple((float(p[0]), float(p[1])) for p in overrides)
-    relays = config.get("relay_x_positions")
-    if relays is not None:
-        relays = tuple(float(x) for x in relays)
-    try:
+        x, y = config.get("pu_coord", (0.35, 0.35))
         return Scenario(
-            hop_count=_count(config, "hop_count", 3),
-            pu_coord=pu,
+            hop_count=read_count(config.get("hop_count", 3), "hop_count"),
+            pu_coord=(float(x), float(y)),
             path_loss_exponent=float(config.get("path_loss_exponent", 4.0)),
             ip_over_n0=float(pick("ip_over_n0", 1.0)),
             gamma_th=float(pick("gamma_th", 1.0)),
-            qam_order=_count(config, "qam_order", 4),
-            relay_x_positions=relays,
-            lambda_overrides=overrides,
+            qam_order=read_count(config.get("qam_order", 4), "qam_order"),
+            relay_x_positions=config.get("relay_x_positions"),
+            lambda_overrides=config.get("lambda_overrides"),
         )
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"a config value has the wrong type, shape or size: {exc}") from exc
 
 
-def _count(config: dict, name: str, default: int) -> int:
-    """The config's count `name`: 3 and 3.0 pass; 3.7, true and "3" do not."""
-    value = config.get(name, default)
+def read_count(value, name: str) -> int:
+    """value as the count `name`: 3 and 3.0 pass; 3.7, true and "3" do not."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if type(value) is not int:

@@ -5,7 +5,9 @@ for BER.  Chains have K = 1..64 hops with alpha anywhere in
 [1e-30, 1e30], the range the CLI reaches at +-300 dB.
 """
 
+import math
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -84,3 +86,13 @@ def test_ratios_to_the_asymptotes_tend_to_one(alphas):
     ber_ratio = e2e_ber(hop_ber(alphas, c)) / e2e_ber_asymptotic(alphas, c)
     assert abs(op_ratio - 1.0) <= 1e-6
     assert abs(ber_ratio - 1.0) <= 1e-6
+
+
+def test_asymptotes_beyond_the_double_range_are_inf_without_a_warning():
+    # gamma_th * sum 1/alpha_k is 2^1024 here, for alphas the CLI accepts
+    smallest = [sys.float_info.min] * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outage_asymptotic(smallest, 1.0) == math.inf
+        assert e2e_ber_asymptotic(smallest, qam_constants(4)) == math.inf
+        assert np.all(outage_asymptotic(np.array([smallest] * 2), 1e300) == math.inf)

@@ -717,9 +717,11 @@ def _effective(name, flags, config):
     if name in flags:
         value = flags[name]
     else:
-        try:
-            value = int(config.get(name, default))
-        except (TypeError, ValueError, OverflowError):
+        # the config's integer rule: 3 and 3.0 count; 3.7, true and "3" do not
+        value = config.get(name, default)
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if type(value) is not int:
             return None
     return value if value >= minimum else None
 
@@ -830,7 +832,7 @@ def test_non_finite_scenario_values_exit_1(tmp_path_factory, command, optional, 
     for key in {"relay_x_positions", "lambda_overrides"} - optional - {p[0] for p in changes}:
         del config[key]
     for path, value in changes.items():
-        # the linear key wins over its _db twin, so drop the twin
+        # a key given with its _db twin is refused, so drop the twin
         stem = path[0].removesuffix("_db")
         for twin in {stem, f"{stem}_db"} - {path[0]}:
             config.pop(twin, None)
@@ -858,3 +860,200 @@ def test_non_finite_scenario_values_exit_1(tmp_path_factory, command, optional, 
     else:
         assert rc == 0, (argv, config, err.getvalue())
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+
+
+COMMANDS = ("analyze", "mc", "optimize", "profiles")
+_BIG = 10**400  # an int that float() cannot convert
+# config, extra flags and the commands that read the value; each ended in a
+# traceback, or ran on a value its key's rule refuses
+MALFORMED = {
+    "overrides_empty_pair": ({"lambda_overrides": [[]]}, [], COMMANDS),
+    "overrides_400_digits": ({"lambda_overrides": [[_BIG, 1], [1, 1], [1, 1]]}, [], COMMANDS),
+    "overrides_number": ({"lambda_overrides": 5}, [], COMMANDS),
+    "overrides_string": ({"lambda_overrides": [[1, "a"], [1, 1], [1, 1]]}, [], COMMANDS),
+    "relays_400_digits": ({"relay_x_positions": [0.3, _BIG]}, [], COMMANDS),
+    "relays_nested": ({"relay_x_positions": [[0.5]]}, [], COMMANDS),
+    "relays_number": ({"relay_x_positions": 5}, [], COMMANDS),
+    "pu_coord_triple": ({"pu_coord": [0.5, 0.5, 7]}, [], COMMANDS),
+    "ip_twins": ({"ip_over_n0": 10.0, "ip_over_n0_db": 20.0}, [], COMMANDS),
+    "gamma_twins": ({"gamma_th": 1.0, "gamma_th_db": 0.0}, [], COMMANDS),
+    "fractional_trials": ({"trials": 1000.7}, [], ("analyze", "mc")),
+    "string_trials": ({"trials": "1000"}, [], ("analyze", "mc")),
+    "boolean_seed": ({"seed": True}, [], ("analyze", "mc", "profiles")),
+    "fractional_chunks": ({"chunks": 2.9}, [], ("analyze", "mc")),
+    "fractional_hop_range": ({}, ["--sweep", "hop_count=1.5:3.5:1"], ("analyze", "profiles")),
+    "fractional_hop_list": ({}, ["--sweep", "hop_count=2,2.5"], ("analyze", "profiles")),
+    "eta_below_2": ({}, ["--sweep", "eta=0:3:1"], ("analyze", "profiles")),
+    "eta_below_2_at_start": ({}, ["--sweep", "eta=-2:2:2"], ("analyze", "profiles")),
+    "profiles_number": ({"profiles": 5}, [], ("profiles",)),
+    "profiles_entry_number": ({"profiles": [5]}, [], ("profiles",)),
+    "profile_without_name": ({"profiles": [{"distances": [0.2, 0.3, 0.5]}]}, [], ("profiles",)),
+    "profile_distances_number": ({"profiles": [{"name": "a", "distances": 5}]}, [], ("profiles",)),
+    "profile_distances_string": ({"profiles": [{"name": "a", "distances": ["x", 1, 1]}]}, [],
+                                 ("profiles",)),
+    # printed the built-in uniform layout, and the first "a" twice
+    "profile_named_uniform": ({"profiles": [{"name": "uniform", "distances": [0.2, 0.3, 0.5]}]},
+                              [], ("profiles",)),
+    "profile_names_repeated": ({"profiles": [{"name": "a", "distances": [0.2, 0.3, 0.5]},
+                                             {"name": "a", "distances": [0.5, 0.3, 0.2]}]}, [],
+                               ("profiles",)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_values_exit_1_in_every_command_that_reads_them(tmp_path, capsys, case):
+    config, flags, commands = MALFORMED[case]
+    cfg = _write_config(tmp_path, **config)
+    for command in commands:
+        capsys.readouterr()
+        assert main([command, "--config", cfg, *flags]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), (command, err)
+        if case.endswith("twins"):
+            assert all(key in err for key in config), err
+
+
+def test_integral_counts_pass_everywhere(tmp_path, capsys):
+    cfg = _write_config(tmp_path, trials=300.0, seed=7.0, chunks=2.0)
+    assert main(["mc", "--config", cfg, "--no-timestamp"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert {(r["trials"], r["seed"]) for r in rows} == {("300", "7")}
+    assert main(["analyze", "--config", cfg, "--sweep", "hop_count=2,3.0",
+                 "--outputs", "op_exact", "--no-timestamp"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert [r["hop_count"] for r in rows] == ["2", "3"]
+
+
+def test_a_config_profile_is_evaluated_on_its_own_distances(tmp_path, capsys):
+    cfg = _write_config(tmp_path, profiles=[{"name": "a", "distances": [0.2, 0.3, 0.5]},
+                                            {"name": "b", "distances": [0.5, 0.3, 0.2]}])
+    assert main(["profiles", "--config", cfg, "--no-timestamp"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    for row, distances in zip(rows, ([0.2, 0.3, 0.5], [0.5, 0.3, 0.2])):
+        alphas = derive_hop_statistics(load_scenario(cfg)[0], distances)
+        assert row["op_exact"] == _fmt(outage_exact(alphas, 1.0))
+
+
+def _cli(argv):
+    """(exit code, stdout, stderr) of one in-process run on at most 2 worker threads."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(montecarlo.os, "cpu_count", lambda: 2), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+    if rc == 1:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+    if rc == 2:
+        assert err.getvalue().startswith("numeric failure: "), (argv, err.getvalue())
+    return rc, out.getvalue(), err.getvalue()
+
+
+# values that no config key takes; no huge count, which would run for hours
+_JUNK = st.sampled_from([None, True, False, "", "x", "3", [], [1], {"a": 1}])
+_REALS = st.sampled_from([-1.0, 0.0, 0.2, 0.35, 1.0, 2.5, 4.0, 1e308])
+_DISTANCES = st.sampled_from([[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.25] * 4, [0.2] * 5,
+                              [1.5, -0.5], ["x", 1, 1], 5, [], [0.5, 0.6], [_BIG]])
+# config key -> valid values, wrong types, wrong shapes and finite values out of range
+_CONFIG_VALUES = {
+    "hop_count": st.one_of(st.integers(-1, 5), st.sampled_from([2.0, 2.5]), _JUNK),
+    "qam_order": st.one_of(st.sampled_from([4, 16, 64, 16.0, 16.5, 2, 8, 0, -4]), _JUNK),
+    "pu_coord": st.one_of(st.lists(st.one_of(_REALS, _JUNK), max_size=3), _JUNK),
+    "path_loss_exponent": st.one_of(_REALS, st.just(_BIG), _JUNK),
+    "ip_over_n0": st.one_of(_REALS, _JUNK),
+    "ip_over_n0_db": st.one_of(st.sampled_from([-3200.0, -20.0, 15.0, 3100.0, _BIG]), _JUNK),
+    "gamma_th": st.one_of(_REALS, _JUNK),
+    "gamma_th_db": st.one_of(st.sampled_from([-3200.0, -5.0, 3.0, 3100.0]), _JUNK),
+    "relay_x_positions": st.one_of(
+        st.lists(st.one_of(_REALS, st.sampled_from([0.3, 0.6, _BIG]), _JUNK), max_size=4), _JUNK),
+    "lambda_overrides": st.one_of(
+        st.lists(st.one_of(st.lists(st.one_of(_REALS, st.just(_BIG), _JUNK), max_size=3),
+                           st.just([1.0, 2.0]), _JUNK), max_size=4), _JUNK),
+    "profiles": st.one_of(st.lists(st.one_of(st.fixed_dictionaries({}, optional={
+        "name": st.one_of(st.sampled_from(["a", "b", "uniform", "optimized", "random"]), _JUNK),
+        "distances": _DISTANCES}), _JUNK), max_size=3), _JUNK),
+    "trials": st.one_of(st.integers(-1, 300), st.sampled_from([200.0, 200.5, _BIG]), _JUNK),
+    "seed": st.one_of(st.integers(-1, 2**64), st.sampled_from([7.0, 7.5, _BIG]), _JUNK),
+    "chunks": st.one_of(st.integers(-1, 3), st.sampled_from([2.0, 2.9]), _JUNK),
+}
+# sweep variable -> the values its sweeps start from; every third one or so is
+# outside the variable's range
+_SWEEP_STARTS = {
+    "ip_over_n0_db": [-3200.0, -30.0, 15.0, 3080.0],
+    "hop_count": [0.0, 1.0, 1.5, 2.0, 3.0],
+    "eta": [0.0, 1.5, 2.0, 3.5],
+    "pu_x": [-1.0, 0.5, 1e308],
+    "pu_y": [0.0, 1e-300, 0.5, 1e308],
+}
+
+
+@st.composite
+def _sweeps(draw):
+    """A sweep spec and the values it should take, unchecked."""
+    variable = draw(st.sampled_from(SWEEP_VARIABLES))
+    if variable == "hop_count" and draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from([0, 1, 2, 2.5, 3.0]), min_size=2, max_size=3))
+        return f"hop_count={','.join(map(str, values))}", values
+    start = draw(st.sampled_from(_SWEEP_STARTS[variable]))
+    step = draw(st.sampled_from([0.5, 1.0]))
+    values = [start + i * step for i in range(draw(st.integers(1, 3)))]
+    return f"{variable}={start!r}:{values[-1]!r}:{step!r}", values
+
+
+def _at(config, variable, value):
+    """config without what `variable`'s sweep replaces, and with `value` in it."""
+    config = {k: v for k, v in config.items() if k not in {
+        "ip_over_n0_db": ("ip_over_n0", "ip_over_n0_db"),
+        "hop_count": ("hop_count", "relay_x_positions"),
+        "eta": ("path_loss_exponent",),
+        "pu_x": ("pu_coord",),
+        "pu_y": ("pu_coord",),
+    }[variable]}
+    if variable != "ip_over_n0_db":  # overrides refuse every other sweep by design
+        config.pop("lambda_overrides", None)
+    if value is not None:
+        key = {"eta": "path_loss_exponent", "pu_x": "pu_coord", "pu_y": "pu_coord"}.get(
+            variable, variable)
+        config[key] = {"pu_x": [value, 0.35], "pu_y": [0.35, value]}.get(variable, value)
+    return config
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    command=st.sampled_from(COMMANDS),
+    changes=st.lists(st.sampled_from(list(_CONFIG_VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), _CONFIG_VALUES[key])), max_size=3),
+    sweep=st.one_of(st.none(), _sweeps()),
+    mc_output=st.booleans(),
+    profiles=st.sampled_from([None, "uniform,optimized,random", "a", "random"]),
+)
+def test_every_command_keeps_the_exit_code_contract(tmp_path_factory, command, changes, sweep,
+                                                     mc_output, profiles):
+    config = {"hop_count": 3, "qam_order": 16, "pu_coord": [0.35, 0.35],
+              "path_loss_exponent": 4.0, "ip_over_n0_db": 15.0, "gamma_th": 1.0}
+    for key, _ in changes:  # a twin pair only where both twins are drawn
+        config.pop({"ip_over_n0": "ip_over_n0_db", "gamma_th_db": "gamma_th"}.get(key), None)
+    config.update(changes)
+    path = tmp_path_factory.getbasetemp() / "fuzz_all.json"
+
+    def run(config, spec):
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path), "--no-timestamp"]
+        if command in ("analyze", "mc") and "trials" not in config:
+            argv += ["--trials", "200"]
+        if command == "analyze" and mc_output:
+            argv += ["--outputs", "op_exact,capacity,mc_op"]
+        if command == "profiles" and profiles:
+            argv += ["--profiles", profiles]
+        if spec is not None and command in ("analyze", "profiles"):
+            argv += ["--sweep", spec]
+        return _cli(argv)[0]
+
+    run(config, sweep and sweep[0])
+    if sweep is None or command not in ("analyze", "profiles"):
+        return
+    # a swept value exits as the same value in the config: 1 if any point would
+    spec, values = sweep
+    variable = spec.partition("=")[0]
+    swept = run(_at(config, variable, None), spec)
+    points = [run(_at(config, variable, value), None) for value in values]
+    assert swept == (1 if 1 in points else max(points)), (config, spec, points)
