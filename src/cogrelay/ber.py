@@ -108,7 +108,8 @@ def hop_ber(alpha, constants: QamConstants):
     alpha.  It cancels as x grows, so from x^2 = 100 on the summand is
     the asymptotic series sum_{m>=1} (-1)^(m+1) (2m-1)!!/(2x^2)^m
     (Abramowitz & Stegun 7.1.23) instead.  Terms sharing an omega share
-    one summand and are still added in table order.
+    one summand and are still added in table order.  At alpha = +inf
+    every summand is 0 (u = 1/(2x^2) = 0), so a padded hop has BER 0.
     """
     al = np.asarray(alpha, dtype=float)
     if np.any(al <= 0):
@@ -169,6 +170,9 @@ def e2e_ber(per_hop_bers):
     """End-to-end BER: probability of an odd number of hop bit errors.
 
     Hops lie along the last axis: (K,) gives a float, (P, K) a (P,) array.
+    The recursion runs from the last hop back, so trailing hops of BER 0
+    (hop_ber of a +inf pad) leave its accumulator at 0 and every bit of
+    the result unchanged.
     """
     bers = np.asarray(per_hop_bers, dtype=float)
     if bers.ndim == 0 or bers.shape[-1] == 0:
@@ -191,6 +195,7 @@ def e2e_ber_asymptotic(alphas, constants: QamConstants):
     1.061 for 16-QAM, 1.090 for 64-QAM and 1.105 for 256-QAM.
 
     Hops lie along the last axis: (K,) gives a float, (P, K) a (P,) array.
+    An alpha of +inf adds 1/inf = 0 to the sum.
     """
     al = np.asarray(alphas, dtype=float)
     if al.ndim == 0 or al.shape[-1] == 0 or np.any(al <= 0):

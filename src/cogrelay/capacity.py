@@ -5,7 +5,7 @@ integration by parts turns the capacity into
 
     C = (1/(K ln 2)) int_0^inf S(g)/(1+g) dg.
 
-Two routes evaluate it; the number of hops K picks one.
+Two routes evaluate it; each chain's own number of hops K picks one.
 
 * K <= 4: the paper's closed form for non-identical hops.  Every pole is
   simple, S(g) = prod(alpha) sum_n c_n/(g+alpha_n) with
@@ -21,7 +21,11 @@ Two routes evaluate it; the number of hops K picks one.
   clustered hops included.
 
 A sweep is evaluated in one call: alphas of shape (P, K) hold P chains,
-and each chain gets the bits of its own call.
+and each chain gets the bits of its own call.  Chains of different
+lengths share one call as rows padded with alpha = +inf past their own
+hop counts (ergodic_capacity_ind's hop_counts): a padded hop's factor
+1 + g/inf is exactly 1, and the route, the quadrature's limits and the
+1/(K ln 2) follow each row's own K, so a padded row keeps its bits too.
 
 The general partial-fraction expansion, with near-equal poles merged
 into poles of higher order, survives only as partial_fraction_expand.
@@ -118,7 +122,7 @@ def capacity_pole_integral(order: int, pole):
     # leaves the float64 range before the quotient does
     mantissa, exponent = np.frexp(flat)
     with np.errstate(all="ignore"):
-        scaled = _survival_quadrature(np.repeat(flat[:, None], l, axis=1))
+        scaled = _survival_quadrature(np.repeat(flat[:, None], l, axis=1), np.full(flat.size, l))
         value = np.ldexp(scaled / libm_pow(mantissa, l), -exponent * l)
     failed = ~((value > 0.0) & (value < math.inf))
     if failed.any():
@@ -129,20 +133,30 @@ def capacity_pole_integral(order: int, pole):
     return float(value[0]) if poles.ndim == 0 else value.reshape(poles.shape)
 
 
-def ergodic_capacity_ind(alphas):
+def ergodic_capacity_ind(alphas, hop_counts=None):
     """Ergodic capacity (bits/s/Hz) for non-identical hops.
 
-    alphas of shape (K,) give a float, (P, K) a (P,) array.  Chains of
-    _QUADRATURE_HOPS (5) hops or more take the survival quadrature;
-    shorter ones take the paper's simple-pole closed form where it is
-    provably accurate, and the quadrature elsewhere.
+    alphas of shape (K,) give a float, (P, K) a (P,) array.  hop_counts,
+    one per chain (broadcast over the leading axes), make each chain its
+    first hop_counts hops; the alphas past them must be +inf.  Chains of
+    _QUADRATURE_HOPS (5) hops or more take the survival quadrature, all
+    in one call; shorter ones take the paper's simple-pole closed form
+    where it is provably accurate, and the quadrature elsewhere.
     """
     al = _checked_alphas(alphas)
     rows = al.reshape(-1, al.shape[-1])
-    if rows.shape[1] >= _QUADRATURE_HOPS:
-        capacity = _survival_quadrature(rows)
+    if hop_counts is None:
+        counts = np.full(len(rows), rows.shape[1])
     else:
-        capacity = _closed_form(rows)
+        counts = np.broadcast_to(hop_counts, al.shape[:-1]).reshape(-1)
+    capacity = np.empty(len(rows))
+    quadrature = counts >= _QUADRATURE_HOPS
+    if quadrature.any():
+        capacity[quadrature] = _survival_quadrature(rows[quadrature], counts[quadrature])
+    # a set, not np.unique, which imports numpy.ma: about 1 MB
+    for k in sorted(set(counts[~quadrature].tolist())):
+        short = counts == k
+        capacity[short] = _closed_form(rows[short, :k])
     return float(capacity[0]) if al.ndim == 1 else capacity.reshape(al.shape[:-1])
 
 
@@ -181,19 +195,20 @@ def _closed_form(rows: np.ndarray) -> np.ndarray:
                 & exact_prefactor & (capacity > 0.0) & (capacity < math.inf))
     dropped = np.flatnonzero(~kept)
     if dropped.size:
-        capacity[dropped] = _survival_quadrature(rows[dropped])
+        capacity[dropped] = _survival_quadrature(rows[dropped], np.full(dropped.size, k))
     return capacity
 
 
-def per_hop_capacity(alpha_k, hop_count: int):
+def per_hop_capacity(alpha_k, hop_count):
     """Time-shared Shannon capacity of a single hop,
-    alpha ln(alpha)/((alpha - 1) K ln 2), element by element for an
-    array; min over hops bounds the end-to-end capacity from above.  At
-    one hop it is ergodic_capacity_ind([alpha]) bit for bit."""
+    alpha ln(alpha)/((alpha - 1) K ln 2), element by element over the
+    broadcast alphas and hop counts K; min over a chain's hops bounds its
+    end-to-end capacity from above.  At one hop it is
+    ergodic_capacity_ind([alpha]) bit for bit."""
     al = np.asarray(alpha_k, dtype=float)
     if np.any(al <= 0):
         raise ValueError("alpha must be positive")
-    if hop_count < 1:
+    if np.any(np.asarray(hop_count) < 1):
         raise ValueError("hop_count must be >= 1")
     value = al * _log_ratio(al) / (hop_count * _LN2)
     return float(value) if np.ndim(value) == 0 else value
@@ -285,10 +300,11 @@ def _residue_coefficients(betas: np.ndarray, mults: tuple[int, ...]):
 # the quadrature
 
 
-def _survival_quadrature(rows: np.ndarray) -> np.ndarray:
+def _survival_quadrature(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Capacity of each row of (P, K) alphas as (1/(K ln 2)) int_0^inf
     S(g)/(1+g) dg, S the survival function prod_k alpha_k/(g+alpha_k)
-    (integration by parts).
+    (integration by parts), K the row's count of hops; its alphas past
+    them are +inf, and their factors are exactly 1.
 
     In t = ln g the integrand is (g/(1+g)) prod_k 1/(1+g/alpha_k): every
     factor lies in (0, 1], so nothing overflows or cancels.  It is
@@ -308,16 +324,17 @@ def _survival_quadrature(rows: np.ndarray) -> np.ndarray:
     any batch.  A row whose nodes pass _EXP_MAX takes the integrand in
     logs instead.
     """
-    count, k = rows.shape
-    low = np.minimum(libm(math.log, rows.min(axis=1)), 0.0) - _QUAD_MARGIN - math.log(k)
-    high = np.maximum(libm(math.log, rows.max(axis=1)), 0.0) + _QUAD_MARGIN
+    low = np.minimum(libm(math.log, rows.min(axis=1)), 0.0) - _QUAD_MARGIN - libm(math.log, counts)
+    # the largest finite alpha, or 1 if it is smaller: a padded +inf sets no limit
+    largest = rows.max(axis=1, where=rows < math.inf, initial=1.0)
+    high = libm(math.log, largest) + _QUAD_MARGIN
     first = np.floor(low / _QUAD_STEP).astype(int)
     last = np.ceil(high / _QUAD_STEP).astype(int)
     width = last - first + 1
-    sums = np.empty(count)
+    sums = np.empty(len(rows))
     wide = last * _QUAD_STEP > _EXP_MAX
     for i in np.flatnonzero(wide):
-        sums[i] = _log_integrand(rows[i], first[i], width[i]).sum()
+        sums[i] = _log_integrand(rows[i, :counts[i]], first[i], width[i]).sum()
     narrow = np.flatnonzero(~wide)
     if narrow.size:
         origin = first[narrow].min()
@@ -325,8 +342,10 @@ def _survival_quadrature(rows: np.ndarray) -> np.ndarray:
         step = max(1, _QUAD_BLOCK // width.max())
         for start in range(0, narrow.size, step):
             block = narrow[start:start + step]
-            sums[block] = _product_sums(rows[block], g_nodes, first[block] - origin, width[block])
-    return _QUAD_STEP * sums / (k * _LN2)
+            hops = counts[block].max()
+            sums[block] = _product_sums(rows[block, :hops], g_nodes, first[block] - origin,
+                                        width[block])
+    return _QUAD_STEP * sums / (counts * _LN2)
 
 
 def _product_sums(rows: np.ndarray, g_nodes: np.ndarray, offsets: np.ndarray,

@@ -7,8 +7,13 @@ command with identical inputs reproduces the output byte for byte
 (the timestamp line is suppressible with --no-timestamp).
 
 Every closed-form column is evaluated on the per-hop alphas of the
-sweep's points, from one derive_hop_statistics call per hop count with
-the swept value as a column.  optimize's op_min and ber_min are the
+sweep's points, one call per block of points.  A sweep of
+ip_over_n0_db, eta, pu_x or pu_y is one block, from one
+derive_hop_statistics call with the swept value as a column.  A
+hop_count sweep sorts its points by hop count and pads each chain with
+alpha = +inf to the longest chain of its block, which no closed form
+counts as a hop; a block holds at most _BLOCK_CELLS alphas, so memory
+stays bounded on long sweeps.  optimize's op_min and ber_min are the
 outage and BER asymptotes on the alphas of the balanced layout's hop
 lengths (with_performance), and profiles evaluates its optimized profile
 on those same alphas.  lambda_overrides fix each hop's alpha/(I_p/N_0),
@@ -27,7 +32,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -51,6 +56,7 @@ from .scenario import (
     derive_hop_statistics,
     linear_to_db,
     read_count,
+    read_reals,
     scenario_from_config,
 )
 
@@ -60,6 +66,9 @@ MC_OUTPUTS = {"mc_op": "op", "mc_ber": "ber", "mc_capacity": "capacity"}
 DEFAULT_OUTPUTS = ("op_exact", "op_asymptotic", "ber_exact", "capacity")
 MAX_SWEEP_POINTS = 1_000_000
 MAX_TRIALS = 10**10  # hours of sampling; far larger block lists do not fit in memory
+# alphas in one padded block of a hop_count sweep: K = 1..64 fit in one,
+# and so does any one chain (MAX_HOPS is smaller)
+_BLOCK_CELLS = 1 << 16
 
 
 class _UsageError(Exception):
@@ -164,10 +173,11 @@ def scenario_at(base: Scenario, variable: str, value) -> Scenario:
 
 @dataclass(frozen=True)
 class _Points:
-    """Sweep points that share a hop count, as arrays over a points axis."""
+    """A block of sweep points, as arrays over a points axis."""
 
-    index: list          # positions of the points in the sweep
-    alphas: np.ndarray   # (P, K)
+    index: list             # positions of the points in the sweep
+    alphas: np.ndarray      # (P, K); +inf past a chain's own hops
+    hop_counts: np.ndarray  # (P,) hops of each chain
 
 
 @dataclass(frozen=True)
@@ -195,34 +205,56 @@ def _without_overrides(scenario: Scenario, use: str) -> None:
         )
 
 
+def _check_sweep(base: Scenario, variable: str, values: Sequence) -> None:
+    """Swept values obey their config key's rule, which holds on an
+    interval: the sweep's ends check it."""
+    if variable != "ip_over_n0_db":
+        _without_overrides(base, f"a {variable} sweep")
+    for end in (min(values), max(values)):
+        scenario_at(base, variable, end)
+
+
 def _sweep_groups(base: Scenario, variable: str, values: Sequence) -> list:
     """(positions in the sweep, scenario, derive_hop_statistics columns)
     per hop count, each column (P, 1) over the group's P points: the
-    swept value, or I_p/N_0 in a hop_count sweep.  Swept values obey their
-    config key's rule, which holds on an interval: a column's ends check it."""
+    swept value, or I_p/N_0 in a hop_count sweep."""
+    _check_sweep(base, variable, values)
     if variable == "hop_count":
-        _without_overrides(base, "a hop_count sweep")
         groups: dict = {}
         for i, k in enumerate(values):
             groups.setdefault(k, []).append(i)
         return [(index, scenario_at(base, variable, k),
                  {"ip_over_n0": np.full((len(index), 1), base.ip_over_n0)})
                 for k, index in groups.items()]
-    if variable != "ip_over_n0_db":
-        _without_overrides(base, f"a {variable} sweep")
-    for end in (min(values), max(values)):
-        scenario_at(base, variable, end)
     if variable == "ip_over_n0_db":
         variable, values = "ip_over_n0", [db_to_linear(v) for v in values]
     return [(list(range(len(values))), base, {variable: np.array(values, dtype=float)[:, None]})]
 
 
-def sweep_points(base: Scenario, variable: str, values: Sequence) -> list[_Points]:
-    """The sweep's points, one group per hop count."""
-    return [
-        _Points(index, derive_hop_statistics(point, **columns))
-        for index, point, columns in _sweep_groups(base, variable, values)
-    ]
+def _hop_count_blocks(values: Sequence[int]) -> list[list[int]]:
+    """Positions of a hop_count sweep's points, sorted by hop count and
+    cut into blocks of at most _BLOCK_CELLS padded alphas."""
+    blocks: list = [[]]
+    for i in sorted(range(len(values)), key=values.__getitem__):
+        if (len(blocks[-1]) + 1) * values[i] > _BLOCK_CELLS:
+            blocks.append([])
+        blocks[-1].append(i)
+    return blocks
+
+
+def sweep_points(base: Scenario, variable: str, values: Sequence) -> Iterator[_Points]:
+    """The sweep's points in blocks, each built when it is reached: one
+    block, or a hop_count sweep's padded blocks, so that only one block's
+    alphas are held at a time.  The sweep's ends are checked first."""
+    if variable != "hop_count":
+        [(index, point, columns)] = _sweep_groups(base, variable, values)
+        alphas = derive_hop_statistics(point, **columns)
+        yield _Points(index, alphas, np.full(len(index), point.hop_count))
+        return
+    _check_sweep(base, variable, values)
+    for index in _hop_count_blocks(values):
+        counts = np.array([values[i] for i in index])
+        yield _Points(index, derive_hop_statistics(base, hop_counts=counts), counts)
 
 
 def _mc_columns(points: _Points, sweep: _Sweep, names: Sequence[str]):
@@ -238,6 +270,15 @@ def _mc_columns(points: _Points, sweep: _Sweep, names: Sequence[str]):
         yield [p[metric].std_error for p in passes]
 
 
+def _per_hop_capacity_min(points: _Points) -> np.ndarray:
+    """Each chain's smallest per_hop_capacity, over its own hops only."""
+    counts = points.hop_counts[:, None]
+    hops = np.arange(points.alphas.shape[1]) < counts
+    cells = np.full(hops.shape, math.inf)
+    cells[hops] = per_hop_capacity(points.alphas[hops], np.broadcast_to(counts, hops.shape)[hops])
+    return cells.min(axis=1)
+
+
 # output name -> (its columns, the evaluator that returns them over points);
 # the evaluators look the library functions up by name when they run
 OUTPUTS = {
@@ -250,38 +291,37 @@ OUTPUTS = {
     "ber_asymptotic": (("ber_asymptotic",), lambda pts, sw: (
         e2e_ber_asymptotic(pts.alphas, sw.constants),)),
     "capacity": (("capacity",), lambda pts, sw: (
-        ergodic_capacity_ind(pts.alphas),)),
+        ergodic_capacity_ind(pts.alphas, pts.hop_counts),)),
     "per_hop_capacity_min": (("per_hop_capacity_min",), lambda pts, sw: (
-        per_hop_capacity(pts.alphas, pts.alphas.shape[1]).min(axis=1),)),
+        _per_hop_capacity_min(pts),)),
 }
 # the mc_* outputs have no evaluator of their own: _mc_columns runs them together
 OUTPUTS.update({name: ((name, f"{name}_std_error"), None) for name in MC_OUTPUTS})
 OUTPUT_ORDER = tuple(OUTPUTS)
 
 
-def evaluate_outputs(sweep: _Sweep, points: list[_Points], outputs: Sequence[str]) -> dict:
+def evaluate_outputs(sweep: _Sweep, points: Iterable[_Points], outputs: Sequence[str]) -> dict:
     """Every column of the outputs, as an array over the sweep's points.
 
-    The closed forms come first, output by output; then every point is
-    simulated once for all of the requested mc_* outputs.
+    Block by block, the closed forms come first, output by output, one
+    call each; then every point of the block is simulated once for all of
+    the requested mc_* outputs.
     """
     columns = {
         column: np.empty(len(sweep.values))
         for name in outputs for column in OUTPUTS[name][0]
     }
     mc = [name for name in outputs if name in MC_OUTPUTS]
-    for name in outputs:
-        if name in mc:
-            continue
-        names, evaluate = OUTPUTS[name]
-        for group in points:
-            for column, cells in zip(names, evaluate(group, sweep)):
-                columns[column][group.index] = cells
-    if mc:
-        names = [column for name in mc for column in OUTPUTS[name][0]]
-        for group in points:
-            for column, cells in zip(names, _mc_columns(group, sweep, mc)):
-                columns[column][group.index] = cells
+    mc_names = [column for name in mc for column in OUTPUTS[name][0]]
+    for block in points:
+        for name in outputs:
+            if name not in mc:
+                names, evaluate = OUTPUTS[name]
+                for column, cells in zip(names, evaluate(block, sweep)):
+                    columns[column][block.index] = cells
+        if mc:
+            for column, cells in zip(mc_names, _mc_columns(block, sweep, mc)):
+                columns[column][block.index] = cells
     return columns
 
 
@@ -441,7 +481,8 @@ def _profile_table(config: dict) -> dict:
     table = {}
     try:
         for entry in config.get("profiles", []):
-            name, distances = entry["name"], [float(v) for v in entry["distances"]]
+            name = entry["name"]
+            distances = read_reals(entry["distances"], f"profile {name!r} distances")
             if not isinstance(name, str):
                 raise ConfigError(f"profile name {name!r} is not a string")
             if name in table or name in ("uniform", "optimized", "random"):

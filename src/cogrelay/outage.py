@@ -2,7 +2,8 @@
 
 The closed forms take one chain's hops along the last axis; any leading
 axes are points (a sweep), and each point gets the value its own call
-would give, bit for bit.
+would give, bit for bit.  Chains of different lengths share a call as
+rows padded with alpha = +inf, which adds exactly 0 to every sum here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ def outage_exact(alphas, gamma_th: float):
     Evaluated as -expm1(-sum_k log1p(gamma_th/alpha_k)), which keeps its
     relative accuracy where the product is close to 1 (high SNR) and
     cannot underflow for long chains.  alphas of shape (K,) give a
-    float, (P, K) a (P,) array.
+    float, (P, K) a (P,) array.  An alpha of +inf is no hop: its term
+    log1p(gamma_th/inf) is 0, so a chain padded with +inf keeps its bits.
     """
     al = np.asarray(alphas, dtype=float)
     if al.ndim == 0 or al.shape[-1] == 0:
@@ -29,7 +31,8 @@ def outage_exact(alphas, gamma_th: float):
         raise ValueError("alphas must be positive")
     if gamma_th < 0:
         raise ValueError("gamma_th must be non-negative")
-    value = -libm(math.expm1, -row_fsum(libm(math.log1p, gamma_th / al)))
+    with np.errstate(over="ignore"):  # gamma_th/alpha beyond the double range: outage 1
+        value = -libm(math.expm1, -row_fsum(libm(math.log1p, gamma_th / al)))
     return float(value) if value.ndim == 0 else value
 
 
@@ -41,6 +44,7 @@ def outage_asymptotic(alphas, gamma_th: float):
     is the law OP -> (G_c * I_p/N_0)^(-G_d): the diversity order G_d is
     1 for any number of hops, and only the coding gain
     G_c = 1/(gamma_th * sum_k lambda_i/lambda_d) changes with the hops.
+    An alpha of +inf adds 1/inf = 0 to the sum, as in outage_exact.
     """
     al = np.asarray(alphas, dtype=float)
     if al.ndim == 0 or al.shape[-1] == 0 or np.any(al <= 0):

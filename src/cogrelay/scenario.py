@@ -23,6 +23,12 @@ from .numerics import libm, libm_pow
 
 Coord = tuple[float, float]
 
+# Caps on the counts that size the work.  A 4096-hop point takes 0.04 s
+# (a hop_count=1:4096:1 sweep about a minute); 4^10-QAM has 9,217
+# coefficient terms, and each power of 4 doubles them and the BER's cost.
+MAX_HOPS = 4096
+MAX_QAM_ORDER = 4**10
+
 
 def db_to_linear(value_db: float) -> float:
     if not math.isfinite(value_db):
@@ -60,8 +66,8 @@ class Scenario:
 
     def __post_init__(self):
         k = self.hop_count
-        if not isinstance(k, int) or k < 1:
-            raise ConfigError("hop_count must be a positive integer")
+        if not isinstance(k, int) or not 1 <= k <= MAX_HOPS:
+            raise ConfigError(f"hop_count must be an integer from 1 to {MAX_HOPS}, got {k!r}")
         if self.path_loss_exponent < 2:
             raise ConfigError("path_loss_exponent must be >= 2")
         if self.ip_over_n0 <= 0:
@@ -69,8 +75,10 @@ class Scenario:
         if self.gamma_th < 0:
             raise ConfigError("gamma_th must be non-negative (linear scale)")
         m = self.qam_order
-        if not isinstance(m, int) or m < 4 or 4 ** round(math.log(m, 4)) != m:
-            raise ConfigError(f"qam_order must be an integer power of 4, at least 4, got {m!r}")
+        if (not isinstance(m, int) or not 4 <= m <= MAX_QAM_ORDER
+                or 4 ** round(math.log(m, 4)) != m):
+            raise ConfigError(
+                f"qam_order must be an integer power of 4 from 4 to 4**10, got {m!r}")
         if self.relay_x_positions is not None:
             xs = tuple(float(x) for x in self.relay_x_positions)
             object.__setattr__(self, "relay_x_positions", xs)
@@ -139,27 +147,42 @@ def _normal(alphas: np.ndarray) -> np.ndarray:
     return alphas
 
 
-def derive_hop_statistics(scenario: Scenario, hop_lengths=None, **columns) -> np.ndarray:
+def derive_hop_statistics(scenario: Scenario, hop_lengths=None, hop_counts=None,
+                          **columns) -> np.ndarray:
     """The scenario's per-hop alphas (hop_alphas): (K,), or the broadcast
     shape of the arguments.
 
     hop_lengths (..., K) replace the relay positions; their transmitters
     sit at 0 and at the running sums of the hops before, added as
-    placement.interference_distances adds them.  columns replace the
-    scenario's ip_over_n0, eta, pu_x or pu_y, e.g. with a sweep's (P, 1)
-    column.  lambda_overrides give alpha = (lambda_d/lambda_i) * I_p/N_0
-    under the same rule; they fix every alpha/(I_p/N_0), so only
-    ip_over_n0 may vary with them.
+    placement.interference_distances adds them.  hop_counts (P,) replace
+    the hop count and the relay positions instead: point p is a chain of
+    hop_counts[p] equidistant hops, and the (P, max K) result holds +inf
+    past each chain's own hops, which every closed form takes as no hop.
+    columns replace the scenario's ip_over_n0, eta, pu_x or pu_y, e.g.
+    with a sweep's (P, 1) column.  lambda_overrides give alpha =
+    (lambda_d/lambda_i) * I_p/N_0 under the same rule; they fix every
+    alpha/(I_p/N_0), so only ip_over_n0 may vary with them.
     """
     px, py = scenario.pu_coord
     params = {"ip_over_n0": scenario.ip_over_n0, "eta": scenario.path_loss_exponent,
               "pu_x": px, "pu_y": py, **columns}
     if scenario.lambda_overrides is not None:
-        if hop_lengths is not None or set(columns) - {"ip_over_n0"}:
+        if hop_lengths is not None or hop_counts is not None or set(columns) - {"ip_over_n0"}:
             raise ConfigError("lambda_overrides fix each hop's alpha/(I_p/N_0); no geometry applies")
         ratios = np.array([d / i for d, i in scenario.lambda_overrides])
         with np.errstate(over="ignore"):
             return _normal(ratios * params["ip_over_n0"])
+    if hop_counts is not None:
+        # node i of a K-hop chain at i/K, as Scenario.node_positions places it
+        counts = np.asarray(hop_counts)[:, None]
+        nodes = np.arange(counts.max() + 1) / counts
+        hops = np.arange(counts.max()) < counts
+        alphas = np.full(hops.shape, math.inf)
+        alphas[hops] = hop_alphas(
+            **{k: v if np.ndim(v) == 0 else np.broadcast_to(v, hops.shape)[hops]
+               for k, v in params.items()},
+            x=nodes[:, :-1][hops], d=np.diff(nodes)[hops])
+        return alphas
     if hop_lengths is None:
         xs = np.array(scenario.node_positions)
         x, d = xs[:-1], np.diff(xs)
@@ -175,7 +198,9 @@ def scenario_from_config(config: dict) -> Scenario:
 
     Fields named *_db are accepted in decibels and converted; a field
     given both ways is refused, as are unknown keys, so typos fail loudly.
-    Each value is converted once, here or in Scenario.
+    Each value is converted once, here, under its key's rule (read_count,
+    read_real), and a value that breaks the rule raises a ConfigError
+    naming its key.
     """
     known = {
         "hop_count", "pu_coord", "path_loss_exponent",
@@ -191,25 +216,24 @@ def scenario_from_config(config: dict) -> Scenario:
         if name in config and f"{name}_db" in config:
             raise ConfigError(f"give {name} or {name}_db, not both")
         if f"{name}_db" in config:
-            return db_to_linear(float(config[f"{name}_db"]))
-        return config.get(name, default)
+            return db_to_linear(read_real(config[f"{name}_db"], f"{name}_db"))
+        return read_real(config.get(name, default), name)
 
-    try:
-        x, y = config.get("pu_coord", (0.35, 0.35))
-        return Scenario(
-            hop_count=read_count(config.get("hop_count", 3), "hop_count"),
-            pu_coord=(float(x), float(y)),
-            path_loss_exponent=float(config.get("path_loss_exponent", 4.0)),
-            ip_over_n0=float(pick("ip_over_n0", 1.0)),
-            gamma_th=float(pick("gamma_th", 1.0)),
-            qam_order=read_count(config.get("qam_order", 4), "qam_order"),
-            relay_x_positions=config.get("relay_x_positions"),
-            lambda_overrides=config.get("lambda_overrides"),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"a config value has the wrong type, shape or size: {exc}") from exc
+    relays = config.get("relay_x_positions")
+    overrides = config.get("lambda_overrides")
+    return Scenario(
+        hop_count=read_count(config.get("hop_count", 3), "hop_count"),
+        pu_coord=read_reals(config.get("pu_coord", [0.35, 0.35]), "pu_coord", 2),
+        path_loss_exponent=read_real(config.get("path_loss_exponent", 4.0),
+                                     "path_loss_exponent"),
+        ip_over_n0=pick("ip_over_n0", 1.0),
+        gamma_th=pick("gamma_th", 1.0),
+        qam_order=read_count(config.get("qam_order", 4), "qam_order"),
+        relay_x_positions=None if relays is None else read_reals(relays, "relay_x_positions"),
+        lambda_overrides=None if overrides is None else tuple(
+            read_reals(pair, "lambda_overrides", 2)
+            for pair in _read_list(overrides, "lambda_overrides")),
+    )
 
 
 def read_count(value, name: str) -> int:
@@ -219,3 +243,27 @@ def read_count(value, name: str) -> int:
     if type(value) is not int:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def read_real(value, name: str) -> float:
+    """value as the real number `name`: 4 and 4.0 pass; "4", true and
+    integers beyond the double range do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} has a value beyond the float64 range") from None
+
+
+def _read_list(value, name: str, length: Optional[int] = None) -> list:
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length} values"
+        raise ConfigError(f"{name} must be {shape}, got {value!r}")
+    return value
+
+
+def read_reals(value, name: str, length: Optional[int] = None) -> tuple[float, ...]:
+    """value as a list of real numbers `name` (read_real), of the given
+    length if any."""
+    return tuple(read_real(v, name) for v in _read_list(value, name, length))

@@ -90,6 +90,49 @@ def test_capacity_forms(alphas):
     _rows_equal(ergodic_capacity_ind(alphas), [ergodic_capacity_ind(r) for r in alphas])
 
 
+# α from the smallest normal double, which every command accepts, to 1e30
+_ALPHAS = st.one_of(st.floats(2.0**-1022, 1e30),
+                    st.floats(-30, 30).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def padded_chains(draw):
+    """Chains of 1 to 64 hops, some with repeated hops, as (P, 64) rows
+    padded with +inf, and the chains themselves."""
+    chains = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 64))
+        chain = draw(st.lists(_ALPHAS, min_size=k, max_size=k))
+        if draw(st.booleans()):
+            chain = [chain[0]] * (k // 2) + chain[k // 2:]
+        chains.append(chain)
+    padded = np.full((len(chains), 64), np.inf)
+    for row, chain in zip(padded, chains):
+        row[:len(chain)] = chain
+    return padded, chains
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(padded_chains(), st.sampled_from([0.5, 1.0, 10.0]), st.sampled_from([4, 16, 256]))
+def test_padded_chains_keep_their_bits(padded_chains, gamma_th, m):
+    # +inf past a chain's hops is no hop: log1p(g/inf) = 0 and 1/inf = 0
+    # enter the sums, a hop's BER at inf is 0, and capacity's factor
+    # 1 + g/inf is 1, with the route and limits chosen by the real hops
+    padded, chains = padded_chains
+    counts = np.array([len(chain) for chain in chains])
+    c = qam_constants(m)
+    _rows_equal(outage_exact(padded, gamma_th), [outage_exact(r, gamma_th) for r in chains])
+    _rows_equal(outage_asymptotic(padded, gamma_th),
+                [outage_asymptotic(r, gamma_th) for r in chains])
+    assert hop_ber(np.inf, c) == 0.0
+    _rows_equal(e2e_ber(hop_ber(padded, c)), [e2e_ber(hop_ber(r, c)) for r in chains])
+    _rows_equal(e2e_ber_asymptotic(padded, c), [e2e_ber_asymptotic(r, c) for r in chains])
+    _rows_equal(ergodic_capacity_ind(padded, counts), [ergodic_capacity_ind(r) for r in chains])
+    hops = np.arange(64) < counts[:, None]
+    per_hop = per_hop_capacity(padded[hops], np.broadcast_to(counts[:, None], hops.shape)[hops])
+    assert per_hop.tolist() == [per_hop_capacity(a, len(r)) for r in chains for a in r]
+
+
 def _spy(monkeypatch, name):
     """Arguments of every call to capacity.<name> from now on."""
     calls = []

@@ -31,6 +31,7 @@ from cogrelay import (
     qam_constants,
     solve_equal_ratio,
 )
+from cogrelay import cli
 from cogrelay.cli import (
     MAX_SWEEP_POINTS,
     MAX_TRIALS,
@@ -43,6 +44,7 @@ from cogrelay.cli import (
     parse_sweep,
     scenario_at,
 )
+from cogrelay.scenario import MAX_HOPS, MAX_QAM_ORDER
 
 
 def _write_config(tmp_path, name="config.json", **fields):
@@ -93,7 +95,8 @@ def test_analyze_single_hop_matches_direct_formulas(tmp_path, capsys):
 CLOSED_FORMS = "op_exact,op_asymptotic,ber_exact,ber_asymptotic,capacity,per_hop_capacity_min"
 SWEEPS = {
     "ip_over_n0_db": "ip_over_n0_db=-300:300:12.5",
-    "hop_count": "hop_count=3,1,8,3,2,40,8",
+    # crosses capacity's route boundary (K = 4/5) and reaches 64
+    "hop_count": "hop_count=3,1,8,3,2,40,8,4,5,64",
     "eta": "eta=2:6:0.5",
     "pu_x": "pu_x=-1:2:0.25",
     "pu_y": "pu_y=0.05:1.5:0.15",
@@ -134,6 +137,64 @@ def test_analyze_sweep_matches_per_point_scalar_calls(tmp_path, capsys, variable
     lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
     assert lines[0] == f"{variable},{CLOSED_FORMS}"
     assert lines[1:] == _per_point_rows(cfg, sweep)
+
+
+def test_hop_count_blocks_are_sorted_and_within_the_budget(monkeypatch):
+    values = [3, 1, 8, 3, 2, 40, 8, 4, 5, 64, 7, 7]
+    for budget in (64, 100, 1 << 16):
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", budget)
+        blocks = cli._hop_count_blocks(values)
+        assert sorted(i for block in blocks for i in block) == list(range(len(values)))
+        ks = [values[i] for block in blocks for i in block]
+        assert ks == sorted(values)
+        assert all(len(block) * max(values[i] for i in block) <= budget for block in blocks)
+    assert len(blocks) == 1
+
+
+def test_hop_count_sweep_in_many_blocks_matches_per_point_calls(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a budget of 64 alphas cuts the sweep into three blocks: K = 1-8, 40
+    # and 64
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 64)
+    cfg = _write_config(tmp_path, qam_order=16, pu_coord=[0.6, 0.25])
+    sweep = SWEEPS["hop_count"]
+    assert len(cli._hop_count_blocks(parse_sweep(sweep)[1])) == 3
+    assert main(["analyze", "--config", cfg, "--sweep", sweep,
+                 "--outputs", CLOSED_FORMS, "--no-timestamp"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert lines[1:] == _per_point_rows(cfg, sweep)
+
+
+def test_hop_count_blocks_are_built_one_at_a_time(tmp_path, capsys, monkeypatch):
+    # each block is evaluated before the next one's alphas are built, so a
+    # long sweep holds one block, not every chain of the sweep
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 64)
+    events = []
+    for name in ("derive_hop_statistics", "ergodic_capacity_ind"):
+        def logged(*args, name=name, original=getattr(cli, name), **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, logged)
+    cfg = _write_config(tmp_path)
+    assert main(["analyze", "--config", cfg, "--sweep", SWEEPS["hop_count"],
+                 "--outputs", "capacity", "--no-timestamp"]) == 0
+    assert events == ["derive_hop_statistics", "ergodic_capacity_ind"] * 3
+
+
+def test_a_hop_count_sweep_calls_each_closed_form_once(tmp_path, capsys, monkeypatch):
+    # K = 1..64 is one padded block: a loop over hop counts would call
+    # every closed form 64 times
+    calls = []
+    for name in ("hop_ber", "ergodic_capacity_ind"):
+        def counted(*args, name=name, original=getattr(cli, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(cli, name, counted)
+    cfg = _write_config(tmp_path)
+    assert main(["analyze", "--config", cfg, "--sweep", "hop_count=1:64:1",
+                 "--outputs", CLOSED_FORMS, "--no-timestamp"]) == 0
+    assert len(_rows(capsys.readouterr().out)[1]) == 64
+    assert sorted(calls) == ["ergodic_capacity_ind", "hop_ber"]
 
 
 def test_analyze_hop_count_list_sweep(tmp_path, capsys):
@@ -876,6 +937,24 @@ MALFORMED = {
     "relays_number": ({"relay_x_positions": 5}, [], COMMANDS),
     "pu_coord_triple": ({"pu_coord": [0.5, 0.5, 7]}, [], COMMANDS),
     "ip_twins": ({"ip_over_n0": 10.0, "ip_over_n0_db": 20.0}, [], COMMANDS),
+    # counts above their caps would run for hours or run out of memory
+    "hop_count_above_cap": ({"hop_count": MAX_HOPS + 1}, [], COMMANDS),
+    "hop_count_1e9": ({"hop_count": 1e9}, [], COMMANDS),
+    "qam_order_above_cap": ({"qam_order": 4 * MAX_QAM_ORDER}, [], COMMANDS),
+    "qam_order_4_to_30": ({"qam_order": 4**30}, [], COMMANDS),
+    "hop_sweep_above_cap": ({}, ["--sweep", f"hop_count=2,{MAX_HOPS + 1}"],
+                            ("analyze", "profiles")),
+    "hop_range_above_cap": ({}, ["--sweep", f"hop_count={MAX_HOPS}:{MAX_HOPS + 1}:1"],
+                            ("analyze", "profiles")),
+    # real numbers refuse strings and booleans, as counts do
+    "string_eta": ({"path_loss_exponent": "4"}, [], COMMANDS),
+    "boolean_gamma": ({"gamma_th": True}, [], COMMANDS),
+    "string_ip_db": ({"ip_over_n0_db": "15"}, [], COMMANDS),
+    "string_pu_coord": ({"pu_coord": ["0.5", 0.5]}, [], COMMANDS),
+    "string_relays": ({"relay_x_positions": ["0.3", "0.6"]}, [], COMMANDS),
+    "boolean_overrides": ({"lambda_overrides": [[1, True], [1, 1], [1, 1]]}, [], COMMANDS),
+    "string_profile_distances": ({"profiles": [{"name": "a", "distances": ["0.2", 0.3, 0.5]}]},
+                                 [], ("profiles",)),
     "gamma_twins": ({"gamma_th": 1.0, "gamma_th_db": 0.0}, [], COMMANDS),
     "fractional_trials": ({"trials": 1000.7}, [], ("analyze", "mc")),
     "string_trials": ({"trials": "1000"}, [], ("analyze", "mc")),
@@ -913,6 +992,29 @@ def test_malformed_values_exit_1_in_every_command_that_reads_them(tmp_path, caps
             assert all(key in err for key in config), err
 
 
+def test_real_keys_refuse_strings_and_booleans(tmp_path, capsys):
+    # ran as eta = 4, gamma_th = 1 with exit 0 (op_exact 0.668028953222)
+    cfg = _write_config(tmp_path, path_loss_exponent="4", gamma_th=True,
+                        relay_x_positions=["0.3", "0.6"])
+    assert main(["analyze", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: path_loss_exponent must be a number")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pu_coord", [0.5, 0.5, 7]), ("pu_coord", 0.5), ("relay_x_positions", 5),
+    ("relay_x_positions", [[0.5]]), ("lambda_overrides", [[]]), ("lambda_overrides", 5),
+    ("lambda_overrides", [[1, 2, 3], [1, 1], [1, 1]]), ("path_loss_exponent", 10**400),
+    ("ip_over_n0_db", None), ("gamma_th", [1.0]),
+])
+def test_conversion_errors_name_the_key(tmp_path, capsys, key, value):
+    # these printed Python's own message ("too many values to unpack",
+    # "'int' object is not iterable"), which names no key
+    cfg = _write_config(tmp_path, **{key: value})
+    assert main(["analyze", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be") or err.startswith(f"error: {key} has"), err
+
+
 def test_integral_counts_pass_everywhere(tmp_path, capsys):
     cfg = _write_config(tmp_path, trials=300.0, seed=7.0, chunks=2.0)
     assert main(["mc", "--config", cfg, "--no-timestamp"]) == 0
@@ -948,15 +1050,17 @@ def _cli(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-# values that no config key takes; no huge count, which would run for hours
+# values that no config key takes
 _JUNK = st.sampled_from([None, True, False, "", "x", "3", [], [1], {"a": 1}])
 _REALS = st.sampled_from([-1.0, 0.0, 0.2, 0.35, 1.0, 2.5, 4.0, 1e308])
 _DISTANCES = st.sampled_from([[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.25] * 4, [0.2] * 5,
                               [1.5, -0.5], ["x", 1, 1], 5, [], [0.5, 0.6], [_BIG]])
 # config key -> valid values, wrong types, wrong shapes and finite values out of range
 _CONFIG_VALUES = {
-    "hop_count": st.one_of(st.integers(-1, 5), st.sampled_from([2.0, 2.5]), _JUNK),
-    "qam_order": st.one_of(st.sampled_from([4, 16, 64, 16.0, 16.5, 2, 8, 0, -4]), _JUNK),
+    "hop_count": st.one_of(st.integers(-1, 5), st.sampled_from([2.0, 2.5]),
+                           st.sampled_from([MAX_HOPS + 1, 1e9, 10**30]), _JUNK),
+    "qam_order": st.one_of(st.sampled_from([4, 16, 64, 16.0, 16.5, 2, 8, 0, -4]),
+                           st.sampled_from([4 * MAX_QAM_ORDER, 4**30, 4.0**30]), _JUNK),
     "pu_coord": st.one_of(st.lists(st.one_of(_REALS, _JUNK), max_size=3), _JUNK),
     "path_loss_exponent": st.one_of(_REALS, st.just(_BIG), _JUNK),
     "ip_over_n0": st.one_of(_REALS, _JUNK),
@@ -979,7 +1083,7 @@ _CONFIG_VALUES = {
 # outside the variable's range
 _SWEEP_STARTS = {
     "ip_over_n0_db": [-3200.0, -30.0, 15.0, 3080.0],
-    "hop_count": [0.0, 1.0, 1.5, 2.0, 3.0],
+    "hop_count": [0.0, 1.0, 1.5, 2.0, 3.0, float(MAX_HOPS)],
     "eta": [0.0, 1.5, 2.0, 3.5],
     "pu_x": [-1.0, 0.5, 1e308],
     "pu_y": [0.0, 1e-300, 0.5, 1e308],

@@ -11,6 +11,7 @@ from cogrelay import (
     hop_alphas,
     scenario_from_config,
 )
+from cogrelay.scenario import MAX_HOPS, MAX_QAM_ORDER
 
 
 def test_hop_alphas_are_ip_times_the_path_loss_ratio():
@@ -181,3 +182,34 @@ def test_integral_float_counts_are_accepted():
     s = scenario_from_config({"hop_count": 3.0, "qam_order": 16.0})
     assert (s.hop_count, s.qam_order) == (3, 16)
     assert type(s.hop_count) is int and type(s.qam_order) is int
+
+
+def test_counts_above_their_caps_are_refused():
+    Scenario(hop_count=MAX_HOPS, qam_order=MAX_QAM_ORDER)
+    with pytest.raises(ConfigError, match="hop_count must be an integer from 1 to 4096"):
+        Scenario(hop_count=MAX_HOPS + 1)
+    with pytest.raises(ConfigError, match="qam_order must be an integer power of 4"):
+        Scenario(hop_count=1, qam_order=4 * MAX_QAM_ORDER)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("path_loss_exponent", "4"), ("gamma_th", True), ("ip_over_n0", False),
+    ("gamma_th_db", "3"), ("pu_coord", [0.5, "0.5"]), ("relay_x_positions", [0.3, True]),
+])
+def test_reals_must_be_numbers(key, value):
+    config = {"hop_count": 3, key: value}
+    with pytest.raises(ConfigError, match=f"{key} must be a number"):
+        scenario_from_config(config)
+
+
+def test_hop_counts_give_equidistant_chains_padded_with_inf():
+    base = Scenario(hop_count=3, pu_coord=(0.6, 0.25), ip_over_n0=31.6)
+    counts = [5, 1, 64, 5, 2]
+    padded = derive_hop_statistics(base, hop_counts=counts)
+    assert padded.shape == (5, 64)
+    for row, k in zip(padded.tolist(), counts):
+        own = derive_hop_statistics(Scenario(hop_count=k, pu_coord=(0.6, 0.25), ip_over_n0=31.6))
+        assert row == own.tolist() + [math.inf] * (64 - k)
+    overrides = Scenario(hop_count=2, lambda_overrides=((1.0, 1.0), (2.0, 1.0)))
+    with pytest.raises(ConfigError, match="lambda_overrides"):
+        derive_hop_statistics(overrides, hop_counts=[2])
