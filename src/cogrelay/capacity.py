@@ -204,13 +204,16 @@ def per_hop_capacity(alpha_k, hop_count):
     alpha ln(alpha)/((alpha - 1) K ln 2), element by element over the
     broadcast alphas and hop counts K; min over a chain's hops bounds its
     end-to-end capacity from above.  At one hop it is
-    ergodic_capacity_ind([alpha]) bit for bit."""
+    ergodic_capacity_ind([alpha]) bit for bit.  At alpha = +inf, the
+    padding past a chain's hops, it is +inf, the limit: a pad bounds
+    nothing."""
     al = np.asarray(alpha_k, dtype=float)
     if np.any(al <= 0):
         raise ValueError("alpha must be positive")
-    if np.any(np.asarray(hop_count) < 1):
+    k = np.asarray(hop_count)
+    if np.any(k < 1):
         raise ValueError("hop_count must be >= 1")
-    value = al * _log_ratio(al) / (hop_count * _LN2)
+    value = np.where(al < math.inf, al * _log_ratio(al), math.inf) / (k * _LN2)
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -6,18 +6,20 @@ convergence failure.  Metadata lines are '#'-prefixed; re-running a
 command with identical inputs reproduces the output byte for byte
 (the timestamp line is suppressible with --no-timestamp).
 
-Every closed-form column is evaluated on the per-hop alphas of the
-sweep's points, one call per block of points.  A sweep of
-ip_over_n0_db, eta, pu_x or pu_y is one block, from one
-derive_hop_statistics call with the swept value as a column.  A
-hop_count sweep sorts its points by hop count and pads each chain with
-alpha = +inf to the longest chain of its block, which no closed form
-counts as a hop; a block holds at most _BLOCK_CELLS alphas, so memory
-stays bounded on long sweeps.  optimize's op_min and ber_min are the
-outage and BER asymptotes on the alphas of the balanced layout's hop
-lengths (with_performance), and profiles evaluates its optimized profile
-on those same alphas.  lambda_overrides fix each hop's alpha/(I_p/N_0),
-so they apply to one point or an ip_over_n0_db sweep only.
+Every closed-form column of analyze and profiles is evaluated on the
+per-hop alphas of the sweep's points, one call per block of points.
+One generator, sweep_blocks, splits every sweep: it sorts the points by
+hop count and cuts them into blocks of at most _BLOCK_CELLS alphas,
+built one at a time, so memory stays bounded on long sweeps.  A block
+of an ip_over_n0_db, eta, pu_x or pu_y sweep carries its (P, 1) slice
+of the swept value; a block of a hop_count sweep pads each chain with
+alpha = +inf to its longest chain, which no closed form counts as a hop
+(per_hop_capacity is +inf there and bounds nothing).  optimize's
+op_min and ber_min are the outage and BER asymptotes on the alphas of
+the balanced layout's hop lengths (with_performance), and profiles
+evaluates its optimized profile on those same alphas.  lambda_overrides
+fix each hop's alpha/(I_p/N_0), so they apply to one point or an
+ip_over_n0_db sweep only.
 
 A reader that closes the pipe early (analyze ... | head) ends the
 command quietly with exit code 141, as a process killed by SIGPIPE.
@@ -66,8 +68,8 @@ MC_OUTPUTS = {"mc_op": "op", "mc_ber": "ber", "mc_capacity": "capacity"}
 DEFAULT_OUTPUTS = ("op_exact", "op_asymptotic", "ber_exact", "capacity")
 MAX_SWEEP_POINTS = 1_000_000
 MAX_TRIALS = 10**10  # hours of sampling; far larger block lists do not fit in memory
-# alphas in one padded block of a hop_count sweep: K = 1..64 fit in one,
-# and so does any one chain (MAX_HOPS is smaller)
+# alphas in one padded block of any sweep: K = 1..64 fit in one, and so
+# does any one chain (MAX_HOPS is smaller)
 _BLOCK_CELLS = 1 << 16
 
 
@@ -175,7 +177,7 @@ def scenario_at(base: Scenario, variable: str, value) -> Scenario:
 class _Points:
     """A block of sweep points, as arrays over a points axis."""
 
-    index: list             # positions of the points in the sweep
+    index: np.ndarray       # positions of the points in the sweep
     alphas: np.ndarray      # (P, K); +inf past a chain's own hops
     hop_counts: np.ndarray  # (P,) hops of each chain
 
@@ -205,56 +207,38 @@ def _without_overrides(scenario: Scenario, use: str) -> None:
         )
 
 
-def _check_sweep(base: Scenario, variable: str, values: Sequence) -> None:
-    """Swept values obey their config key's rule, which holds on an
-    interval: the sweep's ends check it."""
+def sweep_blocks(base: Scenario, variable: str, values: Sequence) -> Iterator[tuple]:
+    """The sweep's points in blocks, each built when it is reached, as
+    (positions in the sweep, hop counts, derive_hop_statistics keywords).
+
+    Every sweep is split here, for analyze and profiles alike: its points
+    are sorted by hop count and cut into blocks of at most _BLOCK_CELLS
+    alphas, each chain padded to its block's longest (a chain longer
+    than that is a block of its own).  The keywords are the block's
+    (P, 1) slice of a swept column, or the hop counts of a hop_count
+    sweep's chains.  Swept values obey their config key's rule, which
+    holds on an interval, so the sweep's ends are checked first.
+    """
     if variable != "ip_over_n0_db":
         _without_overrides(base, f"a {variable} sweep")
     for end in (min(values), max(values)):
         scenario_at(base, variable, end)
-
-
-def _sweep_groups(base: Scenario, variable: str, values: Sequence) -> list:
-    """(positions in the sweep, scenario, derive_hop_statistics columns)
-    per hop count, each column (P, 1) over the group's P points: the
-    swept value, or I_p/N_0 in a hop_count sweep."""
-    _check_sweep(base, variable, values)
-    if variable == "hop_count":
-        groups: dict = {}
-        for i, k in enumerate(values):
-            groups.setdefault(k, []).append(i)
-        return [(index, scenario_at(base, variable, k),
-                 {"ip_over_n0": np.full((len(index), 1), base.ip_over_n0)})
-                for k, index in groups.items()]
-    if variable == "ip_over_n0_db":
-        variable, values = "ip_over_n0", [db_to_linear(v) for v in values]
-    return [(list(range(len(values))), base, {variable: np.array(values, dtype=float)[:, None]})]
-
-
-def _hop_count_blocks(values: Sequence[int]) -> list[list[int]]:
-    """Positions of a hop_count sweep's points, sorted by hop count and
-    cut into blocks of at most _BLOCK_CELLS padded alphas."""
-    blocks: list = [[]]
-    for i in sorted(range(len(values)), key=values.__getitem__):
-        if (len(blocks[-1]) + 1) * values[i] > _BLOCK_CELLS:
-            blocks.append([])
-        blocks[-1].append(i)
-    return blocks
-
-
-def sweep_points(base: Scenario, variable: str, values: Sequence) -> Iterator[_Points]:
-    """The sweep's points in blocks, each built when it is reached: one
-    block, or a hop_count sweep's padded blocks, so that only one block's
-    alphas are held at a time.  The sweep's ends are checked first."""
-    if variable != "hop_count":
-        [(index, point, columns)] = _sweep_groups(base, variable, values)
-        alphas = derive_hop_statistics(point, **columns)
-        yield _Points(index, alphas, np.full(len(index), point.hop_count))
-        return
-    _check_sweep(base, variable, values)
-    for index in _hop_count_blocks(values):
-        counts = np.array([values[i] for i in index])
-        yield _Points(index, derive_hop_statistics(base, hop_counts=counts), counts)
+    counts = np.array(values) if variable == "hop_count" else np.full(len(values), base.hop_count)
+    key, read = ("ip_over_n0", db_to_linear) if variable == "ip_over_n0_db" else (variable, float)
+    order = np.argsort(counts, kind="stable")
+    start = 0
+    while start < len(order):
+        # padded cells of the block's first j points: j * the j-th hop count
+        ks = counts[order[start:start + _BLOCK_CELLS]]
+        cells = ks * np.arange(1, len(ks) + 1)
+        stop = start + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, "right")))
+        index = order[start:stop]
+        start = stop
+        if variable == "hop_count":
+            stats = {"hop_counts": counts[index]}
+        else:
+            stats = {key: np.array([read(values[i]) for i in index.tolist()])[:, None]}
+        yield index, counts[index], stats
 
 
 def _mc_columns(points: _Points, sweep: _Sweep, names: Sequence[str]):
@@ -263,20 +247,11 @@ def _mc_columns(points: _Points, sweep: _Sweep, names: Sequence[str]):
     metrics = tuple(MC_OUTPUTS[name] for name in names)
     passes = [
         monte_carlo(sweep.scenario(i), sweep.trials, sweep.seed, sweep.chunks, metrics)
-        for i in points.index
+        for i in points.index.tolist()
     ]
     for metric in metrics:
         yield [p[metric].value for p in passes]
         yield [p[metric].std_error for p in passes]
-
-
-def _per_hop_capacity_min(points: _Points) -> np.ndarray:
-    """Each chain's smallest per_hop_capacity, over its own hops only."""
-    counts = points.hop_counts[:, None]
-    hops = np.arange(points.alphas.shape[1]) < counts
-    cells = np.full(hops.shape, math.inf)
-    cells[hops] = per_hop_capacity(points.alphas[hops], np.broadcast_to(counts, hops.shape)[hops])
-    return cells.min(axis=1)
 
 
 # output name -> (its columns, the evaluator that returns them over points);
@@ -293,7 +268,7 @@ OUTPUTS = {
     "capacity": (("capacity",), lambda pts, sw: (
         ergodic_capacity_ind(pts.alphas, pts.hop_counts),)),
     "per_hop_capacity_min": (("per_hop_capacity_min",), lambda pts, sw: (
-        _per_hop_capacity_min(pts),)),
+        per_hop_capacity(pts.alphas, pts.hop_counts[:, None]).min(axis=1),)),
 }
 # the mc_* outputs have no evaluator of their own: _mc_columns runs them together
 OUTPUTS.update({name: ((name, f"{name}_std_error"), None) for name in MC_OUTPUTS})
@@ -370,7 +345,9 @@ def cmd_analyze(args) -> int:
     header += [column for n in outputs for column in OUTPUTS[n][0][1:]]
     constants = qam_constants(scenario.qam_order)
     sweep = _Sweep(scenario, variable, values, constants, trials, seed, chunks)
-    columns = evaluate_outputs(sweep, sweep_points(scenario, variable, values), outputs)
+    points = (_Points(index, derive_hop_statistics(scenario, **stats), counts)
+              for index, counts, stats in sweep_blocks(scenario, variable, values))
+    columns = evaluate_outputs(sweep, points, outputs)
     rows = zip(values, *(columns.pop(name).tolist() for name in header[1:]))
     row_format = ",".join(["%.12g"] * len(header)) + "\n"
     if mc_requested:
@@ -452,27 +429,35 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _profile_layouts(name: str, point: Scenario, columns: dict, n: int,
-                     table: dict, seed: int):
-    """Hop lengths of profile `name` at a group's n points: the balanced
-    layouts, (n, K), for the optimized profile, which moves with the
-    primary receiver; (K,) for the others, which do not."""
-    k = point.hop_count
-    if name == "uniform":
-        return [1.0 / k] * k
-    if name == "random":
-        return list(np.random.default_rng(seed).dirichlet(np.ones(k)))
+def _profile_lengths(name: str, base: Scenario, counts: np.ndarray, stats: dict,
+                     table: dict, seed: int) -> np.ndarray:
+    """Hop lengths of profile `name` at a block's chains, zero past each
+    chain's own hops: (P, max K), or (1, K) where every chain has the
+    same lengths.  Each distinct chain is laid out once; only the
+    optimized profile's balanced layout moves with the primary receiver."""
+    pus = [None] * len(counts)
     if name == "optimized":
-        px, py = (
-            np.broadcast_to(columns.get(axis, value), (n, 1))[:, 0].tolist()
-            for axis, value in zip(("pu_x", "pu_y"), point.pu_coord)
-        )
-        return [solve_equal_ratio(k, pu).d_data for pu in zip(px, py)]
-    if name not in table:
-        raise ConfigError(f"unknown profile {name!r}")
-    if len(table[name]) != k:
-        raise ConfigError(f"profile {name!r} has {len(table[name])} distances, expected {k}")
-    return table[name]
+        pus = zip(*(np.broadcast_to(stats.get(axis, value), (len(counts), 1))[:, 0].tolist()
+                    for axis, value in zip(("pu_x", "pu_y"), base.pu_coord)))
+    chains = list(zip(counts.tolist(), pus))
+    width = int(counts.max())
+    layouts = {}
+    for k, pu in dict.fromkeys(chains):
+        if name == "uniform":
+            layout = (1.0 / k,) * k
+        elif name == "random":
+            layout = tuple(np.random.default_rng(seed).dirichlet(np.ones(k)).tolist())
+        elif name == "optimized":
+            layout = solve_equal_ratio(k, pu).d_data
+        elif name not in table:
+            raise ConfigError(f"unknown profile {name!r}")
+        elif len(table[name]) != k:
+            raise ConfigError(f"profile {name!r} has {len(table[name])} distances, expected {k}")
+        else:
+            layout = table[name]
+        layouts[k, pu] = layout + (0.0,) * (width - k)
+    # one layout broadcasts: its alphas' geometry is computed once
+    return np.array(list(layouts.values()) if len(layouts) == 1 else [layouts[c] for c in chains])
 
 
 def _profile_table(config: dict) -> dict:
@@ -507,8 +492,8 @@ def cmd_profiles(args) -> int:
     _without_overrides(scenario, "profiles")
     seed = _setting(args, config, "seed", 0, minimum=0)
     table = _profile_table(config)
-    if args.profiles:
-        names = [n.strip() for n in args.profiles.split(",") if n.strip()]
+    if args.profiles:  # a repeated name is evaluated and printed once
+        names = list(dict.fromkeys(n.strip() for n in args.profiles.split(",") if n.strip()))
     elif table:
         names = list(table)
     else:
@@ -521,13 +506,13 @@ def cmd_profiles(args) -> int:
         variable, values = "ip_over_n0_db", [linear_to_db(scenario.ip_over_n0)]
 
     cells = {name: [None] * len(values) for name in names}  # "op_exact,capacity" per point
-    for index, point, columns in _sweep_groups(scenario, variable, values):
+    for index, counts, stats in sweep_blocks(scenario, variable, values):
         for name in names:
-            layouts = _profile_layouts(name, point, columns, len(index), table, seed)
-            alphas = derive_hop_statistics(point, layouts, **columns)
+            lengths = _profile_lengths(name, scenario, counts, stats, table, seed)
+            alphas = derive_hop_statistics(scenario, lengths, **stats)
             op = outage_exact(alphas, scenario.gamma_th).tolist()
-            cap = ergodic_capacity_ind(alphas).tolist()
-            for i, cell in zip(index, zip(op, cap)):
+            cap = ergodic_capacity_ind(alphas, counts).tolist()
+            for i, cell in zip(index.tolist(), zip(op, cap)):
                 cells[name][i] = "%.12g,%.12g" % cell
 
     out, close = _open_out(args.out)

@@ -44,7 +44,8 @@ def outage_asymptotic(alphas, gamma_th: float):
     is the law OP -> (G_c * I_p/N_0)^(-G_d): the diversity order G_d is
     1 for any number of hops, and only the coding gain
     G_c = 1/(gamma_th * sum_k lambda_i/lambda_d) changes with the hops.
-    An alpha of +inf adds 1/inf = 0 to the sum, as in outage_exact.
+    An alpha of +inf adds 1/inf = 0 to the sum, as in outage_exact.  At
+    gamma_th = 0 the asymptote is 0, also where the sum overflows to inf.
     """
     al = np.asarray(alphas, dtype=float)
     if al.ndim == 0 or al.shape[-1] == 0 or np.any(al <= 0):
@@ -52,5 +53,6 @@ def outage_asymptotic(alphas, gamma_th: float):
     if gamma_th < 0:
         raise ValueError("gamma_th must be non-negative")
     with np.errstate(over="ignore"):  # beyond the double range the asymptote is inf
-        value = gamma_th * sum(np.moveaxis(1.0 / al, -1, 0))
+        total = sum(np.moveaxis(1.0 / al, -1, 0))
+        value = gamma_th * total if gamma_th else np.zeros_like(total)  # not 0 * inf
     return float(value) if np.ndim(value) == 0 else value

@@ -155,13 +155,14 @@ def derive_hop_statistics(scenario: Scenario, hop_lengths=None, hop_counts=None,
     hop_lengths (..., K) replace the relay positions; their transmitters
     sit at 0 and at the running sums of the hops before, added as
     placement.interference_distances adds them.  hop_counts (P,) replace
-    the hop count and the relay positions instead: point p is a chain of
-    hop_counts[p] equidistant hops, and the (P, max K) result holds +inf
-    past each chain's own hops, which every closed form takes as no hop.
-    columns replace the scenario's ip_over_n0, eta, pu_x or pu_y, e.g.
-    with a sweep's (P, 1) column.  lambda_overrides give alpha =
-    (lambda_d/lambda_i) * I_p/N_0 under the same rule; they fix every
-    alpha/(I_p/N_0), so only ip_over_n0 may vary with them.
+    the hop count: point p is a chain of hop_counts[p] hops, equidistant
+    unless hop_lengths (P, max K) give them, and the (P, max K) result
+    holds +inf past each chain's own hops, which every closed form takes
+    as no hop; hop lengths there are never read.  columns replace the
+    scenario's ip_over_n0, eta, pu_x or pu_y, e.g. with a sweep's (P, 1)
+    column.  lambda_overrides give alpha = (lambda_d/lambda_i) * I_p/N_0
+    under the same rule; they fix every alpha/(I_p/N_0), so only
+    ip_over_n0 may vary with them.
     """
     px, py = scenario.pu_coord
     params = {"ip_over_n0": scenario.ip_over_n0, "eta": scenario.path_loss_exponent,
@@ -172,25 +173,25 @@ def derive_hop_statistics(scenario: Scenario, hop_lengths=None, hop_counts=None,
         ratios = np.array([d / i for d, i in scenario.lambda_overrides])
         with np.errstate(over="ignore"):
             return _normal(ratios * params["ip_over_n0"])
-    if hop_counts is not None:
-        # node i of a K-hop chain at i/K, as Scenario.node_positions places it
-        counts = np.asarray(hop_counts)[:, None]
-        nodes = np.arange(counts.max() + 1) / counts
-        hops = np.arange(counts.max()) < counts
-        alphas = np.full(hops.shape, math.inf)
-        alphas[hops] = hop_alphas(
-            **{k: v if np.ndim(v) == 0 else np.broadcast_to(v, hops.shape)[hops]
-               for k, v in params.items()},
-            x=nodes[:, :-1][hops], d=np.diff(nodes)[hops])
-        return alphas
-    if hop_lengths is None:
-        xs = np.array(scenario.node_positions)
-        x, d = xs[:-1], np.diff(xs)
-    else:
+    if hop_lengths is not None:
         d = np.asarray(hop_lengths, dtype=float)
         x = np.zeros_like(d)
         np.cumsum(d[..., :-1], axis=-1, out=x[..., 1:])
-    return hop_alphas(**params, x=x, d=d)
+    elif hop_counts is not None:
+        # node i of a K-hop chain at i/K, as Scenario.node_positions places it
+        nodes = np.arange(np.max(hop_counts) + 1) / np.asarray(hop_counts)[:, None]
+        x, d = nodes[:, :-1], np.diff(nodes)
+    else:
+        xs = np.array(scenario.node_positions)
+        x, d = xs[:-1], np.diff(xs)
+    if hop_counts is None:
+        return hop_alphas(**params, x=x, d=d)
+    hops = np.arange(d.shape[-1]) < np.asarray(hop_counts)[:, None]
+    alphas = np.full(hops.shape, math.inf)
+    alphas[hops] = hop_alphas(**{
+        k: v if np.ndim(v) == 0 else np.broadcast_to(v, hops.shape)[hops]
+        for k, v in {**params, "x": x, "d": d}.items()})
+    return alphas
 
 
 def scenario_from_config(config: dict) -> Scenario:

@@ -113,11 +113,12 @@ def padded_chains(draw):
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(padded_chains(), st.sampled_from([0.5, 1.0, 10.0]), st.sampled_from([4, 16, 256]))
+@given(padded_chains(), st.sampled_from([0.0, 0.5, 1.0, 10.0]), st.sampled_from([4, 16, 256]))
 def test_padded_chains_keep_their_bits(padded_chains, gamma_th, m):
     # +inf past a chain's hops is no hop: log1p(g/inf) = 0 and 1/inf = 0
     # enter the sums, a hop's BER at inf is 0, and capacity's factor
-    # 1 + g/inf is 1, with the route and limits chosen by the real hops
+    # 1 + g/inf is 1, with the route and limits chosen by the real hops;
+    # per_hop_capacity is +inf there, so a pad never reaches a chain's min
     padded, chains = padded_chains
     counts = np.array([len(chain) for chain in chains])
     c = qam_constants(m)
@@ -128,9 +129,9 @@ def test_padded_chains_keep_their_bits(padded_chains, gamma_th, m):
     _rows_equal(e2e_ber(hop_ber(padded, c)), [e2e_ber(hop_ber(r, c)) for r in chains])
     _rows_equal(e2e_ber_asymptotic(padded, c), [e2e_ber_asymptotic(r, c) for r in chains])
     _rows_equal(ergodic_capacity_ind(padded, counts), [ergodic_capacity_ind(r) for r in chains])
-    hops = np.arange(64) < counts[:, None]
-    per_hop = per_hop_capacity(padded[hops], np.broadcast_to(counts[:, None], hops.shape)[hops])
-    assert per_hop.tolist() == [per_hop_capacity(a, len(r)) for r in chains for a in r]
+    per_hop = per_hop_capacity(padded, counts[:, None].tolist())  # a list broadcasts too
+    assert per_hop.tolist() == [[per_hop_capacity(a, len(r)) for a in r] + [np.inf] * (64 - len(r))
+                                for r in chains]
 
 
 def _spy(monkeypatch, name):

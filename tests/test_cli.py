@@ -139,11 +139,18 @@ def test_analyze_sweep_matches_per_point_scalar_calls(tmp_path, capsys, variable
     assert lines[1:] == _per_point_rows(cfg, sweep)
 
 
+def _blocks(sweep, hop_count=3):
+    """Each block's positions in the sweep, as analyze and profiles cut it."""
+    variable, values = parse_sweep(sweep)
+    base = Scenario(hop_count=hop_count)
+    return [index.tolist() for index, _, _ in cli.sweep_blocks(base, variable, values)]
+
+
 def test_hop_count_blocks_are_sorted_and_within_the_budget(monkeypatch):
     values = [3, 1, 8, 3, 2, 40, 8, 4, 5, 64, 7, 7]
     for budget in (64, 100, 1 << 16):
         monkeypatch.setattr(cli, "_BLOCK_CELLS", budget)
-        blocks = cli._hop_count_blocks(values)
+        blocks = _blocks("hop_count=" + ",".join(map(str, values)))
         assert sorted(i for block in blocks for i in block) == list(range(len(values)))
         ks = [values[i] for block in blocks for i in block]
         assert ks == sorted(values)
@@ -153,16 +160,18 @@ def test_hop_count_blocks_are_sorted_and_within_the_budget(monkeypatch):
 
 def test_hop_count_sweep_in_many_blocks_matches_per_point_calls(tmp_path, capsys,
                                                                  monkeypatch):
-    # a budget of 64 alphas cuts the sweep into three blocks: K = 1-8, 40
-    # and 64
+    # a budget of 64 alphas cuts every sweep into blocks: the hop_count
+    # sweep into three, K = 1-8, 40 and 64, and the column sweeps of
+    # 8-hop chains into blocks of 8 points
     monkeypatch.setattr(cli, "_BLOCK_CELLS", 64)
-    cfg = _write_config(tmp_path, qam_order=16, pu_coord=[0.6, 0.25])
-    sweep = SWEEPS["hop_count"]
-    assert len(cli._hop_count_blocks(parse_sweep(sweep)[1])) == 3
-    assert main(["analyze", "--config", cfg, "--sweep", sweep,
-                 "--outputs", CLOSED_FORMS, "--no-timestamp"]) == 0
-    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
-    assert lines[1:] == _per_point_rows(cfg, sweep)
+    cfg = _write_config(tmp_path, hop_count=8, qam_order=16, pu_coord=[0.6, 0.25])
+    for variable, sweep in SWEEPS.items():
+        blocks = 3 if variable == "hop_count" else math.ceil(len(parse_sweep(sweep)[1]) / 8)
+        assert len(_blocks(sweep, hop_count=8)) == blocks
+        assert main(["analyze", "--config", cfg, "--sweep", sweep,
+                     "--outputs", CLOSED_FORMS, "--no-timestamp"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert lines[1:] == _per_point_rows(cfg, sweep), variable
 
 
 def test_hop_count_blocks_are_built_one_at_a_time(tmp_path, capsys, monkeypatch):
@@ -176,9 +185,13 @@ def test_hop_count_blocks_are_built_one_at_a_time(tmp_path, capsys, monkeypatch)
             return original(*args, **kwargs)
         monkeypatch.setattr(cli, name, logged)
     cfg = _write_config(tmp_path)
-    assert main(["analyze", "--config", cfg, "--sweep", SWEEPS["hop_count"],
-                 "--outputs", "capacity", "--no-timestamp"]) == 0
-    assert events == ["derive_hop_statistics", "ergodic_capacity_ind"] * 3
+    # the 49-point ip_over_n0_db sweep of 3-hop chains is three blocks too
+    for variable in ("hop_count", "ip_over_n0_db"):
+        events.clear()
+        assert len(_blocks(SWEEPS[variable])) == 3
+        assert main(["analyze", "--config", cfg, "--sweep", SWEEPS[variable],
+                     "--outputs", "capacity", "--no-timestamp"]) == 0
+        assert events == ["derive_hop_statistics", "ergodic_capacity_ind"] * 3, variable
 
 
 def test_a_hop_count_sweep_calls_each_closed_form_once(tmp_path, capsys, monkeypatch):
@@ -432,6 +445,46 @@ def test_profiles_rejects_a_non_positive_distance(tmp_path, capsys):
     )
     assert main(["profiles", "--config", cfg, "--profiles", "backwards"]) == 1
     assert "not positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [1 << 16, 64])
+def test_profiles_hop_count_sweep_matches_one_point_runs(tmp_path, capsys, monkeypatch,
+                                                          budget):
+    # the sweep's chains share padded blocks (three at a budget of 64);
+    # each row must be that of a run with its hop count in the config
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", budget)
+    argv = ["profiles", "--profiles", "uniform,optimized,random", "--no-timestamp"]
+    cfg = _write_config(tmp_path, pu_coord=[0.6, 0.25])
+    sweep = SWEEPS["hop_count"]
+    assert main(argv + ["--config", cfg, "--sweep", sweep]) == 0
+    header, rows = _rows(capsys.readouterr().out)
+    assert header == ["hop_count", "profile", "op_exact", "capacity"]
+    expected = []
+    for k in parse_sweep(sweep)[1]:
+        point = _write_config(tmp_path, "point.json", hop_count=k, pu_coord=[0.6, 0.25])
+        assert main(argv + ["--config", point]) == 0
+        expected += [(str(k), r["profile"], r["op_exact"], r["capacity"])
+                     for r in _rows(capsys.readouterr().out)[1]]
+    assert [(r["hop_count"], r["profile"], r["op_exact"], r["capacity"]) for r in rows] == expected
+
+
+def test_profiles_repeated_names_are_evaluated_and_printed_once(tmp_path, capsys,
+                                                                 monkeypatch):
+    solved = []
+    monkeypatch.setattr(cli, "solve_equal_ratio",
+                        lambda *args, original=cli.solve_equal_ratio:
+                        solved.append(args) or original(*args))
+    cfg = _write_config(tmp_path)
+    # in first-given order, as --profiles optimized,uniform prints them
+    assert main(["profiles", "--config", cfg, "--no-timestamp",
+                 "--profiles", "optimized,uniform,optimized,uniform"]) == 0
+    out = capsys.readouterr().out
+    assert [r["profile"] for r in _rows(out)[1]] == ["optimized", "uniform"]
+    assert _meta(out)["profiles"] == "optimized uniform"
+    assert len(solved) == 1
+    assert main(["profiles", "--config", cfg, "--no-timestamp",
+                 "--profiles", "optimized,uniform"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_profiles_random_reproducible(tmp_path, capsys):

@@ -213,3 +213,18 @@ def test_hop_counts_give_equidistant_chains_padded_with_inf():
     overrides = Scenario(hop_count=2, lambda_overrides=((1.0, 1.0), (2.0, 1.0)))
     with pytest.raises(ConfigError, match="lambda_overrides"):
         derive_hop_statistics(overrides, hop_counts=[2])
+
+
+def test_hop_counts_mask_padded_hop_lengths():
+    # hop_counts and hop_lengths combine: each chain takes its own lengths,
+    # and whatever lies past its hops (zeros here) is never read
+    base = Scenario(hop_count=3, pu_coord=(0.6, 0.25), ip_over_n0=31.6)
+    chains = [[0.2, 0.3, 0.5], [1.0], [0.05] * 20, [0.7, 0.3]]
+    padded = np.zeros((len(chains), 20))
+    for row, lengths in zip(padded, chains):
+        row[:len(lengths)] = lengths
+    alphas = derive_hop_statistics(base, padded, hop_counts=[len(c) for c in chains])
+    assert alphas.shape == (4, 20)
+    for row, lengths in zip(alphas.tolist(), chains):
+        own = derive_hop_statistics(base, lengths).tolist()
+        assert row == own + [math.inf] * (20 - len(lengths))
