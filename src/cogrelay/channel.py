@@ -23,12 +23,13 @@ def substream(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def sample_exponential(rng: np.random.Generator, mean: float, size):
+def sample_exponential(rng: np.random.Generator, mean: float, size, out=None):
     """Inverse-CDF exponential draws -mean*ln(U) with U uniform on (0, 1].
 
-    Computed in place in the buffer of uniforms.
+    Computed in place in the buffer of uniforms: out, a C-contiguous
+    float array of shape size, if given.
     """
-    u = rng.random(size)
+    u = rng.random(size, out=out)
     # rng.random() is uniform on [0, 1); 1-u is uniform on (0, 1].
     np.negative(u, out=u)
     np.log1p(u, out=u)

@@ -14,12 +14,16 @@ built one at a time, so memory stays bounded on long sweeps.  A block
 of an ip_over_n0_db, eta, pu_x or pu_y sweep carries its (P, 1) slice
 of the swept value; a block of a hop_count sweep pads each chain with
 alpha = +inf to its longest chain, which no closed form counts as a hop
-(per_hop_capacity is +inf there and bounds nothing).  optimize's
-op_min and ber_min are the outage and BER asymptotes on the alphas of
-the balanced layout's hop lengths (with_performance), and profiles
-evaluates its optimized profile on those same alphas.  lambda_overrides
-fix each hop's alpha/(I_p/N_0), so they apply to one point or an
-ip_over_n0_db sweep only.
+(per_hop_capacity is +inf there and bounds nothing).  The mc_* outputs
+are evaluated the same way: the first of them a block reaches runs one
+monte_carlo pass over the block's points for every mc_* output asked
+for, and the others read it; mc runs monte_carlo on its one point.
+
+optimize's op_min and ber_min are the outage and BER asymptotes on the
+alphas of the balanced layout's hop lengths (with_performance), and
+profiles evaluates its optimized profile on those same alphas.
+lambda_overrides fix each hop's alpha/(I_p/N_0), so they apply to one
+point or an ip_over_n0_db sweep only.
 
 A reader that closes the pipe early (analyze ... | head) ends the
 command quietly with exit code 141, as a process killed by SIGPIPE.
@@ -33,7 +37,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -187,16 +191,22 @@ class _Sweep:
     """What every evaluator needs besides the points."""
 
     base: Scenario
-    variable: str
-    values: list
     constants: QamConstants
     trials: int
     seed: int
     chunks: int
+    mc_metrics: tuple[str, ...]  # the monte_carlo metrics of the mc_* outputs asked for
+    # [block, its estimates] of the last monte_carlo pass
+    _last: list = field(default_factory=lambda: [None, None], compare=False, repr=False)
 
-    def scenario(self, i: int) -> Scenario:
-        """The scenario of the sweep's point i."""
-        return scenario_at(self.base, self.variable, self.values[i])
+    def estimates(self, points: _Points) -> dict:
+        """Estimates of every metric in mc_metrics at the block's points,
+        from the one monte_carlo pass that the block's mc_* evaluators share."""
+        if self._last[0] is not points:
+            self._last[:] = points, monte_carlo(
+                points.alphas, points.hop_counts, self.base.gamma_th, self.constants,
+                self.trials, self.seed, self.chunks, self.mc_metrics)
+        return self._last[1]
 
 
 def _without_overrides(scenario: Scenario, use: str) -> None:
@@ -241,17 +251,14 @@ def sweep_blocks(base: Scenario, variable: str, values: Sequence) -> Iterator[tu
         yield index, counts[index], stats
 
 
-def _mc_columns(points: _Points, sweep: _Sweep, names: Sequence[str]):
-    """The value and std_error columns of the mc_* outputs `names`, from
-    one monte_carlo pass per point."""
-    metrics = tuple(MC_OUTPUTS[name] for name in names)
-    passes = [
-        monte_carlo(sweep.scenario(i), sweep.trials, sweep.seed, sweep.chunks, metrics)
-        for i in points.index.tolist()
-    ]
-    for metric in metrics:
-        yield [p[metric].value for p in passes]
-        yield [p[metric].std_error for p in passes]
+def _mc_output(metric: str):
+    """The evaluator of the mc_* output of a monte_carlo metric: its value
+    and std_error columns."""
+    def evaluate(pts: _Points, sw: _Sweep):
+        estimates = sw.estimates(pts)[metric]
+        return [e.value for e in estimates], [e.std_error for e in estimates]
+
+    return evaluate
 
 
 # output name -> (its columns, the evaluator that returns them over points);
@@ -270,32 +277,23 @@ OUTPUTS = {
     "per_hop_capacity_min": (("per_hop_capacity_min",), lambda pts, sw: (
         per_hop_capacity(pts.alphas, pts.hop_counts[:, None]).min(axis=1),)),
 }
-# the mc_* outputs have no evaluator of their own: _mc_columns runs them together
-OUTPUTS.update({name: ((name, f"{name}_std_error"), None) for name in MC_OUTPUTS})
+OUTPUTS.update({name: ((name, f"{name}_std_error"), _mc_output(metric))
+                for name, metric in MC_OUTPUTS.items()})
 OUTPUT_ORDER = tuple(OUTPUTS)
 
 
-def evaluate_outputs(sweep: _Sweep, points: Iterable[_Points], outputs: Sequence[str]) -> dict:
-    """Every column of the outputs, as an array over the sweep's points.
-
-    Block by block, the closed forms come first, output by output, one
-    call each; then every point of the block is simulated once for all of
-    the requested mc_* outputs.
-    """
+def evaluate_outputs(sweep: _Sweep, points: Iterable[_Points], outputs: Sequence[str],
+                     size: int) -> dict:
+    """Every column of the outputs, as an array over the sweep's `size`
+    points, block by block and output by output: one call each."""
     columns = {
-        column: np.empty(len(sweep.values))
+        column: np.empty(size)
         for name in outputs for column in OUTPUTS[name][0]
     }
-    mc = [name for name in outputs if name in MC_OUTPUTS]
-    mc_names = [column for name in mc for column in OUTPUTS[name][0]]
     for block in points:
         for name in outputs:
-            if name not in mc:
-                names, evaluate = OUTPUTS[name]
-                for column, cells in zip(names, evaluate(block, sweep)):
-                    columns[column][block.index] = cells
-        if mc:
-            for column, cells in zip(mc_names, _mc_columns(block, sweep, mc)):
+            names, evaluate = OUTPUTS[name]
+            for column, cells in zip(names, evaluate(block, sweep)):
                 columns[column][block.index] = cells
     return columns
 
@@ -343,11 +341,11 @@ def cmd_analyze(args) -> int:
     mc_requested = [n for n in outputs if n in MC_OUTPUTS]
     header = [variable] + list(outputs)
     header += [column for n in outputs for column in OUTPUTS[n][0][1:]]
-    constants = qam_constants(scenario.qam_order)
-    sweep = _Sweep(scenario, variable, values, constants, trials, seed, chunks)
+    sweep = _Sweep(scenario, qam_constants(scenario.qam_order), trials, seed, chunks,
+                   tuple(MC_OUTPUTS[n] for n in mc_requested))
     points = (_Points(index, derive_hop_statistics(scenario, **stats), counts)
               for index, counts, stats in sweep_blocks(scenario, variable, values))
-    columns = evaluate_outputs(sweep, points, outputs)
+    columns = evaluate_outputs(sweep, points, outputs, len(values))
     rows = zip(values, *(columns.pop(name).tolist() for name in header[1:]))
     row_format = ",".join(["%.12g"] * len(header)) + "\n"
     if mc_requested:
@@ -534,7 +532,9 @@ def cmd_profiles(args) -> int:
 def cmd_mc(args) -> int:
     scenario, config = load_scenario(args.config)
     trials, seed, chunks = _mc_settings(args, config)
-    estimates = monte_carlo(scenario, trials, seed, chunks)
+    estimates = monte_carlo(derive_hop_statistics(scenario)[None], [scenario.hop_count],
+                            scenario.gamma_th, qam_constants(scenario.qam_order),
+                            trials, seed, chunks)
     out, close = _open_out(args.out)
     try:
         _write_meta(
@@ -548,7 +548,7 @@ def cmd_mc(args) -> int:
         )
         out.write("metric,value,std_error,trials,seed\n")
         for name, metric in MC_OUTPUTS.items():
-            est = estimates[metric]
+            est = estimates[metric][0]
             out.write(
                 f"{name},{_fmt(est.value)},{_fmt(est.std_error)},"
                 f"{est.trials},{est.seed}\n"

@@ -19,38 +19,48 @@ gains, and that conditional expectation is the trial's value:
 Each has the raw estimator's expectation and a smaller variance, draws
 half its random numbers and evaluates no erfc.
 
-Trials are processed in fixed-size blocks of 65536; block i always draws
-from the substream (seed, i) regardless of how blocks are grouped into
-chunks, and block partials are merged in block order.  Estimates are
-therefore bit-identical for any chunk count, which is what lets the
-chunks run concurrently: with chunks > 1 they are spread over up to
-os.cpu_count() threads (the calling thread is one of them), and numpy's
-RNG fill, ufuncs and reductions release the GIL while they work.
-monte_carlo draws each block once for every metric it is asked for,
-and each metric's estimate is the one its own pass would give.
+monte_carlo simulates a block of points at once, the way the closed
+forms take a block of alphas.  Trials are processed in fixed-size
+blocks of 65536; block i always draws from the substream (seed, i),
+once for every point and metric, as a (K, n) array with K the longest
+chain, and each point reads its own first rows (a (K, n) draw is the
+first K rows of a longer one).  Block partials are merged in block
+order, so estimates are bit-identical for any chunk count and for any
+block of points, which is what lets the chunks run concurrently: with
+chunks > 1 they are spread over up to os.cpu_count() threads (the
+calling thread is one of them), and numpy's RNG fill, ufuncs and
+reductions release the GIL while they work.  Each worker draws into
+and computes in one workspace for the whole call, so after its first
+block it allocates no float array of a block's size.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .channel import sample_exponential, substream
 # instantaneous_ber is not called here; bench/spans.py binds it by name,
 # so the name stays
-from .ber import instantaneous_ber, qam_constants  # noqa: F401
+from .ber import QamConstants, instantaneous_ber, qam_constants  # noqa: F401
 from .scenario import Scenario, derive_hop_statistics
 
 BLOCK_TRIALS = 1 << 16
-# Columns of a block the BER kernel works on at a time, so that its
-# (K, columns) temporaries stay in cache.  Every step is element by
-# element, so the width changes no bit.
+# Columns of a block that 1/mu is formed and the BER kernel works on at
+# a time, so that the (K, columns) arrays stay in cache.  Every step is
+# element by element, so the width changes no bit.
 _SLICE = 1 << 13
+# (point, block) partials one call keeps: the points are simulated in
+# groups small enough to stay under it, each group drawing the blocks
+_GROUP_PARTIALS = 1 << 16
+# a bound on every exponential draw: rng.random() is at most 1 - 2^-53,
+# so -log1p(-u) is at most 53 ln 2 = 36.74
+_DRAW_MAX = 37.0
 
 _LN2 = math.log(2.0)
 _EULER_GAMMA = 0.5772156649015329
@@ -76,29 +86,95 @@ METRICS = ("op", "ber", "capacity")
 
 
 def monte_carlo(
-    scenario: Scenario,
+    alphas: np.ndarray,
+    hop_counts: Sequence[int],
+    gamma_th: float,
+    constants: QamConstants,
     trials: int,
     seed: int,
     chunks: int = 1,
     metrics: Sequence[str] = METRICS,
-) -> dict[str, McEstimate]:
-    """Estimates of the named metrics ("op", "ber", "capacity"), keyed by
-    name in the order asked, all from one pass over the same draws.
+) -> dict[str, list[McEstimate]]:
+    """Estimates of the named metrics ("op", "ber", "capacity") at every
+    point of a block, keyed by name in the order asked: one per point.
 
-    Every estimate equals the one a call for that metric alone gives,
-    bit for bit; only the named kernels run.
+    Row i of the (P, K) alphas holds a chain of hop_counts[i] hops; the
+    cells past them are not read.  constants are the QAM constants of
+    the BER.  Every estimate equals the one a call for that point and
+    metric alone gives, bit for bit; only the named kernels run.
     """
     if not metrics or len(set(metrics)) != len(metrics) or not set(metrics) <= set(METRICS):
         raise ValueError(f"metrics must be distinct names from {METRICS}, got {metrics!r}")
-    kernels = tuple(_kernel(m, scenario) for m in metrics)
-    return dict(zip(metrics, _run(scenario, trials, seed, chunks, kernels)))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if chunks < 1:
+        raise ValueError("chunks must be >= 1")
+    ber = _ber_terms(constants) if "ber" in metrics else None
+    counts = [int(k) for k in hop_counts]
+    n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+    sizes = [min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS) for block in range(n_blocks)]
+    per_chunk = (n_blocks + chunks - 1) // chunks
+    chunk_blocks = [
+        range(first, min(first + per_chunk, n_blocks))
+        for first in range(0, n_blocks, per_chunk)
+    ]
+    workers = min(len(chunk_blocks), os.cpu_count() or 1)
+    spaces = [_Workspace(max(counts), sizes[0]) for _ in range(workers)]
+
+    def run_chunks(worker: int, points: range, partials: np.ndarray) -> None:
+        space = spaces[worker]
+        k = max(counts[i] for i in points)
+        for blocks in chunk_blocks[worker::workers]:
+            for block in blocks:
+                n = sizes[block]
+                y = sample_exponential(substream(seed, block), 1.0, (k, n),
+                                       space.draws[:k * n].reshape(k, n))
+                np.maximum(y, 1e-300, out=y)
+                # near the smallest normal alpha, 1/mu and the kernels'
+                # sums overflow to inf, where every kernel takes its limit
+                with np.errstate(over="ignore"):
+                    for j, i in enumerate(points):
+                        values = _values(y[:counts[i]], alphas[i, :counts[i], None],
+                                         metrics, gamma_th, ber, space)
+                        for metric, v in values:
+                            partials[block, j, metrics.index(metric)] = _moments(v)[1:]
+
+    # the points in groups; partials[block, point, metric]: (mean, M2)
+    group = max(1, _GROUP_PARTIALS // n_blocks)
+    groups = [range(first, min(first + group, len(counts)))
+              for first in range(0, len(counts), group)]
+    estimates: dict[str, list[McEstimate]] = {metric: [] for metric in metrics}
+    pool = nullcontext()
+    if workers > 1:  # only then is the pool's module imported
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=workers - 1)
+    with pool:
+        for points in groups:
+            partials = np.empty((n_blocks, len(points), len(metrics), 2))
+            others = [pool.submit(run_chunks, w, points, partials) for w in range(1, workers)]
+            run_chunks(0, points, partials)
+            for future in others:
+                future.result()  # re-raises a worker's exception here
+            for j in range(len(points)):
+                for m, metric in enumerate(metrics):
+                    means, m2s = partials[:, j, m].T.tolist()
+                    estimates[metric].append(_estimate(zip(sizes, means, m2s), trials, seed))
+    return estimates
+
+
+def _at_scenario(scenario: Scenario, trials: int, seed: int, chunks: int, metric: str):
+    """The estimate of one metric at the scenario's point."""
+    alphas = derive_hop_statistics(scenario)[None]
+    estimates = monte_carlo(alphas, [scenario.hop_count], scenario.gamma_th,
+                            qam_constants(scenario.qam_order), trials, seed, chunks, (metric,))
+    return estimates[metric][0]
 
 
 def mc_outage(
     scenario: Scenario, trials: int, seed: int, chunks: int = 1
 ) -> McEstimate:
     """Probability that the weakest hop SNR falls below gamma_th."""
-    return monte_carlo(scenario, trials, seed, chunks, ("op",))["op"]
+    return _at_scenario(scenario, trials, seed, chunks, "op")
 
 
 def mc_ber(
@@ -106,29 +182,92 @@ def mc_ber(
 ) -> McEstimate:
     """End-to-end BER: per trial, every hop's BER averaged over its data
     gain, chained by the odd-number-of-errors recursion."""
-    return monte_carlo(scenario, trials, seed, chunks, ("ber",))["ber"]
+    return _at_scenario(scenario, trials, seed, chunks, "ber")
 
 
 def mc_capacity(
     scenario: Scenario, trials: int, seed: int, chunks: int = 1
 ) -> McEstimate:
     """Average of log2(1 + min hop SNR) / K."""
-    return monte_carlo(scenario, trials, seed, chunks, ("capacity",))["capacity"]
+    return _at_scenario(scenario, trials, seed, chunks, "capacity")
+
+
+class _Workspace:
+    """The arrays one worker computes a block in, for every block of a
+    call: a block's draws, one slice of a point's 1/mu, the BER kernel's
+    slice arrays (one is _exp_e1's scratch), Sigma_k 1/mu_k, one metric's
+    values and _exp_e1's mask."""
+
+    def __init__(self, k: int, n: int):
+        self.draws = np.empty(k * n)  # contiguous as (K, n) for every n
+        self.cols, self.t, self.u, self.s, self.hop = (
+            np.empty((k, min(n, _SLICE))) for _ in range(5))
+        self.rate, self.values = np.empty(n), np.empty(n)
+        self.low = np.empty(n, dtype=bool)
+
+
+def _values(y, alpha, metrics, gamma_th, ber, space, top=_DRAW_MAX) -> Iterator:
+    """(metric, per-trial values) of each named metric at one point: BER,
+    then outage, then capacity.
+
+    y is the point's (K, n) interference gains, every one at most top,
+    and alpha its (K, 1) hop alphas.  1/mu = y/alpha is formed one slice
+    of columns at a time, and outage and capacity share its column sums.
+    Every metric's values are the same array of space: take them before
+    asking for the next metric.
+    """
+    k, n = y.shape
+    rate, values = space.rate[:n], space.values[:n]
+    if ber is not None:
+        pairs, cap = ber
+        # 1/mu reaches the cap only where top/alpha can
+        capped = alpha.min() < top / cap
+    for lo in range(0, n, _SLICE):
+        w = min(_SLICE, n - lo)
+        cols = space.cols[:k, :w]
+        np.divide(y[:, lo:lo + w], alpha, out=cols)
+        if "op" in metrics or "capacity" in metrics:
+            np.sum(cols, axis=0, out=rate[lo:lo + w])
+        if ber is not None:
+            if capped:
+                np.minimum(cols, cap, out=cols)
+            _ber_slice(cols, pairs, values[lo:lo + w], space)
+    if ber is not None:
+        yield "ber", values
+    if "op" in metrics:
+        if gamma_th == 0.0:  # no trial is in outage, not even where 0 * inf is nan
+            values.fill(0.0)
+        else:
+            np.multiply(rate, -gamma_th, out=values)
+            np.expm1(values, out=values)
+            np.negative(values, out=values)
+        yield "op", values
+    if "capacity" in metrics:
+        # the last to read the rates, which _exp_e1 may overwrite; the BER
+        # kernel's slice arrays are free by now
+        _exp_e1(rate, values, space.t.reshape(-1), space.low[:n])
+        values *= 1.0 / (k * _LN2)
+        yield "capacity", values
 
 
 def _kernel(metric: str, scenario: Scenario):
-    """The function from one block's (K, n) inverse hop-SNR means 1/mu to
-    the metric's per-trial values.  It only reads them: every kernel of
-    a pass gets the same array."""
-    if metric == "op":
-        gamma_th = scenario.gamma_th
-        if gamma_th == 0.0:  # no trial is in outage, not even where 0 * inf is nan
-            return lambda inv_mu: np.zeros(inv_mu.shape[1])
-        return lambda inv_mu: -np.expm1(-gamma_th * inv_mu.sum(axis=0))
-    if metric == "capacity":
-        scale = 1.0 / (scenario.hop_count * _LN2)
-        return lambda inv_mu: _exp_e1(inv_mu.sum(axis=0)) * scale
-    constants = qam_constants(scenario.qam_order)
+    """The function from one block's (K, n) 1/mu to the metric's per-trial
+    values, as a pass computes them; 1/mu may be any value from 0 to inf."""
+    ber = _ber_terms(qam_constants(scenario.qam_order))
+
+    def kernel(inv_mu: np.ndarray) -> np.ndarray:
+        space = _Workspace(*inv_mu.shape)
+        ones = np.ones((len(inv_mu), 1))
+        for _, values in _values(inv_mu, ones, (metric,), scenario.gamma_th, ber, space,
+                                 top=math.inf):
+            return values.copy()
+
+    return kernel
+
+
+def _ber_terms(constants: QamConstants) -> tuple[list[tuple[float, float]], float]:
+    """The BER kernel's (1/omega, weight) pairs, equal omegas merged, and
+    its cap on 1/mu."""
     weights: dict[float, float] = {}  # omega -> the sum of its terms' phi
     for _, _, _, omega, phi in constants.terms:
         weights[omega] = weights.get(omega, 0.0) + phi
@@ -137,59 +276,81 @@ def _kernel(metric: str, scenario: Scenario):
     # from 1/mu = cap on every t exceeds 2^109, where (1 + t) + sqrt(1 + t)
     # rounds to t and each term is 1 exactly: capping 1/mu there keeps t
     # finite (not inf/inf) and changes no bit
-    cap = 2.0 ** 110 * max(weights)
-
-    def ber(inv_mu: np.ndarray) -> np.ndarray:
-        k, n = inv_mu.shape
-        out = np.empty(n)
-        t, u, s, hop = (np.empty((k, min(n, _SLICE))) for _ in range(4))
-        for lo in range(0, n, _SLICE):
-            cols = inv_mu[:, lo:lo + _SLICE]
-            if cols.max() > cap:
-                cols = np.minimum(cols, cap)
-            w = cols.shape[1]
-            tw, uw, sw, hw = t[:, :w], u[:, :w], s[:, :w], hop[:, :w]
-            hw.fill(0.0)
-            for inv_omega, weight in pairs:
-                # 1 - 1/sqrt(1 + t) = t / ((1 + t) + sqrt(1 + t)), which
-                # does not cancel as t -> 0
-                np.multiply(cols, inv_omega, out=tw)
-                np.add(tw, 1.0, out=uw)
-                np.sqrt(uw, out=sw)
-                uw += sw
-                tw /= uw
-                tw *= weight
-                hw += tw
-            acc = out[lo:lo + w]
-            acc[...] = hw[-1]
-            step = tw[0]
-            for row in hw[-2::-1]:
-                np.multiply(row, -2.0, out=step)
-                step += 1.0
-                step *= acc
-                np.add(row, step, out=acc)
-        return out
-
-    return ber
+    return pairs, 2.0 ** 110 * max(weights)
 
 
-def _exp_e1(x: np.ndarray) -> np.ndarray:
-    """e^x E1(x) for x >= 0, element by element: a series below
-    _E1_SWITCH and a continued fraction from there on."""
-    low = x < _E1_SWITCH
-    if low.all():
-        return _exp_e1_series(x)
-    if not low.any():
-        return _exp_e1_fraction(x)
-    value = np.empty_like(x)
-    value[low] = _exp_e1_series(x[low])
-    value[~low] = _exp_e1_fraction(x[~low])
-    return value
+def _ber_slice(cols: np.ndarray, pairs, out: np.ndarray, space: _Workspace) -> None:
+    """The end-to-end BER of a (K, w) slice of 1/mu into out."""
+    k, w = cols.shape
+    t, u, s, hop = (a[:k, :w] for a in (space.t, space.u, space.s, space.hop))
+    for j, (inv_omega, weight) in enumerate(pairs):
+        # 1 - 1/sqrt(1 + t) = t / ((1 + t) + sqrt(1 + t)), which does not
+        # cancel as t -> 0; the first term starts the hop sum
+        term = t if j else hop
+        np.multiply(cols, inv_omega, out=term)
+        np.add(term, 1.0, out=u)
+        np.sqrt(u, out=s)
+        u += s
+        term /= u
+        term *= weight
+        if j:
+            hop += term
+    out[...] = hop[-1]
+    step = t[0]
+    for row in hop[-2::-1]:
+        np.multiply(row, -2.0, out=step)
+        step += 1.0
+        step *= out
+        np.add(row, step, out=out)
 
 
-def _exp_e1_series(x: np.ndarray) -> np.ndarray:
+def _exp_e1(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+            low: np.ndarray | None = None) -> np.ndarray:
+    """e^x E1(x) for x >= 0, element by element, into out: a series below
+    _E1_SWITCH and a continued fraction from there on.
+
+    Where x lies on both sides of the switch, each side is packed and
+    evaluated on its own, so the series length follows the largest x
+    below the switch, and x is overwritten.  scratch is the series'
+    float scratch and low a bool array of x's size (fresh ones if not
+    given).
+    """
+    if out is None:
+        out = np.empty_like(x)
+    if scratch is None:
+        scratch = np.empty(min(x.size, _SLICE))
+    low = np.less(x, _E1_SWITCH, out=low)
+    n_low = int(np.count_nonzero(low))
+    if n_low == x.size:
+        return _exp_e1_series(x, out, scratch)
+    if n_low == 0:
+        return _exp_e1_fraction(x, out)
+    # each side's arguments packed into out, its values into x
+    _pack(x, low, out[:n_low])
+    high = np.logical_not(low, out=low)
+    _pack(x, high, out[n_low:])
+    _exp_e1_series(out[:n_low], x[:n_low], scratch)
+    _exp_e1_fraction(out[n_low:], x[n_low:])
+    np.place(out, high, x[n_low:])
+    np.place(out, np.logical_not(high, out=high), x[:n_low])
+    return out
+
+
+def _pack(x: np.ndarray, mask: np.ndarray, out: np.ndarray) -> None:
+    """x where mask holds, in order, into out, _SLICE values at a time:
+    np.compress builds an index array as long as its input."""
+    at = 0
+    for lo in range(0, x.size, _SLICE):
+        part = mask[lo:lo + _SLICE]
+        count = int(np.count_nonzero(part))
+        np.compress(part, x[lo:lo + _SLICE], out=out[at:at + count])
+        at += count
+
+
+def _exp_e1_series(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """e^x (S(x) - gamma - ln x) with S(x) = sum_k (-1)^(k+1) x^k/(k k!)
-    (Abramowitz & Stegun 5.1.11), for 0 <= x < _E1_SWITCH.
+    (Abramowitz & Stegun 5.1.11), for 0 <= x < _E1_SWITCH, into out;
+    ln x and e^x are taken in scratch, a piece at a time.
 
     S is summed as far as its terms matter at the largest x: there the
     first term left out is below 2^-54 times a lower bound on E1
@@ -204,22 +365,25 @@ def _exp_e1_series(x: np.ndarray) -> np.ndarray:
             break
         m += 1
     # Horner: S = x (c_1 + x (c_2 + ... + x c_m))
-    acc = np.full_like(x, _E1_SERIES[m - 1])
+    out.fill(_E1_SERIES[m - 1])
     for c in reversed(_E1_SERIES[:m - 1]):
-        acc *= x
-        acc += c
-    acc *= x
-    acc -= _EULER_GAMMA
-    acc -= np.log(x)
-    acc *= np.exp(x)
-    return acc
+        out *= x
+        out += c
+    out *= x
+    out -= _EULER_GAMMA
+    for lo in range(0, x.size, scratch.size):
+        xs = x[lo:lo + scratch.size]
+        part, tmp = out[lo:lo + xs.size], scratch[:xs.size]
+        part -= np.log(xs, out=tmp)
+        part *= np.exp(xs, out=tmp)
+    return out
 
 
-def _exp_e1_fraction(x: np.ndarray) -> np.ndarray:
+def _exp_e1_fraction(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """e^x E1(x) for x >= _E1_SWITCH by the even part of the continued
     fraction A&S 5.1.22, 1/(x+1- 1/(x+3- 4/(x+5- 9/(x+7- ...)))), taken
-    from its tail."""
-    f = x + (2 * _E1_FRACTION_TERMS + 1)
+    from its tail, into out."""
+    f = np.add(x, 2 * _E1_FRACTION_TERMS + 1, out=out)
     for m in range(_E1_FRACTION_TERMS, 0, -1):
         np.divide(-float(m * m), f, out=f)
         f += x
@@ -227,69 +391,16 @@ def _exp_e1_fraction(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, f, out=f)
 
 
-def _run(scenario, trials, seed, chunks, kernels) -> list[McEstimate]:
-    """Merge every kernel's per-trial values block by block.
-
-    Each block's interference gains are drawn once, as a (K, n) array
-    with one row per hop so per-trial reductions run over contiguous
-    rows, and every kernel reads their 1/mu.  Chunks are dealt
-    round-robin to min(chunks with blocks, os.cpu_count()) workers: the
-    calling thread, which takes chunk 0, and a pool for the rest.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if chunks < 1:
-        raise ValueError("chunks must be >= 1")
-    # 1/mu_k = Y_k / alpha_k
-    alpha = derive_hop_statistics(scenario)[:, None]
-    k = len(alpha)
-
-    n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    per_chunk = (n_blocks + chunks - 1) // chunks
-    chunk_blocks = [
-        range(first, min(first + per_chunk, n_blocks))
-        for first in range(0, n_blocks, per_chunk)
-    ]
-    workers = min(len(chunk_blocks), os.cpu_count() or 1)
-    # partials[block][j]: (count, mean, M2) of kernel j over the block
-    partials: list[list[tuple[int, float, float]]] = [None] * n_blocks  # type: ignore
-
-    def block_moments(block: int) -> list[tuple[int, float, float]]:
-        n = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
-        inv_mu = sample_exponential(substream(seed, block), 1.0, (k, n))
-        np.maximum(inv_mu, 1e-300, out=inv_mu)
-        # near the smallest normal alpha, 1/mu and the kernels' sums
-        # overflow to inf, where every kernel takes its limit
-        with np.errstate(over="ignore"):
-            inv_mu /= alpha
-            return [_moments(kernel(inv_mu)) for kernel in kernels]
-
-    def run_chunks(worker: int) -> None:
-        for blocks in chunk_blocks[worker::workers]:
-            for block in blocks:
-                partials[block] = block_moments(block)
-
-    if workers == 1:
-        run_chunks(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            others = [pool.submit(run_chunks, w) for w in range(1, workers)]
-            run_chunks(0)
-            for future in others:
-                future.result()  # re-raises a worker's exception here
-
-    # zip(*partials): each kernel's block partials, in block order
-    return [_estimate(column, trials, seed) for column in zip(*partials)]
-
-
 def _moments(values: np.ndarray) -> tuple[int, float, float]:
     """(count, mean, M2) of one block: two passes over the values less
-    the first one, so a constant block has M2 exactly 0."""
+    the first one, so a constant block has M2 exactly 0.  The values are
+    overwritten."""
     first = values[0]
-    dev = values - first
-    shift = dev.sum() / dev.size
-    dev -= shift
-    return dev.size, float(first + shift), float((dev * dev).sum())
+    values -= first
+    shift = values.sum() / values.size
+    values -= shift
+    np.multiply(values, values, out=values)
+    return values.size, float(first + shift), float(values.sum())
 
 
 def _estimate(partials, trials: int, seed: int) -> McEstimate:

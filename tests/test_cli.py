@@ -733,6 +733,15 @@ def test_cli_import_loads_no_scipy_special_quadrature_optimizer_or_mpmath():
     assert _modules_after("import cogrelay.cli") == []
 
 
+def test_cli_import_loads_no_thread_pool_or_logging():
+    # only a Monte-Carlo pass with more than one worker imports the pool
+    code = ("import sys, cogrelay.cli; "
+            "print(*(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_checkout_env(), check=True)
+    assert result.stdout.split() == []
+
+
 def test_no_command_loads_scipy(tmp_path):
     cfg = _write_config(tmp_path, qam_order=16)
     # every output, closed form on both sides of hop_ber's series switch
@@ -764,10 +773,11 @@ def test_placement_commands_load_no_scipy(tmp_path):
 def test_config_chunks_takes_effect_and_the_flag_wins(tmp_path, capsys, monkeypatch):
     seen = []
 
-    def estimator(scenario, trials, seed, chunks, metrics=montecarlo.METRICS):
+    def estimator(alphas, hop_counts, gamma_th, constants, trials, seed, chunks,
+                  metrics=montecarlo.METRICS):
         seen.append(chunks)
-        return {m: McEstimate(value=0.5, std_error=0.1, trials=trials, seed=seed)
-                for m in metrics}
+        return {m: [McEstimate(value=0.5, std_error=0.1, trials=trials, seed=seed)]
+                * len(hop_counts) for m in metrics}
 
     monkeypatch.setattr("cogrelay.cli.monte_carlo", estimator)
     cfg = _write_config(tmp_path, chunks=3)
@@ -805,7 +815,73 @@ def test_analyze_samples_each_point_once_for_all_mc_outputs(tmp_path, capsys, mo
         "analyze", "--config", _write_config(tmp_path), "--sweep", "ip_over_n0_db=10:20:10",
         "--outputs", "mc_op,mc_ber,mc_capacity", "--trials", "200000",
     ]) == 0
-    assert len(calls) == 4 * 2
+    # both points read the same 4 blocks
+    assert len(calls) == 4
+
+
+def test_analyze_draws_each_block_once_for_every_point(tmp_path, capsys, monkeypatch):
+    streams = []
+    substream = montecarlo.substream
+
+    def recording(seed, index):
+        streams.append(index)
+        return substream(seed, index)
+
+    monkeypatch.setattr(montecarlo, "substream", recording)
+    assert main([
+        "analyze", "--config", _write_config(tmp_path), "--sweep", "ip_over_n0_db=10:30:10",
+        "--outputs", "mc_op,mc_ber,mc_capacity", "--trials", str(8 * montecarlo.BLOCK_TRIALS),
+    ]) == 0
+    assert sorted(streams) == list(range(8))
+
+
+# sweep -> the config of its point at value v
+POINT_CONFIGS = {
+    "ip_over_n0_db=5:35:10": lambda v: {"ip_over_n0_db": v},
+    "hop_count=3,1,8,3": lambda v: {"hop_count": v},
+    "eta=2:4:1": lambda v: {"path_loss_exponent": v},
+    "pu_x=-0.5:1.5:1": lambda v: {"pu_coord": [v, 0.4]},
+    "pu_y=0.2:1:0.4": lambda v: {"pu_coord": [0.5, v]},
+}
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+@pytest.mark.parametrize("chunks", [1, 2, 16])
+@pytest.mark.parametrize("sweep", list(POINT_CONFIGS))
+def test_analyze_mc_outputs_equal_mc_at_each_point(tmp_path, capsys, monkeypatch,
+                                                   sweep, chunks, cells):
+    # every value and std_error bit for bit, from the columns before they are printed
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    if cells is not None:
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", cells)
+    columns, estimates = [], []
+    evaluate, simulate = cli.evaluate_outputs, cli.monte_carlo
+
+    def keep_columns(*args):
+        columns.append(evaluate(*args))
+        return dict(columns[-1])
+
+    def keep_estimates(*args):
+        estimates.append(simulate(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(cli, "evaluate_outputs", keep_columns)
+    monkeypatch.setattr(cli, "monte_carlo", keep_estimates)
+    base = {"qam_order": 16, "ip_over_n0_db": 12.0, "pu_coord": [0.5, 0.4]}
+    flags = ["--trials", str(2 * montecarlo.BLOCK_TRIALS + 777), "--seed", "9",
+             "--chunks", str(chunks)]
+    assert main(["analyze", "--config", _write_config(tmp_path, **base), "--sweep", sweep,
+                 "--outputs", "mc_op,mc_ber,mc_capacity", *flags]) == 0
+    [analyzed] = columns
+    _, values = parse_sweep(sweep)
+    for i, value in enumerate(values):
+        point = _write_config(tmp_path, f"point{i}.json", **{**base, **POINT_CONFIGS[sweep](value)})
+        estimates.clear()
+        assert main(["mc", "--config", point, *flags]) == 0
+        [mc] = estimates
+        for name, metric in MC_OUTPUTS.items():
+            assert analyzed[name][i] == mc[metric][0].value, (name, value)
+            assert analyzed[f"{name}_std_error"][i] == mc[metric][0].std_error, (name, value)
 
 
 # setting -> (minimum, default) of the Monte-Carlo settings

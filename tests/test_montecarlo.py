@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -36,6 +37,13 @@ def _override_scenario(alphas, gamma_th=1.0, qam_order=4):
         qam_order=qam_order,
         lambda_overrides=tuple((a, 1.0) for a in alphas),
     )
+
+
+def _joint(scn, trials, seed, chunks=1, metrics=montecarlo.METRICS):
+    """monte_carlo at the scenario's one point, as {metric: its estimate}."""
+    estimates = monte_carlo(derive_hop_statistics(scn)[None], [scn.hop_count], scn.gamma_th,
+                            qam_constants(scn.qam_order), trials, seed, chunks, metrics)
+    return {metric: points[0] for metric, points in estimates.items()}
 
 
 def test_outage_zero_threshold():
@@ -103,7 +111,7 @@ def test_joint_pass_equals_the_one_metric_calls(monkeypatch, trials, chunks):
     scn = Scenario(hop_count=3, ip_over_n0=10.0, qam_order=16)
     alone = {m: fn(scn, trials, 5, chunks) for m, fn in ONE_METRIC.items()}
     for metrics in SUBSETS:
-        joint = monte_carlo(scn, trials, 5, chunks, metrics)
+        joint = _joint(scn, trials, 5, chunks, metrics)
         assert list(joint) == list(metrics)
         for m in metrics:
             assert joint[m].value == alone[m].value, (metrics, m)
@@ -113,13 +121,13 @@ def test_joint_pass_equals_the_one_metric_calls(monkeypatch, trials, chunks):
 
 def test_joint_pass_defaults_to_every_metric():
     scn = _override_scenario([1.0, 2.0])
-    assert list(monte_carlo(scn, 100, 1)) == ["op", "ber", "capacity"]
+    assert list(_joint(scn, 100, 1)) == ["op", "ber", "capacity"]
 
 
 @pytest.mark.parametrize("metrics", [(), ("op", "op"), ("outage",), "op"])
 def test_joint_pass_rejects_bad_metric_lists(metrics):
     with pytest.raises(ValueError, match="metrics"):
-        monte_carlo(_override_scenario([1.0]), 100, 1, metrics=metrics)
+        _joint(_override_scenario([1.0]), 100, 1, metrics=metrics)
 
 
 def test_no_metric_calls_instantaneous_ber(monkeypatch):
@@ -129,7 +137,7 @@ def test_no_metric_calls_instantaneous_ber(monkeypatch):
     monkeypatch.setattr(montecarlo, "instantaneous_ber", forbidden)
     monkeypatch.setattr(ber, "instantaneous_ber", forbidden)
     scn = _override_scenario([1.0, 2.0], qam_order=16)
-    assert list(monte_carlo(scn, 1000, 1)) == list(montecarlo.METRICS)
+    assert list(_joint(scn, 1000, 1)) == list(montecarlo.METRICS)
 
 
 def _record_threads(monkeypatch):
@@ -247,7 +255,7 @@ def test_conditional_estimates_agree_with_the_raw_ones(hop_count, qam_order, ip_
     # blocks give the raw outage about 27 events at K = 4, 40 dB
     scn = Scenario(hop_count=hop_count, ip_over_n0=10 ** (ip_db / 10), qam_order=qam_order)
     trials = 8 * montecarlo.BLOCK_TRIALS
-    conditional = monte_carlo(scn, trials, 31)
+    conditional = _joint(scn, trials, 31)
     raw = raw_monte_carlo(scn, trials, 32)
     for m in montecarlo.METRICS:
         c, r = conditional[m], raw[m]
@@ -325,7 +333,7 @@ def test_smallest_normal_alpha_gives_finite_quiet_estimates(gamma_th):
     scn = _override_scenario([2.0 ** -1022, 1.0, 1.0], gamma_th=gamma_th, qam_order=16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        runs = [monte_carlo(scn, 150_000, 3, chunks) for chunks in (1, 2)]
+        runs = [_joint(scn, 150_000, 3, chunks) for chunks in (1, 2)]
     assert runs[0] == runs[1]
     for metric, estimate in runs[0].items():
         assert math.isfinite(estimate.value) and math.isfinite(estimate.std_error), metric
@@ -350,3 +358,65 @@ def test_ber_cap_changes_no_bit_where_one_over_mu_is_finite():
     above[0, ::3], at[0, ::3] = 1e300, cap
     above[1, ::5], at[1, ::5] = math.inf, cap
     assert kernel(above).tolist() == kernel(at).tolist()
+
+
+# the largest alpha at which a draw's 1/mu can reach the 64-QAM BER cap
+_CAP_ALPHA = montecarlo._DRAW_MAX / montecarlo._ber_terms(qam_constants(64))[1]
+
+
+@pytest.mark.parametrize("alpha", [
+    2.0 ** -1022, _CAP_ALPHA / 2, np.nextafter(_CAP_ALPHA, 0.0), _CAP_ALPHA,
+    2 * _CAP_ALPHA, 1.0,
+])
+def test_pass_caps_one_over_mu_where_its_alphas_can_reach_the_cap(alpha):
+    # the pass caps only where alpha says a draw can reach the cap; the
+    # kernel caps wherever 1/mu does: the bits are the same either way
+    scn = _override_scenario([1.0, alpha, 1.0], qam_order=64)
+    trials = 5000
+    draws = montecarlo.sample_exponential(montecarlo.substream(7, 0), 1.0, (3, trials))
+    with np.errstate(over="ignore"):
+        inv_mu = np.maximum(draws, 1e-300) / np.array([[1.0], [alpha], [1.0]])
+        values = montecarlo._kernel("ber", scn)(inv_mu)
+        reference = montecarlo._estimate([montecarlo._moments(values)], trials, 7)
+        assert mc_ber(scn, trials, 7) == reference
+    assert math.isfinite(reference.value)
+
+
+def test_points_in_groups_and_threads_give_the_estimates_of_one_serial_pass(monkeypatch):
+    alphas = np.array([[3.0, 40.0, np.inf], [0.5, 2.0, 9.0], [7.0, np.inf, np.inf]])
+    args = (alphas, [2, 3, 1], 1.0, qam_constants(16), 3 * montecarlo.BLOCK_TRIALS + 1, 4)
+    together = monte_carlo(*args, 1)
+    # eight workers switching every microsecond write one partials array:
+    # a lost or misplaced partial would change an estimate
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert monte_carlo(*args, 9) == together
+    finally:
+        sys.setswitchinterval(interval)
+    # one point of 4 blocks per group
+    monkeypatch.setattr(montecarlo, "_GROUP_PARTIALS", 5)
+    assert monte_carlo(*args, 2) == together
+    for i, k in enumerate([2, 3, 1]):
+        alone = monte_carlo(alphas[i:i + 1, :k], [k], *args[2:], 2)
+        assert {m: [e[i]] for m, e in together.items()} == alone
+
+
+def test_a_serial_pass_allocates_only_its_workspace():
+    # a draw, a slice of 1/mu and the BER kernel's four slice arrays, the
+    # rates, one metric's values and capacity's mask; 0 dB puts the rates
+    # on both sides of its series switch, where np.compress builds index
+    # arrays a slice long
+    k, n, w = 3, montecarlo.BLOCK_TRIALS, montecarlo._SLICE
+    workspace = 8 * (k * n + 5 * k * w + 2 * n) + n
+    scn = Scenario(hop_count=k, ip_over_n0=1.0, qam_order=16)
+    montecarlo.substream(0, 0)  # numpy's first seeding builds its tables
+    tracemalloc.start()
+    try:
+        _joint(scn, 16 * n, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (K, n) copy would add 1.5 MB, an array of n floats 0.5 MB
+    assert workspace <= peak < workspace + 256 * 1024
