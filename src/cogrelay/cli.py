@@ -1,23 +1,25 @@
 """Command-line front end: sweeps, placement optimization, profile
 comparison, and Monte-Carlo verification, all emitting CSV.
 
-Exit codes: 0 success, 1 configuration/flag error, 2 numeric or
-convergence failure.  Metadata lines are '#'-prefixed; re-running a
-command with identical inputs reproduces the output byte for byte
-(the timestamp line is suppressible with --no-timestamp).
+Exit codes: 0 success, 1 configuration/flag error or an output that
+cannot be written, 2 numeric or convergence failure.  Metadata lines
+are '#'-prefixed; re-running a command with identical inputs
+reproduces the output byte for byte (the timestamp line is
+suppressible with --no-timestamp).
 
-Every closed-form column of analyze and profiles is evaluated on the
-per-hop alphas of the sweep's points, one call per block of points.
-One generator, sweep_blocks, splits every sweep: it sorts the points by
-hop count and cuts them into blocks of at most _BLOCK_CELLS alphas,
-built one at a time, so memory stays bounded on long sweeps.  A block
-of an ip_over_n0_db, eta, pu_x or pu_y sweep carries its (P, 1) slice
-of the swept value; a block of a hop_count sweep pads each chain with
-alpha = +inf to its longest chain, which no closed form counts as a hop
-(per_hop_capacity is +inf there and bounds nothing).  The mc_* outputs
-are evaluated the same way: the first of them a block reaches runs one
-monte_carlo pass over the block's points for every mc_* output asked
-for, and the others read it; mc runs monte_carlo on its one point.
+Every column of analyze and profiles comes from its OUTPUTS evaluator
+on the per-hop alphas of the sweep's points, one call per block of
+points (evaluate_block).  One generator, sweep_blocks, splits every
+sweep: it sorts the points by hop count and cuts them into blocks of
+at most _BLOCK_CELLS alphas, built one at a time, so memory stays
+bounded on long sweeps.  A block of an ip_over_n0_db, eta, pu_x or
+pu_y sweep carries its (P, 1) slice of the swept value; a block of a
+hop_count sweep pads each chain with alpha = +inf to its longest
+chain, which no closed form counts as a hop (per_hop_capacity is +inf
+there and bounds nothing).  The mc_* outputs are evaluated the same
+way: the first of them a block reaches runs one monte_carlo pass over
+the block's points for every mc_* output asked for, and the others
+read it; mc runs monte_carlo on its one point.
 
 optimize's op_min and ber_min are the outage and BER asymptotes on the
 alphas of the balanced layout's hop lengths (with_performance), and
@@ -25,20 +27,24 @@ profiles evaluates its optimized profile on those same alphas.
 lambda_overrides fix each hop's alpha/(I_p/N_0), so they apply to one
 point or an ip_over_n0_db sweep only.
 
-A reader that closes the pipe early (analyze ... | head) ends the
-command quietly with exit code 141, as a process killed by SIGPIPE.
+Every command writes through one writer, which flushes before it
+returns.  A reader that closes the pipe early (analyze ... | head) ends
+the command quietly with exit code 141, as a process killed by SIGPIPE;
+any other failure to open or write the output exits 1 with one error
+line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -90,19 +96,23 @@ def _fmt(value) -> str:
     return "%.12g" % value
 
 
-def _open_out(path: Optional[str]):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
-
-
-def _write_meta(out: TextIO, command: str, args, extra: dict | None = None):
-    out.write(f"# cogrelay {__version__} {command}\n")
-    if not args.no_timestamp:
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        out.write(f"# generated: {stamp}\n")
-    for key, value in (extra or {}).items():
-        out.write(f"# {key}: {value}\n")
+@contextlib.contextmanager
+def _output(args, command: str, meta: dict) -> Iterator[TextIO]:
+    """--out, else stdout, with the command's '#' metadata lines written:
+    flushed when the block ends, so that a failed write raises here and
+    not at exit, and --out closed."""
+    out = sys.stdout if args.out is None else open(args.out, "w", newline="\n")
+    try:
+        out.write(f"# cogrelay {__version__} {command}\n")
+        if not args.no_timestamp:
+            stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            out.write(f"# generated: {stamp}\n")
+        out.writelines(f"# {key}: {value}\n" for key, value in meta.items())
+        yield out
+        out.flush()
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def load_scenario(path: str) -> tuple[Scenario, dict]:
@@ -188,14 +198,14 @@ class _Points:
 
 @dataclass(frozen=True)
 class _Sweep:
-    """What every evaluator needs besides the points."""
+    """What every evaluator needs besides the points; profiles sets base only."""
 
     base: Scenario
-    constants: QamConstants
-    trials: int
-    seed: int
-    chunks: int
-    mc_metrics: tuple[str, ...]  # the monte_carlo metrics of the mc_* outputs asked for
+    constants: Optional[QamConstants] = None
+    trials: int = 0
+    seed: int = 0
+    chunks: int = 1
+    mc_metrics: tuple[str, ...] = ()  # the monte_carlo metrics of the mc_* outputs asked for
     # [block, its estimates] of the last monte_carlo pass
     _last: list = field(default_factory=lambda: [None, None], compare=False, repr=False)
 
@@ -282,20 +292,17 @@ OUTPUTS.update({name: ((name, f"{name}_std_error"), _mc_output(metric))
 OUTPUT_ORDER = tuple(OUTPUTS)
 
 
-def evaluate_outputs(sweep: _Sweep, points: Iterable[_Points], outputs: Sequence[str],
-                     size: int) -> dict:
-    """Every column of the outputs, as an array over the sweep's `size`
-    points, block by block and output by output: one call each."""
-    columns = {
-        column: np.empty(size)
-        for name in outputs for column in OUTPUTS[name][0]
-    }
-    for block in points:
-        for name in outputs:
-            names, evaluate = OUTPUTS[name]
-            for column, cells in zip(names, evaluate(block, sweep)):
-                columns[column][block.index] = cells
-    return columns
+def evaluate_block(sweep: _Sweep, points: _Points, outputs: Sequence[str],
+                   columns: dict, size: int) -> None:
+    """Every column of the outputs at a block's points, one call per
+    output, into columns: name -> its array over the sweep's `size`
+    points, made when the first block reaches it."""
+    for name in outputs:
+        names, evaluate = OUTPUTS[name]
+        for column, cells in zip(names, evaluate(points, sweep)):
+            if column not in columns:
+                columns[column] = np.empty(size)
+            columns[column][points.index] = cells
 
 
 def _parse_outputs(text: Optional[str]) -> tuple[str, ...]:
@@ -343,27 +350,22 @@ def cmd_analyze(args) -> int:
     header += [column for n in outputs for column in OUTPUTS[n][0][1:]]
     sweep = _Sweep(scenario, qam_constants(scenario.qam_order), trials, seed, chunks,
                    tuple(MC_OUTPUTS[n] for n in mc_requested))
-    points = (_Points(index, derive_hop_statistics(scenario, **stats), counts)
-              for index, counts, stats in sweep_blocks(scenario, variable, values))
-    columns = evaluate_outputs(sweep, points, outputs, len(values))
+    columns = {}
+    for index, counts, stats in sweep_blocks(scenario, variable, values):
+        points = _Points(index, derive_hop_statistics(scenario, **stats), counts)
+        evaluate_block(sweep, points, outputs, columns, len(values))
     rows = zip(values, *(columns.pop(name).tolist() for name in header[1:]))
     row_format = ",".join(["%.12g"] * len(header)) + "\n"
+    meta = {"config": args.config, "sweep": variable}
     if mc_requested:
         header.append("trials")
         row_format = row_format[:-1] + f",{trials}\n"
+        meta["seed"] = seed
+        meta["sampling"] = "per-block substreams, 65536 trials per block"
 
-    out, close = _open_out(args.out)
-    try:
-        meta = {"config": args.config, "sweep": f"{variable}"}
-        if mc_requested:
-            meta["seed"] = seed
-            meta["sampling"] = "per-block substreams, 65536 trials per block"
-        _write_meta(out, "analyze", args, meta)
+    with _output(args, "analyze", meta) as out:
         out.write(",".join(header) + "\n")
         out.writelines(row_format % row for row in rows)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -407,17 +409,12 @@ def cmd_optimize(args) -> int:
         meta["objective_gap"] = _fmt(balanced_obj - obj_search)
         meta["direct_search_d_data"] = " ".join(_fmt(v) for v in d_search)
 
-    out, close = _open_out(args.out)
-    try:
-        _write_meta(out, "optimize", args, meta)
+    with _output(args, "optimize", meta) as out:
         out.write("hop,d_data,d_interference,ratio\n")
         for i, (dd, di) in enumerate(
             zip(placement.d_data, placement.d_interference), start=1
         ):
             out.write(f"{i},{_fmt(dd)},{_fmt(di)},{_fmt(dd / di)}\n")
-    finally:
-        if close:
-            out.close()
     print(
         f"optimize: K={k} ratio={placement.ratio:.6f} "
         f"residual={placement.residual_norm:.2e} "
@@ -503,29 +500,23 @@ def cmd_profiles(args) -> int:
     else:
         variable, values = "ip_over_n0_db", [linear_to_db(scenario.ip_over_n0)]
 
-    cells = {name: [None] * len(values) for name in names}  # "op_exact,capacity" per point
+    sweep, outputs = _Sweep(scenario), ("op_exact", "capacity")
+    columns = {name: {} for name in names}
     for index, counts, stats in sweep_blocks(scenario, variable, values):
         for name in names:
             lengths = _profile_lengths(name, scenario, counts, stats, table, seed)
-            alphas = derive_hop_statistics(scenario, lengths, **stats)
-            op = outage_exact(alphas, scenario.gamma_th).tolist()
-            cap = ergodic_capacity_ind(alphas, counts).tolist()
-            for i, cell in zip(index.tolist(), zip(op, cap)):
-                cells[name][i] = "%.12g,%.12g" % cell
+            points = _Points(index, derive_hop_statistics(scenario, lengths, **stats), counts)
+            evaluate_block(sweep, points, outputs, columns[name], len(values))
+    # (op_exact, capacity) of each profile at each point
+    cells = {name: list(zip(*(c.tolist() for c in profile.values())))
+             for name, profile in columns.items()}
 
-    out, close = _open_out(args.out)
-    try:
-        _write_meta(
-            out, "profiles", args,
-            {"config": args.config, "profiles": " ".join(names), "seed": seed},
-        )
-        out.write(f"{variable},profile,op_exact,capacity\n")
+    meta = {"config": args.config, "profiles": " ".join(names), "seed": seed}
+    with _output(args, "profiles", meta) as out:
+        out.write(f"{variable},profile,{','.join(outputs)}\n")
         for i, value in enumerate(values):
             for name in names:
-                out.write(f"{_fmt(value)},{name},{cells[name][i]}\n")
-    finally:
-        if close:
-            out.close()
+                out.write("%.12g,%s,%.12g,%.12g\n" % (value, name, *cells[name][i]))
     return 0
 
 
@@ -535,17 +526,9 @@ def cmd_mc(args) -> int:
     estimates = monte_carlo(derive_hop_statistics(scenario)[None], [scenario.hop_count],
                             scenario.gamma_th, qam_constants(scenario.qam_order),
                             trials, seed, chunks)
-    out, close = _open_out(args.out)
-    try:
-        _write_meta(
-            out, "mc", args,
-            {
-                "config": args.config,
-                "seed": seed,
-                "trials": trials,
-                "sampling": "per-block substreams, 65536 trials per block",
-            },
-        )
+    meta = {"config": args.config, "seed": seed, "trials": trials,
+            "sampling": "per-block substreams, 65536 trials per block"}
+    with _output(args, "mc", meta) as out:
         out.write("metric,value,std_error,trials,seed\n")
         for name, metric in MC_OUTPUTS.items():
             est = estimates[metric][0]
@@ -553,9 +536,6 @@ def cmd_mc(args) -> int:
                 f"{name},{_fmt(est.value)},{_fmt(est.std_error)},"
                 f"{est.trials},{est.seed}\n"
             )
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -609,17 +589,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return args.func(args)
-    except BrokenPipeError:
-        # the reader is gone: send what is left, and the flush at exit,
-        # to devnull instead of a second BrokenPipeError
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # load_scenario turns the config's OSError into a ConfigError, so
+        # this one was raised writing the output; a reader that is gone
+        # ends the command quietly, as SIGPIPE would
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
+                  file=sys.stderr)
+        if args.out is None:  # what is left, and the flush at exit, go to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141 if isinstance(exc, BrokenPipeError) else 1
 
 
 def entry_point() -> None:

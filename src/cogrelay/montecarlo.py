@@ -22,16 +22,20 @@ half its random numbers and evaluates no erfc.
 monte_carlo simulates a block of points at once, the way the closed
 forms take a block of alphas.  Trials are processed in fixed-size
 blocks of 65536; block i always draws from the substream (seed, i),
-once for every point and metric, as a (K, n) array with K the longest
-chain, and each point reads its own first rows (a (K, n) draw is the
-first K rows of a longer one).  Block partials are merged in block
-order, so estimates are bit-identical for any chunk count and for any
-block of points, which is what lets the chunks run concurrently: with
-chunks > 1 they are spread over up to os.cpu_count() threads (the
-calling thread is one of them), and numpy's RNG fill, ufuncs and
-reductions release the GIL while they work.  Each worker draws into
-and computes in one workspace for the whole call, so after its first
-block it allocates no float array of a block's size.
+once for every point and metric of a group of points, as a (K, n)
+array with K the group's longest chain, and each point reads its own
+first rows (a (K, n) draw is the first K rows of a longer one).  A
+group holds at most _GROUP_PARTIALS (point, block) partials; a pass
+over more points draws each block again for each group, so the bits
+are the same but the sampling is repeated.  Block partials are merged
+in block order, so estimates are bit-identical for any chunk count and
+for any block of points, which is what lets the chunks run
+concurrently: with chunks > 1 they are spread over up to
+os.cpu_count() threads (the calling thread is one of them), and
+numpy's RNG fill, ufuncs and reductions release the GIL while they
+work.  Each worker draws into and computes in one workspace for the
+whole call, so after its first block it allocates no float array of a
+block's size.
 """
 
 from __future__ import annotations

@@ -692,11 +692,14 @@ def test_sweep_point_limit_is_in_the_message():
 
 
 def _checkout_env():
-    """The environment of a fresh interpreter that imports this checkout's cogrelay."""
+    """The environment of a fresh interpreter that imports this checkout's
+    cogrelay, with stdout buffered as users run the CLI."""
     src = os.path.dirname(os.path.dirname(cogrelay.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     ))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def _modules_after(code):
@@ -727,6 +730,89 @@ def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
         rc = proc.wait(timeout=120)
     assert rc == 141
     assert err == b""
+
+
+# every command, each with an output of a few hundred bytes
+SHORT_COMMANDS = {
+    "analyze": ["analyze"],
+    "optimize": ["optimize"],
+    "profiles": ["profiles"],
+    "mc": ["mc", "--trials", "1000"],
+}
+
+
+def _run_cli(argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "cogrelay.cli", *argv],
+                          stderr=subprocess.PIPE, env=_checkout_env(), **kwargs)
+
+
+@pytest.mark.parametrize("command", list(SHORT_COMMANDS))
+def test_short_output_into_a_closed_pipe_exits_141_silently(tmp_path, command):
+    read, write = os.pipe()
+    os.close(read)  # the reader has left before the command writes
+    try:
+        result = _run_cli(SHORT_COMMANDS[command] + ["--config", _write_config(tmp_path)],
+                          stdout=write)
+    finally:
+        os.close(write)
+    assert result.returncode == 141
+    assert result.stderr == b""
+
+
+_needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                     reason="needs the /dev/full device")
+
+
+@pytest.mark.parametrize("target", [
+    pytest.param("stdout", marks=_needs_dev_full),
+    pytest.param("/dev/full", marks=_needs_dev_full),
+    "missing directory",
+    "directory",
+])
+@pytest.mark.parametrize("command", list(SHORT_COMMANDS))
+def test_an_output_that_cannot_be_written_exits_1_with_one_error_line(tmp_path, command,
+                                                                     target):
+    argv = SHORT_COMMANDS[command] + ["--config", _write_config(tmp_path)]
+    path = {"/dev/full": "/dev/full", "missing directory": str(tmp_path / "no" / "x.csv"),
+            "directory": str(tmp_path)}.get(target)
+    if path is None:  # stdout is the full device
+        with open("/dev/full", "wb") as full:
+            result = _run_cli(argv, stdout=full)
+    else:
+        result = _run_cli(argv + ["--out", path], stdout=subprocess.DEVNULL)
+    assert result.returncode == 1
+    [line] = result.stderr.decode().splitlines()
+    assert line.startswith(f"error: cannot write {path or 'stdout'}: ")
+
+
+@_needs_dev_full
+def test_a_long_output_into_a_full_device_exits_1_with_one_error_line(tmp_path):
+    # about 1 MB: the writes themselves fail, before the last flush
+    with open("/dev/full", "wb") as full:
+        result = _run_cli(["analyze", "--config", _write_config(tmp_path),
+                           "--sweep", "ip_over_n0_db=0:100:0.01"], stdout=full)
+    assert result.returncode == 1
+    assert result.stderr.decode() == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--sweep", "ip_over_n0_db=-10:30:10", "--outputs",
+     ",".join(n for n in OUTPUT_ORDER if n not in MC_OUTPUTS)],
+    ["analyze", "--sweep", "hop_count=3,1,5", "--outputs", "op_exact,mc_op,mc_ber,mc_capacity",
+     "--trials", "3000", "--chunks", "2"],
+    ["optimize"],
+    ["profiles", "--sweep", "pu_x=-0.5:1.5:0.5", "--profiles", "uniform,optimized,random"],
+    ["mc", "--trials", "3000"],
+], ids=["analyze", "analyze_mc", "optimize", "profiles", "mc"])
+def test_out_file_holds_the_bytes_printed_to_stdout(tmp_path, capsys, argv):
+    argv = argv + ["--config", _write_config(tmp_path, qam_order=16), "--no-timestamp"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode()
+    assert printed.count("\n") > 5
 
 
 def test_cli_import_loads_no_scipy_special_quadrature_optimizer_or_mpmath():
@@ -855,17 +941,17 @@ def test_analyze_mc_outputs_equal_mc_at_each_point(tmp_path, capsys, monkeypatch
     if cells is not None:
         monkeypatch.setattr(cli, "_BLOCK_CELLS", cells)
     columns, estimates = [], []
-    evaluate, simulate = cli.evaluate_outputs, cli.monte_carlo
+    evaluate, simulate = cli.evaluate_block, cli.monte_carlo
 
-    def keep_columns(*args):
-        columns.append(evaluate(*args))
-        return dict(columns[-1])
+    def keep_columns(sweep, points, outputs, filled, size):
+        evaluate(sweep, points, outputs, filled, size)
+        columns[:] = [dict(filled)]  # the arrays, before analyze pops them
 
     def keep_estimates(*args):
         estimates.append(simulate(*args))
         return estimates[-1]
 
-    monkeypatch.setattr(cli, "evaluate_outputs", keep_columns)
+    monkeypatch.setattr(cli, "evaluate_block", keep_columns)
     monkeypatch.setattr(cli, "monte_carlo", keep_estimates)
     base = {"qam_order": 16, "ip_over_n0_db": 12.0, "pu_coord": [0.5, 0.4]}
     flags = ["--trials", str(2 * montecarlo.BLOCK_TRIALS + 777), "--seed", "9",
