@@ -3,6 +3,7 @@ from itertools import permutations
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cogrelay import (
@@ -165,3 +166,14 @@ def test_hop_ber_relative_accuracy_across_range(m):
         for alpha in np.logspace(-30, 30, 121).tolist():
             value, ref = hop_ber(alpha, c), _hop_ber_reference(alpha, c)
             assert abs(value - ref) <= 1e-12 * ref, (alpha, value, ref)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(m=st.sampled_from([4, 16, 64, 256, 1024]),
+       alpha=st.one_of(st.floats(-30, 30).map(lambda e: 10.0 ** e), st.floats(1e-30, 1e30)))
+def test_hop_ber_within_1e12_of_50_digits(m, alpha):
+    c = qam_constants(m)
+    with mp.workdps(50):
+        ref = _hop_ber_reference(alpha, c)
+    value = hop_ber(alpha, c)
+    assert abs(value - ref) <= 1e-12 * ref, (alpha, value, ref)

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from cogrelay import (
     NumericError,
+    capacity,
     derive_hop_statistics,
     capacity_pole_integral,
     ergodic_capacity_ind,
@@ -423,14 +424,48 @@ def _chain(**config):
 @example([3.0, 3.0000027])
 # prod(alpha) = 1e-320 keeps 14 bits; the closed form must not use it
 @example([1e-290, 1e-30])
+# the integrand's denominator overflows from g = 1.6 on, where the
+# integrand is still 0.4 of its peak: the product of factors lost 7.4e-4
+@example([2.0 ** -1022] + [1e30] * 4)
 def test_long_chain_capacity_within_1e13_of_40_digits(alphas):
     cap = ergodic_capacity_ind(alphas)
     assert abs(cap - float(_survival_reference(alphas))) <= 1e-13 * cap
 
 
-@pytest.mark.parametrize("hops", [5, 64])
-@pytest.mark.parametrize("alpha", [1e-300, 1e300])
+@pytest.mark.parametrize("hops", [1, 2, 4, 5, 64])
+@pytest.mark.parametrize("alpha", [2.0 ** -1022, 1e-300, 1e290, 1e300, 1e305])
 def test_long_chain_capacity_at_the_float64_extremes(alpha, hops):
-    # the nodes pass e^709 at 1e300 and reach subnormal gains at 1e-300
-    cap = ergodic_capacity_ind([alpha] * hops)
+    # at 1e290 and up the nodes or the integrand's denominator pass the
+    # float64 range, and the integrand is taken in logs; at 1e-300 and
+    # below the gains are subnormal, and at 2^-1022 and 64 hops
+    # 1 + sum(1/alpha) overflows, so the lowest nodes have no closed-form
+    # tail.  Chains of four hops or fewer reach the quadrature only where
+    # the closed form fails, so they call it directly.
+    rows = np.full((1, hops), alpha)
+    if hops < capacity._QUADRATURE_HOPS:
+        cap = float(capacity._survival_quadrature(rows, np.array([hops]))[0])
+    else:
+        cap = ergodic_capacity_ind(rows[0])
     assert abs(cap - float(_survival_reference([alpha] * hops))) <= 1e-13 * cap
+
+
+@st.composite
+def scaled_chains(draw):
+    """A chain of 1 to 64 hops in 1e-30..1e30, spread over six decades or
+    equal, as rows scaled by a rising grid of 81 factors from 1e-2 to 1e2."""
+    k = draw(st.integers(1, 64))
+    scale = 10.0 ** draw(st.floats(-25, 25))
+    if draw(st.booleans()):
+        chain = [scale * 10.0 ** draw(st.floats(-3, 3)) for _ in range(k)]
+    else:
+        chain = [scale] * k
+    return np.logspace(-2, 2, 81)[:, None] * np.array(chain)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(scaled_chains())
+def test_capacity_nondecreasing_in_snr(rows):
+    # scaling every hop's alpha up is a higher I_p/N_0; on chains of four
+    # hops or fewer the rows mix the closed form and the quadrature
+    caps = ergodic_capacity_ind(rows)
+    assert np.all(np.diff(caps) >= 0.0), caps
