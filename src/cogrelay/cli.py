@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import math
 import os
@@ -429,13 +430,22 @@ def _profile_lengths(name: str, base: Scenario, counts: np.ndarray, stats: dict,
     """Hop lengths of profile `name` at a block's chains, zero past each
     chain's own hops: (P, max K), or (1, K) where every chain has the
     same lengths.  Each distinct chain is laid out once; only the
-    optimized profile's balanced layout moves with the primary receiver."""
+    optimized profile's balanced layout moves with the primary receiver,
+    and one solve per hop count lays out all of its chains' receivers."""
     pus = [None] * len(counts)
     if name == "optimized":
         pus = zip(*(np.broadcast_to(stats.get(axis, value), (len(counts), 1))[:, 0].tolist()
                     for axis, value in zip(("pu_x", "pu_y"), base.pu_coord)))
     chains = list(zip(counts.tolist(), pus))
     width = int(counts.max())
+    balanced = {}
+    if name == "optimized":
+        receivers = {}  # hop count -> its distinct receivers, in block order
+        for k, pu in dict.fromkeys(chains):
+            receivers.setdefault(k, []).append(pu)
+        for k, pu_list in receivers.items():
+            rows = solve_equal_ratio(k, np.array(pu_list).T).d_data.tolist()
+            balanced.update(((k, pu), tuple(row)) for pu, row in zip(pu_list, rows))
     layouts = {}
     for k, pu in dict.fromkeys(chains):
         if name == "uniform":
@@ -443,7 +453,7 @@ def _profile_lengths(name: str, base: Scenario, counts: np.ndarray, stats: dict,
         elif name == "random":
             layout = tuple(np.random.default_rng(seed).dirichlet(np.ones(k)).tolist())
         elif name == "optimized":
-            layout = solve_equal_ratio(k, pu).d_data
+            layout = balanced[k, pu]
         elif name not in table:
             raise ConfigError(f"unknown profile {name!r}")
         elif len(table[name]) != k:
@@ -539,7 +549,11 @@ def cmd_mc(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process: building it costs
+    more than parsing (add_argument measures the terminal), and parsing
+    leaves it unchanged."""
     parser = _Parser(prog="cogrelay", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -581,9 +595,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

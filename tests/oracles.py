@@ -30,7 +30,6 @@ from cogrelay import (
 )
 from cogrelay.channel import sample_exponential
 from cogrelay.montecarlo import BLOCK_TRIALS
-from cogrelay.placement import _check_pu
 
 _D_MIN = 1e-6  # smallest hop length grid_search considers
 
@@ -142,7 +141,9 @@ def grid_search(
         raise ConfigError(
             f"grid resolution must be >= {hop_count - 1} for {hop_count} hops"
         )
-    px, py = _check_pu(pu_coord)
+    px, py = float(pu_coord[0]), float(pu_coord[1])
+    if py == 0.0 and 0.0 <= px <= 1.0:
+        raise ConfigError("primary receiver on the source-destination segment")
     if eta < 2:
         raise ValueError("eta must be >= 2")
     if hop_count == 1:

@@ -210,6 +210,30 @@ def test_a_hop_count_sweep_calls_each_closed_form_once(tmp_path, capsys, monkeyp
     assert sorted(calls) == ["ergodic_capacity_ind", "hop_ber"]
 
 
+def test_optimized_profiles_solve_once_per_hop_count_in_each_block(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the balanced layouts of a block's receivers are one array solve per
+    # hop count: a loop over points would call it 100 times
+    calls = []
+
+    def counted(hop_count, pu_coord, original=cli.solve_equal_ratio):
+        calls.append((hop_count, len(pu_coord[0])))
+        return original(hop_count, pu_coord)
+
+    monkeypatch.setattr(cli, "solve_equal_ratio", counted)
+    cfg = _write_config(tmp_path, hop_count=4, pu_coord=[0.6, 0.25])
+    argv = ["profiles", "--config", cfg, "--profiles", "optimized", "--no-timestamp"]
+    assert main(argv + ["--sweep", "pu_x=-1:1.97:0.03"]) == 0
+    assert len(_rows(capsys.readouterr().out)[1]) == 100
+    assert calls == [(4, 100)]
+    # K = 2-8, 40 and 64 are three blocks of 64 alphas
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 64)
+    calls.clear()
+    assert main(argv + ["--sweep", "hop_count=3,8,3,2,40,8,4,5,64"]) == 0
+    assert [k for k, _ in calls] == [2, 3, 4, 5, 8, 40, 64]
+    assert all(n == 1 for _, n in calls)
+
+
 def test_analyze_hop_count_list_sweep(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main([
@@ -873,6 +897,37 @@ def test_config_chunks_takes_effect_and_the_flag_wins(tmp_path, capsys, monkeypa
     assert main(["mc", "--config", _write_config(tmp_path, "plain.json")]) == 0
     # one monte_carlo call per command and point
     assert seen == [3, 3, 2, 1]
+
+
+def test_consecutive_commands_start_from_the_defaults(tmp_path, capsys, monkeypatch):
+    # one parser serves every main() call of a process: no flag of one
+    # call may carry over into the next, also after a usage error
+    seen = []
+
+    def estimator(alphas, hop_counts, gamma_th, constants, trials, seed, chunks,
+                  metrics=montecarlo.METRICS):
+        seen.append((trials, seed, chunks))
+        return {m: [McEstimate(value=0.5, std_error=0.1, trials=trials, seed=seed)]
+                * len(hop_counts) for m in metrics}
+
+    monkeypatch.setattr("cogrelay.cli.monte_carlo", estimator)
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["mc", "--config", cfg, "--trials", "500", "--seed", "7", "--chunks", "2",
+                 "--out", str(out), "--no-timestamp"]) == 0
+    assert out.read_text().startswith("# cogrelay")
+    assert main(["analyze", "--config", cfg, "--outputs", "mc_op"]) == 0
+    assert main(["profiles", "--config", cfg, "--profiles", "uniform"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.count("# cogrelay") == 2 and stdout.count("# generated:") == 2
+    assert _meta(stdout.split("# cogrelay")[2])["seed"] == "0"
+    for argv in (["mc", "--config", cfg, "--seed", "x"], ["mc", "--seed", "3"],
+                 ["analyze", "--config", cfg, "--chunks", "2", "--bogus"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+    assert main(["mc", "--config", cfg]) == 0
+    assert "# generated:" in capsys.readouterr().out
+    assert seen == [(500, 7, 2), (100_000, 0, 1), (100_000, 0, 1)]
 
 
 def _count_samplings(monkeypatch):

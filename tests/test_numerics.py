@@ -125,7 +125,8 @@ def test_quad_semiinfinite_rejects_nonconvergent_integrand():
 
 
 # The balanced placement solves one scalar equation in the common ratio
-# with placement.newton_system, which takes residual(x) -> (f, f').
+# by Newton's method, under the rules of placement.newton_system, which
+# takes residual(x) -> (f, f').
 
 
 def _tanh_residual(x):

@@ -1,12 +1,16 @@
 import math
 import random
+import time
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogrelay import (
     ConfigError,
     ConvergenceError,
+    NumericError,
     Scenario,
     derive_hop_statistics,
     direct_search,
@@ -156,20 +160,88 @@ def test_solver_iterations_and_ratio_pinned(k, pu, iterations, ratio):
     assert (p.iterations, p.ratio) == (iterations, float.fromhex(ratio))
 
 
-def test_solver_backtracks_through_module_newton(monkeypatch):
-    # solve_equal_ratio looks newton_system up at call time, so a wrapper
+def test_direct_search_backtracks_through_module_newton(monkeypatch):
+    # direct_search looks newton_system up at call time, so a wrapper
     # bound to the module (as the benchmark's span recorder binds one)
-    # sees every residual evaluation
-    evaluations = []
+    # sees every residual evaluation of its shot
+    shots = []
     newton = placement.newton_system
 
-    def counting(residual, rho):
-        return newton(lambda r: evaluations.append(r) or residual(r), rho)
+    def counting(residual, rho, floor=0.0):
+        evaluations = []
+        rho, iterations = newton(lambda r: evaluations.append(r) or residual(r), rho, floor)
+        if floor:  # the shot on r_1, not a hop's root
+            shots.append((len(evaluations), iterations))
+        return rho, iterations
 
     monkeypatch.setattr(placement, "newton_system", counting)
-    p = solve_equal_ratio(8, (0.5, 1e-3))
+    direct_search(8, (0.5, 1e-3), 4.0)
+    [(evaluations, iterations)] = shots
     # one evaluation at the start and one per iteration without halving
-    assert len(evaluations) > p.iterations + 1
+    assert evaluations > iterations + 1
+
+
+def _alone(k, pu):
+    try:
+        return solve_equal_ratio(k, pu)
+    except (ConfigError, NumericError) as exc:
+        return exc
+
+
+def _assert_rows_solved_alone(k, xs, ys):
+    """Every row of the batch solve has the bits of its point solved alone,
+    and the batch's iterations are the points' total."""
+    batch = solve_equal_ratio(k, (np.array(xs), np.array(ys)))
+    alone = [solve_equal_ratio(k, pu) for pu in zip(xs, ys)]
+    assert batch.d_data.shape == batch.d_interference.shape == (len(xs), k)
+    for i, p in enumerate(alone):
+        assert tuple(batch.d_data[i].tolist()) == p.d_data
+        assert tuple(batch.d_interference[i].tolist()) == p.d_interference
+        assert (float(batch.ratio[i]), float(batch.residual_norm[i])) == (p.ratio, p.residual_norm)
+    assert type(batch.iterations) is int
+    assert batch.iterations == sum(p.iterations for p in alone)
+    return alone
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 16),
+       pus=st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(1e-3, 2.0)),
+                    min_size=1, max_size=8))
+def test_each_row_of_a_batch_solve_is_its_point_solved_alone(k, pus):
+    xs, ys = zip(*pus)
+    _assert_rows_solved_alone(k, xs, ys)
+
+
+def test_a_batch_mixes_points_that_settle_at_once_with_points_that_halve():
+    # far receivers start at their root; (0.5, 1e-3) halves Newton steps
+    alone = _assert_rows_solved_alone(8, [0.5, 0.5, 0.5, 0.2], [1e8, 1e-3, 1e6, 0.3])
+    assert [p.iterations for p in alone][:3] == [0, 6, 1]
+
+
+def test_a_batch_solve_raises_the_error_of_its_first_failing_point():
+    # (0.5, 1e-9) misses the 1e-10 residual at 64 hops; (0.5, 0) lies on
+    # the segment
+    cases = [
+        ([0.35, 0.5, 0.5], [0.35, 1e-9, 0.0]),
+        ([0.35, 0.5, 0.5], [0.35, 0.0, 1e-9]),
+        ([0.5, 0.35], [1e-9, 0.35]),
+    ]
+    for xs, ys in cases:
+        errors = [_alone(64, pu) for pu in zip(xs, ys)]
+        first = next(e for e in errors if isinstance(e, Exception))
+        with pytest.raises(type(first)) as raised:
+            solve_equal_ratio(64, (np.array(xs), np.array(ys)))
+        assert type(raised.value) is type(first)
+        assert str(raised.value) == str(first)
+
+
+def test_a_single_hop_is_the_exact_inverse_distance_at_every_point():
+    xs, ys = [0.35, -1.0, 1.7, 0.5], [0.35, 1e-3, 0.2, 1e6]
+    batch = solve_equal_ratio(1, (np.array(xs), np.array(ys)))
+    assert batch.d_data.tolist() == [[1.0]] * 4
+    assert batch.ratio.tolist() == [1.0 / math.hypot(x, y) for x, y in zip(xs, ys)]
+    assert batch.residual_norm.tolist() == [0.0] * 4
+    assert batch.iterations == 0
 
 
 def test_degenerate_primary_position_rejected():
@@ -292,6 +364,17 @@ def test_direct_search_no_feasible_perturbation_lowers_the_objective():
             for step in (1e-2, 1e-3, 1e-4):
                 moved = [a + step * scale * b for a, b in zip(d, v)]
                 assert placement_objective(moved, pu, eta) >= obj * (1 - 1e-13), (k, pu, eta)
+
+
+def test_direct_search_stops_its_shot_at_the_rounding_floor():
+    # |sum d - 1| reaches its floor before r_1 settles: the shot stops
+    # there, where it ran all 60 halvings in each of its 100 iterations
+    # (3-6 s), and says why as before
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError,
+                       match=r"^direct search: placement Newton: residual 1\.895e-16 after"):
+        direct_search(64, (1.0, 1e-300), 2.0)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("py", [1e-300, 1e-8, 1e-4])
