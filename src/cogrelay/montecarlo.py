@@ -9,7 +9,8 @@ gains, and that conditional expectation is the trial's value:
 - outage: 1 - exp(-gamma_th r), with r = sum_k 1/mu_k the rate of the
   weakest hop's SNR;
 - BER: each hop's AWGN BER averaged over its SNR, a sum over omega of
-  phi (1 - 1/sqrt(1 + t)) with t = 1/(omega mu_k), chained by the
+  phi (1 - 1/sqrt(1 + t)) with t = 1/(omega mu_k), evaluated as
+  (1/mu_k) sum (phi/omega)/((1 + t) + sqrt(1 + t)), and chained by the
   odd-number-of-errors recursion, which holds because the hops are
   independent given Y;
 - capacity: E[log2(1 + min hop SNR)]/K = e^r E1(r)/(K ln 2), i.e. it
@@ -36,6 +37,14 @@ numpy's RNG fill, ufuncs and reductions release the GIL while they
 work.  Each worker draws into and computes in one workspace for the
 whole call, so after its first block it allocates no float array of a
 block's size.
+
+Within a block, 1/mu and the BER kernel go a slice of columns at a
+time, max(_SLICE, _SLICE_FLOATS // K) wide (16,384 at K = 3), so that
+the four (K, w) slice arrays stay in a 2 MB L2 cache.  The width also
+sets the numpy calls a block takes (about 160 for one point at K = 3,
+16-QAM), and with two workers each call costs about 3 us more CPU, in
+taking and handing back the GIL; the BER kernel takes 5 or 6 calls per
+distinct omega and 2 per hop.
 """
 
 from __future__ import annotations
@@ -56,9 +65,12 @@ from .scenario import Scenario, derive_hop_statistics
 
 BLOCK_TRIALS = 1 << 16
 # Columns of a block that 1/mu is formed and the BER kernel works on at
-# a time, so that the (K, columns) arrays stay in cache.  Every step is
-# element by element, so the width changes no bit.
+# a time: _SLICE_FLOATS floats per (K, columns) slice array, so that the
+# four of them stay in cache, but at least _SLICE columns, so that a
+# block takes few numpy calls.  Every step is element by element, so the
+# width changes no bit.
 _SLICE = 1 << 13
+_SLICE_FLOATS = 3 << 14
 # (point, block) partials one call keeps: the points are simulated in
 # groups small enough to stay under it, each group drawing the blocks
 _GROUP_PARTIALS = 1 << 16
@@ -198,14 +210,17 @@ def mc_capacity(
 
 class _Workspace:
     """The arrays one worker computes a block in, for every block of a
-    call: a block's draws, one slice of a point's 1/mu, the BER kernel's
-    slice arrays (one is _exp_e1's scratch), Sigma_k 1/mu_k, one metric's
-    values and _exp_e1's mask."""
+    call: a block's draws, four (K, w) slice arrays (one slice of a
+    point's 1/mu and the BER kernel's u, s and hop; s is also _exp_e1's
+    scratch), Sigma_k 1/mu_k, one metric's values and _exp_e1's mask.
+
+    The slice width w is max(_SLICE, _SLICE_FLOATS // K) columns, at
+    most n."""
 
     def __init__(self, k: int, n: int):
         self.draws = np.empty(k * n)  # contiguous as (K, n) for every n
-        self.cols, self.t, self.u, self.s, self.hop = (
-            np.empty((k, min(n, _SLICE))) for _ in range(5))
+        w = min(n, max(_SLICE, _SLICE_FLOATS // k))
+        self.cols, self.u, self.s, self.hop = (np.empty((k, w)) for _ in range(4))
         self.rate, self.values = np.empty(n), np.empty(n)
         self.low = np.empty(n, dtype=bool)
 
@@ -226,8 +241,9 @@ def _values(y, alpha, metrics, gamma_th, ber, space, top=_DRAW_MAX) -> Iterator:
         pairs, cap = ber
         # 1/mu reaches the cap only where top/alpha can
         capped = alpha.min() < top / cap
-    for lo in range(0, n, _SLICE):
-        w = min(_SLICE, n - lo)
+    width = space.cols.shape[1]
+    for lo in range(0, n, width):
+        w = min(width, n - lo)
         cols = space.cols[:k, :w]
         np.divide(y[:, lo:lo + w], alpha, out=cols)
         if "op" in metrics or "capacity" in metrics:
@@ -249,7 +265,7 @@ def _values(y, alpha, metrics, gamma_th, ber, space, top=_DRAW_MAX) -> Iterator:
     if "capacity" in metrics:
         # the last to read the rates, which _exp_e1 may overwrite; the BER
         # kernel's slice arrays are free by now
-        _exp_e1(rate, values, space.t.reshape(-1), space.low[:n])
+        _exp_e1(rate, values, space.s.reshape(-1), space.low[:n])
         values *= 1.0 / (k * _LN2)
         yield "capacity", values
 
@@ -270,42 +286,50 @@ def _kernel(metric: str, scenario: Scenario):
 
 
 def _ber_terms(constants: QamConstants) -> tuple[list[tuple[float, float]], float]:
-    """The BER kernel's (1/omega, weight) pairs, equal omegas merged, and
-    its cap on 1/mu."""
+    """The BER kernel's (1/omega, weight/omega) pairs, equal omegas
+    merged, and its cap on 1/mu."""
     weights: dict[float, float] = {}  # omega -> the sum of its terms' phi
     for _, _, _, omega, phi in constants.terms:
         weights[omega] = weights.get(omega, 0.0) + phi
-    pairs = [(1.0 / omega, phi / constants.denominator)
+    pairs = [(1.0 / omega, phi / constants.denominator / omega)
              for omega, phi in weights.items() if phi != 0.0]
-    # from 1/mu = cap on every t exceeds 2^109, where (1 + t) + sqrt(1 + t)
-    # rounds to t and each term is 1 exactly: capping 1/mu there keeps t
-    # finite (not inf/inf) and changes no bit
+    # from 1/mu = cap on every t = 1/(omega mu) exceeds 2^109, where
+    # (1 + t) + sqrt(1 + t) rounds to t, so the hop's BER is its limit,
+    # the sum of the weights, to within rounding: capping 1/mu there
+    # moves the BER by rounding only, and keeps it finite where 1/mu is
+    # inf (each term of the sum 0, the BER inf * 0)
     return pairs, 2.0 ** 110 * max(weights)
 
 
 def _ber_slice(cols: np.ndarray, pairs, out: np.ndarray, space: _Workspace) -> None:
     """The end-to-end BER of a (K, w) slice of 1/mu into out."""
     k, w = cols.shape
-    t, u, s, hop = (a[:k, :w] for a in (space.t, space.u, space.s, space.hop))
-    for j, (inv_omega, weight) in enumerate(pairs):
-        # 1 - 1/sqrt(1 + t) = t / ((1 + t) + sqrt(1 + t)), which does not
-        # cancel as t -> 0; the first term starts the hop sum
-        term = t if j else hop
-        np.multiply(cols, inv_omega, out=term)
-        np.add(term, 1.0, out=u)
+    u, s, hop = (a[:k, :w] for a in (space.u, space.s, space.hop))
+    for j, (inv_omega, folded) in enumerate(pairs):
+        # weight (1 - 1/sqrt(1 + t)) = (1/mu) (weight/omega) / ((1 + t)
+        # + sqrt(1 + t)), which does not cancel as t -> 0; the factor
+        # 1/mu is taken out of the hop's sum
+        np.multiply(cols, inv_omega, out=u)
+        u += 1.0
         np.sqrt(u, out=s)
         u += s
-        term /= u
-        term *= weight
         if j:
-            hop += term
-    out[...] = hop[-1]
-    step = t[0]
-    for row in hop[-2::-1]:
-        np.multiply(row, -2.0, out=step)
-        step += 1.0
-        step *= out
-        np.add(row, step, out=out)
+            hop += np.divide(folded, u, out=s)
+        else:
+            np.divide(folded, u, out=hop)
+    hop *= cols
+    # the odd-number-of-errors recursion from the last hop back to the
+    # first: out <- out (1 - 2 hop_r) + hop_r
+    if k == 1:
+        out[...] = hop[0]
+        return
+    g = np.multiply(hop[:-1], -2.0, out=u[:-1])
+    g += 1.0
+    np.multiply(hop[-1], g[-1], out=out)
+    out += hop[-2]
+    for r in range(k - 3, -1, -1):
+        out *= g[r]
+        out += hop[r]
 
 
 def _exp_e1(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None,

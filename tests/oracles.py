@@ -2,9 +2,9 @@
 
 The per-hop SNR law, the weakest-hop density, the identical-hop closed
 forms, an adaptive semi-infinite quadrature, a grid search of the
-placement objective and the raw Monte-Carlo estimator: independent
-routes to the quantities the library computes, kept out of its public
-API.
+placement objective, the raw Monte-Carlo estimator and the chain
+recursion in four calls a hop: independent routes to the quantities the
+library computes, kept out of its public API.
 """
 
 from __future__ import annotations
@@ -252,3 +252,17 @@ def _raw_ber(snr: np.ndarray, constants: QamConstants) -> np.ndarray:
     for row in hop[::-1]:
         acc = row + (1.0 - 2.0 * row) * acc
     return acc
+
+
+def ber_chain(hop: np.ndarray) -> np.ndarray:
+    """The end-to-end BER of (K, n) per-hop BERs by the odd-number-of-errors
+    recursion as four numpy calls a hop, from the last hop back to the
+    first: step = (-2 hop_r + 1) out, then out = hop_r + step."""
+    out = hop[-1].copy()
+    step = np.empty_like(out)
+    for row in hop[-2::-1]:
+        np.multiply(row, -2.0, out=step)
+        step += 1.0
+        step *= out
+        np.add(row, step, out=out)
+    return out

@@ -9,6 +9,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogrelay import (
     NumericError,
@@ -26,7 +27,7 @@ from cogrelay import (
     qam_constants,
 )
 from cogrelay import ber
-from oracles import raw_monte_carlo
+from oracles import ber_chain, raw_monte_carlo
 
 
 def _override_scenario(alphas, gamma_th=1.0, qam_order=4):
@@ -403,20 +404,93 @@ def test_points_in_groups_and_threads_give_the_estimates_of_one_serial_pass(monk
         assert {m: [e[i]] for m, e in together.items()} == alone
 
 
-def test_a_serial_pass_allocates_only_its_workspace():
-    # a draw, a slice of 1/mu and the BER kernel's four slice arrays, the
-    # rates, one metric's values and capacity's mask; 0 dB puts the rates
-    # on both sides of its series switch, where np.compress builds index
-    # arrays a slice long
-    k, n, w = 3, montecarlo.BLOCK_TRIALS, montecarlo._SLICE
-    workspace = 8 * (k * n + 5 * k * w + 2 * n) + n
+def _serial_pass_peak(k: int, trials: int) -> int:
+    """The tracemalloc peak of a serial pass at K hops, 0 dB."""
     scn = Scenario(hop_count=k, ip_over_n0=1.0, qam_order=16)
     montecarlo.substream(0, 0)  # numpy's first seeding builds its tables
     tracemalloc.start()
     try:
-        _joint(scn, 16 * n, 3)
-        peak = tracemalloc.get_traced_memory()[1]
+        _joint(scn, trials, 3)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_serial_pass_allocates_only_its_workspace():
+    # a draw, the four (K, w) slice arrays (a slice of 1/mu and the BER
+    # kernel's three), the rates, one metric's values and capacity's
+    # mask, with w = max(8,192, 49,152 // K) = 16,384 columns at K = 3;
+    # 0 dB puts the rates on both sides of its series switch, where
+    # np.compress builds index arrays 8,192 long
+    k, n, w = 3, montecarlo.BLOCK_TRIALS, 16_384
+    workspace = 8 * (k * n + 4 * k * w + 2 * n) + n
+    peak = _serial_pass_peak(k, 16 * n)
     # a (K, n) copy would add 1.5 MB, an array of n floats 0.5 MB
     assert workspace <= peak < workspace + 256 * 1024
+
+
+def test_a_long_chain_holds_slices_of_8192_columns():
+    # at K = 64 the width is its floor, 8,192 columns: the four slice
+    # arrays are half the (K, n) draw, and a (K, w) copy would add 4 MB
+    k, n, w = 64, montecarlo.BLOCK_TRIALS, 8_192
+    workspace = 8 * (k * n + 4 * k * w + 2 * n) + n
+    peak = _serial_pass_peak(k, 2 * n)
+    assert workspace <= peak < workspace + 256 * 1024
+
+
+def test_chain_gives_the_bits_of_the_four_call_recursion():
+    # with the one pair (1/omega, weight/omega) = (0, 2) each hop's BER is
+    # 1/mu * 2 / ((1 + 0) + sqrt(1 + 0)) = 1/mu exactly, so the kernel
+    # chains the hop BERs it is given
+    rng = np.random.default_rng(11)
+    n = 1000
+    for k in range(1, 65):
+        hop = rng.uniform(0.0, 0.5, size=(k, n))
+        hop[rng.random((k, n)) < 0.02] = 0.0
+        hop[rng.random((k, n)) < 0.02] = 0.5
+        out = np.empty(n)
+        montecarlo._ber_slice(hop.copy(), [(0.0, 2.0)], out, montecarlo._Workspace(k, n))
+        assert out.tolist() == ber_chain(hop).tolist(), k
+
+
+def _ber_reference(inv_mu, constants) -> float:
+    """The end-to-end BER at one trial's 1/mu per hop, to 50 digits: each
+    hop's sum of phi t/((1 + t) + sqrt(1 + t)) / denominator over the
+    QAM terms, t = 1/(omega mu), chained by the recursion."""
+    with mp.workdps(50):
+        hops = []
+        for x in inv_mu:
+            total = mp.mpf(0)
+            for _, _, _, omega, phi in constants.terms:
+                t = mp.mpf(x) / mp.mpf(omega)
+                total += mp.mpf(phi) * t / ((1 + t) + mp.sqrt(1 + t))
+            hops.append(total / mp.mpf(constants.denominator))
+        out = hops[-1]
+        for p in hops[-2::-1]:
+            out = out * (1 - 2 * p) + p
+        return out
+
+
+@st.composite
+def _ber_trials(draw):
+    """(qam_order, (K, n) 1/mu): 1/mu log-uniform from 1e-30 to the
+    kernel's cap, 0 or the cap itself."""
+    qam_order = draw(st.sampled_from([4, 16, 64, 256, 1024]))
+    cap = montecarlo._ber_terms(qam_constants(qam_order))[1]
+    k, n = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    log_x = st.floats(math.log(1e-30), math.log(cap)).map(lambda v: min(math.exp(v), cap))
+    x = st.one_of(log_x, st.sampled_from([0.0, cap]))
+    inv_mu = draw(st.lists(x, min_size=k * n, max_size=k * n))
+    return qam_order, np.array(inv_mu).reshape(k, n)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_ber_trials())
+def test_kernel_ber_is_within_2e_15_of_a_50_digit_reference(trial):
+    qam_order, inv_mu = trial
+    constants = qam_constants(qam_order)
+    k = len(inv_mu)
+    ours = montecarlo._kernel("ber", _override_scenario([1.0] * k, qam_order=qam_order))(inv_mu)
+    for column, value in zip(inv_mu.T, ours):
+        reference = _ber_reference(column.tolist(), constants)
+        assert abs(mp.mpf(value) - reference) <= 2e-15 * reference, (column, value)
