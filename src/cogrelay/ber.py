@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import libm
+from .numerics import checked_alphas, libm
 
 _SQRT_PI = math.sqrt(math.pi)
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter of a double into halves
@@ -31,12 +31,16 @@ class QamConstants:
     """Coefficient table for square M-QAM bit error expressions.
 
     terms holds (j, n, upsilon_j, omega_n, phi_n_j) for every summand of
-    the Gray-mapped BER expansion; a and b parameterize the dominant
-    erfc term, the only one the high-SNR asymptote keeps.
+    the Gray-mapped BER expansion, in table order; omega_n depends on n
+    only, so omegas[n] is the omega of every term with that n, and
+    weights[n] their phis summed in table order.  a and b parameterize
+    the dominant erfc term, the only one the high-SNR asymptote keeps.
     """
 
     qam_order: int
     terms: tuple[tuple[int, int, int, float, float], ...]
+    omegas: tuple[float, ...]
+    weights: tuple[float, ...]
     a: float
     b: float
     denominator: float  # sqrt(M) * log2(sqrt(M))
@@ -49,21 +53,27 @@ def qam_constants(qam_order: int) -> QamConstants:
         raise ValueError(f"qam_order must be a power of 4, got {m!r}")
     sqrt_m = math.isqrt(m)
     bits_per_axis = int(math.log2(sqrt_m))
+    # n runs up to upsilon_j, which grows with j to sqrt(M) - 2
+    omegas = tuple((2 * n + 1) ** 2 * 3.0 * math.log2(m) / (2.0 * m - 2.0)
+                   for n in range(sqrt_m - 1))
     terms = []
+    weights = [0.0] * len(omegas)
     for j in range(1, bits_per_axis + 1):
         upsilon = round((1.0 - 2.0 ** (-j)) * sqrt_m - 1.0)
         for n in range(upsilon + 1):
-            omega = (2 * n + 1) ** 2 * 3.0 * math.log2(m) / (2.0 * m - 2.0)
             shifted = n * 2 ** (j - 1) / sqrt_m
             phi = (-1.0) ** math.floor(shifted) * (
                 2 ** (j - 1) - math.floor(shifted + 0.5)
             )
-            terms.append((j, n, upsilon, omega, phi))
+            terms.append((j, n, upsilon, omegas[n], phi))
+            weights[n] += phi
     a = (sqrt_m - 1.0) / (sqrt_m * math.log2(sqrt_m))
     b = 3.0 * math.log2(m) / (2.0 * (m - 1.0))
     return QamConstants(
         qam_order=m,
         terms=tuple(terms),
+        omegas=omegas,
+        weights=tuple(weights),
         a=a,
         b=b,
         denominator=sqrt_m * math.log2(sqrt_m),
@@ -80,20 +90,10 @@ def instantaneous_ber(gamma, constants: QamConstants):
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("gamma must be non-negative")
-    last_use = {omega: i for i, (_, _, _, omega, _) in enumerate(constants.terms)}
-    erfcs: dict = {}  # erfc(sqrt(omega*g)) of omegas that later terms reuse
+    erfcs = [libm(math.erfc, np.sqrt(omega * g)) for omega in constants.omegas]
     acc = np.zeros_like(g)
-    for i, (_, _, _, omega, phi) in enumerate(constants.terms):
-        term = erfcs.pop(omega, None)
-        if term is None:
-            term = libm(math.erfc, np.sqrt(omega * g))
-        if last_use[omega] > i:  # kept for a later term: scale a copy
-            erfcs[omega] = term
-            if phi != 1.0:
-                term = term * phi
-        else:
-            term *= phi
-        acc += term
+    for _, n, _, _, phi in constants.terms:
+        acc += phi * erfcs[n]
     acc /= constants.denominator
     np.clip(acc, 0.0, 1.0, out=acc)
     return float(acc) if np.isscalar(gamma) else acc
@@ -110,19 +110,18 @@ def hop_ber(alpha, constants: QamConstants):
     (Abramowitz & Stegun 7.1.23) instead.  Terms sharing an omega share
     one summand and are still added in table order.  At alpha = +inf
     every summand is 0 (u = 1/(2x^2) = 0), so a padded hop has BER 0.
+    Near alpha = 0 the sum tends to 1/2 and can round an ulp above it,
+    so it is clamped there.
     """
     al = np.asarray(alpha, dtype=float)
     if np.any(al <= 0):
         raise ValueError("alpha must be positive")
     flat = al.reshape(-1)
+    summands = [_summand(omega * flat) for omega in constants.omegas]
     acc = 0.0
-    summands: dict = {}  # omega -> its summand over flat
-    for _, _, _, omega, phi in constants.terms:
-        term = summands.get(omega)
-        if term is None:
-            term = summands[omega] = _summand(omega * flat)
-        acc = acc + phi * term
-    value = (acc / constants.denominator).reshape(al.shape)
+    for _, n, _, _, phi in constants.terms:
+        acc = acc + phi * summands[n]
+    value = np.minimum(acc / constants.denominator, 0.5).reshape(al.shape)
     return float(value) if value.ndim == 0 else value
 
 
@@ -197,9 +196,7 @@ def e2e_ber_asymptotic(alphas, constants: QamConstants):
     Hops lie along the last axis: (K,) gives a float, (P, K) a (P,) array.
     An alpha of +inf adds 1/inf = 0 to the sum.
     """
-    al = np.asarray(alphas, dtype=float)
-    if al.ndim == 0 or al.shape[-1] == 0 or np.any(al <= 0):
-        raise ValueError("alphas must be positive")
+    al = checked_alphas(alphas)
     with np.errstate(over="ignore"):  # beyond the double range the asymptote is inf
         value = (constants.a / (2.0 * constants.b)) * sum(np.moveaxis(1.0 / al, -1, 0))
     return float(value) if np.ndim(value) == 0 else value

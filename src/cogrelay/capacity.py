@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError
-from .numerics import libm, libm_pow, row_fsum
+from .numerics import checked_alphas, libm, libm_pow, row_fsum
 
 _LN2 = math.log(2.0)
 # Chains of this many hops or more take the survival quadrature: from
@@ -95,7 +95,7 @@ def partial_fraction_expand(alphas: Sequence[float]) -> PartialFractionExpansion
     merged into a single pole with summed multiplicity; the coefficients
     come from residue calculus.  No capacity route uses it.
     """
-    al = _checked_alphas(alphas)
+    al = checked_alphas(alphas)
     if al.ndim != 1:
         raise ValueError("alphas must be one chain's hops")
     ordered, merged = _cluster_poles(al[None, :])
@@ -151,7 +151,7 @@ def ergodic_capacity_ind(alphas, hop_counts=None):
     in one call; shorter ones take the paper's simple-pole closed form
     where it is provably accurate, and the quadrature elsewhere.
     """
-    al = _checked_alphas(alphas)
+    al = checked_alphas(alphas)
     rows = al.reshape(-1, al.shape[-1])
     if hop_counts is None:
         counts = np.full(len(rows), rows.shape[1])
@@ -240,15 +240,6 @@ def _log_ratio(alpha: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # expansion internals, behind partial_fraction_expand only
-
-
-def _checked_alphas(alphas) -> np.ndarray:
-    al = np.asarray(alphas, dtype=float)
-    if al.ndim == 0 or al.size == 0:
-        raise ValueError("need at least one hop")
-    if np.any(al <= 0):
-        raise ValueError("alphas must be positive")
-    return al
 
 
 def _cluster_poles(rows: np.ndarray):

@@ -55,7 +55,7 @@ from .capacity import ergodic_capacity_ind, per_hop_capacity
 from .errors import ConfigError, ConvergenceError, NumericError
 # mc_outage, mc_ber and mc_capacity are not called here; bench/spans.py
 # binds them by name, so the names stay
-from .montecarlo import mc_ber, mc_capacity, mc_outage, monte_carlo  # noqa: F401
+from .montecarlo import BLOCK_TRIALS, mc_ber, mc_capacity, mc_outage, monte_carlo  # noqa: F401
 from .outage import outage_asymptotic, outage_exact
 from .placement import (
     PlacementResult,
@@ -76,6 +76,7 @@ from .scenario import (
 SWEEP_VARIABLES = ("ip_over_n0_db", "hop_count", "eta", "pu_x", "pu_y")
 # mc_* output -> the monte_carlo metric behind its value and std_error
 MC_OUTPUTS = {"mc_op": "op", "mc_ber": "ber", "mc_capacity": "capacity"}
+_SAMPLING = f"per-block substreams, {BLOCK_TRIALS} trials per block"
 DEFAULT_OUTPUTS = ("op_exact", "op_asymptotic", "ber_exact", "capacity")
 MAX_SWEEP_POINTS = 1_000_000
 MAX_TRIALS = 10**10  # hours of sampling; far larger block lists do not fit in memory
@@ -362,7 +363,7 @@ def cmd_analyze(args) -> int:
         header.append("trials")
         row_format = row_format[:-1] + f",{trials}\n"
         meta["seed"] = seed
-        meta["sampling"] = "per-block substreams, 65536 trials per block"
+        meta["sampling"] = _SAMPLING
 
     with _output(args, "analyze", meta) as out:
         out.write(",".join(header) + "\n")
@@ -536,8 +537,7 @@ def cmd_mc(args) -> int:
     estimates = monte_carlo(derive_hop_statistics(scenario)[None], [scenario.hop_count],
                             scenario.gamma_th, qam_constants(scenario.qam_order),
                             trials, seed, chunks)
-    meta = {"config": args.config, "seed": seed, "trials": trials,
-            "sampling": "per-block substreams, 65536 trials per block"}
+    meta = {"config": args.config, "seed": seed, "trials": trials, "sampling": _SAMPLING}
     with _output(args, "mc", meta) as out:
         out.write("metric,value,std_error,trials,seed\n")
         for name, metric in MC_OUTPUTS.items():

@@ -253,6 +253,10 @@ def _values(y, alpha, metrics, gamma_th, ber, space, top=_DRAW_MAX) -> Iterator:
                 np.minimum(cols, cap, out=cols)
             _ber_slice(cols, pairs, values[lo:lo + w], space)
     if ber is not None:
+        # from 1/mu = cap/3e5 on (at 1024-QAM; cap/1e3 at 16-QAM) a hop's
+        # BER can round a few ulps above its limit 1/2, also in a pass
+        # that does not cap 1/mu
+        np.minimum(values, 0.5, out=values)
         yield "ber", values
     if "op" in metrics:
         if gamma_th == 0.0:  # no trial is in outage, not even where 0 * inf is nan
@@ -286,19 +290,16 @@ def _kernel(metric: str, scenario: Scenario):
 
 
 def _ber_terms(constants: QamConstants) -> tuple[list[tuple[float, float]], float]:
-    """The BER kernel's (1/omega, weight/omega) pairs, equal omegas
-    merged, and its cap on 1/mu."""
-    weights: dict[float, float] = {}  # omega -> the sum of its terms' phi
-    for _, _, _, omega, phi in constants.terms:
-        weights[omega] = weights.get(omega, 0.0) + phi
+    """The BER kernel's (1/omega, weight/omega) pairs, one per distinct
+    omega, and its cap on 1/mu."""
     pairs = [(1.0 / omega, phi / constants.denominator / omega)
-             for omega, phi in weights.items() if phi != 0.0]
+             for omega, phi in zip(constants.omegas, constants.weights) if phi != 0.0]
     # from 1/mu = cap on every t = 1/(omega mu) exceeds 2^109, where
     # (1 + t) + sqrt(1 + t) rounds to t, so the hop's BER is its limit,
     # the sum of the weights, to within rounding: capping 1/mu there
     # moves the BER by rounding only, and keeps it finite where 1/mu is
     # inf (each term of the sum 0, the BER inf * 0)
-    return pairs, 2.0 ** 110 * max(weights)
+    return pairs, 2.0 ** 110 * max(constants.omegas)
 
 
 def _ber_slice(cols: np.ndarray, pairs, out: np.ndarray, space: _Workspace) -> None:

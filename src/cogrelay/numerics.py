@@ -1,5 +1,6 @@
 """libm, libm_pow and row_fsum give the array closed forms the bits of
-Python's math module."""
+Python's math module; checked_alphas is their one check of a chain's
+alphas."""
 
 from __future__ import annotations
 
@@ -7,6 +8,18 @@ import math
 from typing import Callable
 
 import numpy as np
+
+
+def checked_alphas(alphas) -> np.ndarray:
+    """alphas as a float array, one chain's hops along the last axis, any
+    leading axes points: at least one hop, every alpha positive.  A block
+    of no points, such as shape (0, K), passes."""
+    al = np.asarray(alphas, dtype=float)
+    if al.ndim == 0 or al.shape[-1] == 0:
+        raise ValueError("need at least one hop")
+    if np.any(al <= 0):
+        raise ValueError("alphas must be positive")
+    return al
 
 
 def libm(fn: Callable[..., float], *values) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .numerics import libm, row_fsum
+from .numerics import checked_alphas, libm, row_fsum
 
 
 def outage_exact(alphas, gamma_th: float):
@@ -24,11 +24,7 @@ def outage_exact(alphas, gamma_th: float):
     float, (P, K) a (P,) array.  An alpha of +inf is no hop: its term
     log1p(gamma_th/inf) is 0, so a chain padded with +inf keeps its bits.
     """
-    al = np.asarray(alphas, dtype=float)
-    if al.ndim == 0 or al.shape[-1] == 0:
-        raise ValueError("need at least one hop")
-    if np.any(al <= 0):
-        raise ValueError("alphas must be positive")
+    al = checked_alphas(alphas)
     if gamma_th < 0:
         raise ValueError("gamma_th must be non-negative")
     with np.errstate(over="ignore"):  # gamma_th/alpha beyond the double range: outage 1
@@ -47,9 +43,7 @@ def outage_asymptotic(alphas, gamma_th: float):
     An alpha of +inf adds 1/inf = 0 to the sum, as in outage_exact.  At
     gamma_th = 0 the asymptote is 0, also where the sum overflows to inf.
     """
-    al = np.asarray(alphas, dtype=float)
-    if al.ndim == 0 or al.shape[-1] == 0 or np.any(al <= 0):
-        raise ValueError("alphas must be positive")
+    al = checked_alphas(alphas)
     if gamma_th < 0:
         raise ValueError("gamma_th must be non-negative")
     with np.errstate(over="ignore"):  # beyond the double range the asymptote is inf

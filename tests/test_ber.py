@@ -3,7 +3,7 @@ from itertools import permutations
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from cogrelay import (
@@ -40,6 +40,8 @@ def test_constants_16qam():
         assert omega == pytest.approx(0.4 * (2 * n + 1) ** 2)
     assert [t[3] for t in by_j[1]] == [1.0, 1.0]
     assert [t[3] for t in by_j[2]] == [2.0, 1.0, -1.0]
+    assert [c.omegas[n] for _, n, _, _, _ in c.terms] == [t[3] for t in c.terms]
+    assert c.weights == (3.0, 2.0, -1.0)
 
 
 def test_constants_reject_non_power_of_four():
@@ -168,12 +170,56 @@ def test_hop_ber_relative_accuracy_across_range(m):
             assert abs(value - ref) <= 1e-12 * ref, (alpha, value, ref)
 
 
+ORDERS = st.sampled_from([4, 16, 64, 256, 1024])
+ALPHAS = st.one_of(st.floats(-30, 30).map(lambda e: 10.0 ** e), st.floats(1e-30, 1e30))
+
+
 @settings(max_examples=500, deadline=None, database=None, derandomize=True)
-@given(m=st.sampled_from([4, 16, 64, 256, 1024]),
-       alpha=st.one_of(st.floats(-30, 30).map(lambda e: 10.0 ** e), st.floats(1e-30, 1e30)))
+@given(m=ORDERS, alpha=ALPHAS)
 def test_hop_ber_within_1e12_of_50_digits(m, alpha):
     c = qam_constants(m)
     with mp.workdps(50):
         ref = _hop_ber_reference(alpha, c)
     value = hop_ber(alpha, c)
     assert abs(value - ref) <= 1e-12 * ref, (alpha, value, ref)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(m=ORDERS, alphas=st.lists(ALPHAS, min_size=1, max_size=64))
+# hop_ber's sum rounded to 1/2 + 2^-53 here, which e2e_ber refused
+@example(m=1024, alphas=[2.80976865e-30])
+@example(m=1024, alphas=[10.0 ** (e / 2) for e in range(-60, 4)])
+def test_e2e_ber_within_1e12_of_50_digits(m, alphas):
+    # hops within 1e-12 keep the chain within 1e-12, up to its own
+    # rounding: the chain's derivative in hop k, prod_{j != k} (1 - 2 p_j),
+    # is at most 1, and sum_k p_k prod_{j != k} (1 - 2 p_j) is at most
+    # the chain's value
+    c = qam_constants(m)
+    with mp.workdps(50):
+        ref = mp.mpf(0)
+        for p in reversed([_hop_ber_reference(a, c) for a in alphas]):
+            ref = p + (1 - 2 * p) * ref
+    value = e2e_ber(hop_ber(np.array(alphas), c))
+    assert abs(value - ref) <= 1e-12 * ref, (alphas, value, ref)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(m=ORDERS,
+       rows=st.integers(1, 8).flatmap(
+           lambda k: st.lists(st.lists(ALPHAS, min_size=k, max_size=k), min_size=1, max_size=4)),
+       s=st.floats(1.0, 1e6, exclude_min=True))
+# where 1 - sqrt(pi) x erfcx(x) cancels, the alpha one ulp up gives a BER
+# 1.5e-13 (1,024 ulps) higher
+@example(m=4, rows=[[82.37777]], s=1.0 + 2.0 ** -52)
+# near 1/2, the 129-term table sum is 19 ulps higher at the larger alpha
+@example(m=1024, rows=[[1.2166901720359025e-28]], s=1.02)
+def test_ber_does_not_rise_with_ip_over_n0(m, rows, s):
+    # alpha is proportional to I_p/N_0.  The asymptote takes only
+    # correctly rounded steps that are monotone in alpha, so it cannot
+    # rise at all; the exact BER, within 1e-12 of its value at either
+    # point, can rise by at most 2e-12 of it
+    c = qam_constants(m)
+    alphas = np.array(rows)
+    assert np.all(e2e_ber_asymptotic(s * alphas, c) <= e2e_ber_asymptotic(alphas, c))
+    exact = e2e_ber(hop_ber(alphas, c))
+    assert np.all(e2e_ber(hop_ber(s * alphas, c)) <= exact * (1.0 + 2e-12))

@@ -472,14 +472,14 @@ def _ber_reference(inv_mu, constants) -> float:
 
 
 @st.composite
-def _ber_trials(draw):
+def _ber_trials(draw, beyond=()):
     """(qam_order, (K, n) 1/mu): 1/mu log-uniform from 1e-30 to the
-    kernel's cap, 0 or the cap itself."""
+    kernel's cap, 0, the cap itself or one of beyond."""
     qam_order = draw(st.sampled_from([4, 16, 64, 256, 1024]))
     cap = montecarlo._ber_terms(qam_constants(qam_order))[1]
     k, n = draw(st.integers(1, 8)), draw(st.integers(1, 4))
     log_x = st.floats(math.log(1e-30), math.log(cap)).map(lambda v: min(math.exp(v), cap))
-    x = st.one_of(log_x, st.sampled_from([0.0, cap]))
+    x = st.one_of(log_x, st.sampled_from([0.0, cap, *beyond]))
     inv_mu = draw(st.lists(x, min_size=k * n, max_size=k * n))
     return qam_order, np.array(inv_mu).reshape(k, n)
 
@@ -494,3 +494,13 @@ def test_kernel_ber_is_within_2e_15_of_a_50_digit_reference(trial):
     for column, value in zip(inv_mu.T, ours):
         reference = _ber_reference(column.tolist(), constants)
         assert abs(mp.mpf(value) - reference) <= 2e-15 * reference, (column, value)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_ber_trials(beyond=(math.inf,)))
+def test_kernel_ber_lies_in_0_to_one_half(trial):
+    # from 1/mu = cap/3e5 on, a hop's BER rounded up to 5.6e-16 above 1/2
+    qam_order, inv_mu = trial
+    scn = _override_scenario([1.0] * len(inv_mu), qam_order=qam_order)
+    values = montecarlo._kernel("ber", scn)(inv_mu)
+    assert np.all((0.0 <= values) & (values <= 0.5)), (inv_mu, values)
