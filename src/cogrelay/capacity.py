@@ -146,10 +146,10 @@ def ergodic_capacity_ind(alphas, hop_counts=None):
 
     alphas of shape (K,) give a float, (P, K) a (P,) array.  hop_counts,
     one per chain (broadcast over the leading axes), make each chain its
-    first hop_counts hops; the alphas past them must be +inf.  Chains of
-    _QUADRATURE_HOPS (5) hops or more take the survival quadrature, all
-    in one call; shorter ones take the paper's simple-pole closed form
-    where it is provably accurate, and the quadrature elsewhere.
+    first hop_counts hops; the alphas past them must be +inf.  Shorter
+    chains than _QUADRATURE_HOPS (5) take the paper's simple-pole closed
+    form where it is provably accurate; every other chain takes the
+    survival quadrature, all in one call.
     """
     al = checked_alphas(alphas)
     rows = al.reshape(-1, al.shape[-1])
@@ -158,20 +158,21 @@ def ergodic_capacity_ind(alphas, hop_counts=None):
     else:
         counts = np.broadcast_to(hop_counts, al.shape[:-1]).reshape(-1)
     capacity = np.empty(len(rows))
-    quadrature = counts >= _QUADRATURE_HOPS
+    short = counts < _QUADRATURE_HOPS
+    # a set, not np.unique, which imports numpy.ma: about 1 MB
+    for k in sorted(set(counts[short].tolist())):
+        chains = counts == k
+        capacity[chains] = _closed_form(rows[chains, :k])
+    quadrature = ~short | np.isnan(capacity)
     if quadrature.any():
         capacity[quadrature] = _survival_quadrature(rows[quadrature], counts[quadrature])
-    # a set, not np.unique, which imports numpy.ma: about 1 MB
-    for k in sorted(set(counts[~quadrature].tolist())):
-        short = counts == k
-        capacity[short] = _closed_form(rows[short, :k])
     return float(capacity[0]) if al.ndim == 1 else capacity.reshape(al.shape[:-1])
 
 
 def _closed_form(rows: np.ndarray) -> np.ndarray:
     """ergodic_capacity_ind of (P, K) rows, K <= 4, as
-    prod(alpha)/(K ln 2) * sum_n t_n, with the quadrature where that sum
-    is not provably within 1e-13.
+    prod(alpha)/(K ln 2) * sum_n t_n, and NaN where that sum is not
+    provably within 1e-13.
 
     The bound: with the inputs exact, each t_n = _log_ratio(alpha_n) /
     prod_{m!=n}(alpha_m - alpha_n) takes at most 9 roundings at K <= 4
@@ -182,7 +183,7 @@ def _closed_form(rows: np.ndarray) -> np.ndarray:
     _CANCEL_LIMIT * |sum t_n|, so the sum is within (64*12 + 1)u of exact,
     and the prefactor and the final quotient add about 5u: 774u < 8.6e-14
     in all.  A row is also dropped where prod(alpha) leaves the normal
-    range or the result is not in (0, inf).  That sends equal, clustered
+    range or the result is not in (0, inf).  That leaves equal, clustered
     and cancelling hops, and the extremes of the range, to the quadrature,
     which has no such limits.
     """
@@ -201,9 +202,7 @@ def _closed_form(rows: np.ndarray) -> np.ndarray:
         exact_prefactor = (prefactor >= _TINY) | (k == 1)
         kept = ((np.abs(terms).sum(axis=1) <= _CANCEL_LIMIT * np.abs(totals))
                 & exact_prefactor & (capacity > 0.0) & (capacity < math.inf))
-    dropped = np.flatnonzero(~kept)
-    if dropped.size:
-        capacity[dropped] = _survival_quadrature(rows[dropped], np.full(dropped.size, k))
+    capacity[~kept] = math.nan
     return capacity
 
 

@@ -23,8 +23,8 @@ def substream(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def sample_exponential(rng: np.random.Generator, mean: float, size, out=None):
-    """Inverse-CDF exponential draws -mean*ln(U) with U uniform on (0, 1].
+def sample_exponential(rng: np.random.Generator, size, out=None):
+    """Inverse-CDF unit-mean exponential draws -ln(U), U uniform on (0, 1].
 
     Computed in place in the buffer of uniforms: out, a C-contiguous
     float array of shape size, if given.
@@ -33,5 +33,5 @@ def sample_exponential(rng: np.random.Generator, mean: float, size, out=None):
     # rng.random() is uniform on [0, 1); 1-u is uniform on (0, 1].
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    u *= -mean
+    np.negative(u, out=u)
     return u

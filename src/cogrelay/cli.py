@@ -1,11 +1,11 @@
 """Command-line front end: sweeps, placement optimization, profile
 comparison, and Monte-Carlo verification, all emitting CSV.
 
-Exit codes: 0 success, 1 configuration/flag error or an output that
-cannot be written, 2 numeric or convergence failure.  Metadata lines
-are '#'-prefixed; re-running a command with identical inputs
-reproduces the output byte for byte (the timestamp line is
-suppressible with --no-timestamp).
+Exit codes: 0 success, 1 configuration/flag error, an output that
+cannot be written or memory that cannot be had, 2 numeric or
+convergence failure.  Metadata lines are '#'-prefixed; re-running a
+command with identical inputs reproduces the output byte for byte (the
+timestamp line is suppressible with --no-timestamp).
 
 Every column of analyze and profiles comes from its OUTPUTS evaluator
 on the per-hop alphas of the sweep's points, one call per block of
@@ -608,6 +608,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; try fewer hops, sweep points or --chunks",
+              file=sys.stderr)
+        return 1
     except OSError as exc:
         # load_scenario turns the config's OSError into a ConfigError, so
         # this one was raised writing the output; a reader that is gone

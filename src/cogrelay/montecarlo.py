@@ -23,20 +23,18 @@ half its random numbers and evaluates no erfc.
 monte_carlo simulates a block of points at once, the way the closed
 forms take a block of alphas.  Trials are processed in fixed-size
 blocks of 65536; block i always draws from the substream (seed, i),
-once for every point and metric of a group of points, as a (K, n)
-array with K the group's longest chain, and each point reads its own
-first rows (a (K, n) draw is the first K rows of a longer one).  A
-group holds at most _GROUP_PARTIALS (point, block) partials; a pass
-over more points draws each block again for each group, so the bits
-are the same but the sampling is repeated.  Block partials are merged
-in block order, so estimates are bit-identical for any chunk count and
-for any block of points, which is what lets the chunks run
-concurrently: with chunks > 1 they are spread over up to
-os.cpu_count() threads (the calling thread is one of them), and
+once per call, as a (K, n) array with K the longest chain, and every
+point reads its own first rows (a (K, n) draw is the first K rows of a
+longer one) and runs every named metric on them.  A block yields each
+point's and metric's (mean, M2), and the calling thread merges the
+blocks into running sums in block order, so the estimates are
+bit-identical for any chunk count and for any block of points.  With
+chunks > 1 the blocks run on up to min(chunks, blocks, os.cpu_count())
+pool threads, at most two per thread submitted ahead of the merge;
 numpy's RNG fill, ufuncs and reductions release the GIL while they
-work.  Each worker draws into and computes in one workspace for the
-whole call, so after its first block it allocates no float array of a
-block's size.
+work.  The caller makes one workspace per thread, and a block draws
+into and computes in whichever one is free, so no block allocates a
+float array of a block's size.
 
 Within a block, 1/mu and the BER kernel go a slice of columns at a
 time, max(_SLICE, _SLICE_FLOATS // K) wide (16,384 at K = 3), so that
@@ -51,6 +49,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -71,9 +70,6 @@ BLOCK_TRIALS = 1 << 16
 # width changes no bit.
 _SLICE = 1 << 13
 _SLICE_FLOATS = 3 << 14
-# (point, block) partials one call keeps: the points are simulated in
-# groups small enough to stay under it, each group drawing the blocks
-_GROUP_PARTIALS = 1 << 16
 # a bound on every exponential draw: rng.random() is at most 1 - 2^-53,
 # so -log1p(-u) is at most 53 ln 2 = 36.74
 _DRAW_MAX = 37.0
@@ -127,55 +123,67 @@ def monte_carlo(
         raise ValueError("chunks must be >= 1")
     ber = _ber_terms(constants) if "ber" in metrics else None
     counts = [int(k) for k in hop_counts]
+    k = max(counts)
     n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    sizes = [min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS) for block in range(n_blocks)]
-    per_chunk = (n_blocks + chunks - 1) // chunks
-    chunk_blocks = [
-        range(first, min(first + per_chunk, n_blocks))
-        for first in range(0, n_blocks, per_chunk)
-    ]
-    workers = min(len(chunk_blocks), os.cpu_count() or 1)
-    spaces = [_Workspace(max(counts), sizes[0]) for _ in range(workers)]
+    workers = min(chunks, n_blocks, os.cpu_count() or 1)
+    # a block takes one and gives it back: at most `workers` run at once
+    spaces = [_Workspace(k, min(trials, BLOCK_TRIALS)) for _ in range(workers)]
+    partials_shape = (len(counts), len(metrics))
 
-    def run_chunks(worker: int, points: range, partials: np.ndarray) -> None:
-        space = spaces[worker]
-        k = max(counts[i] for i in points)
-        for blocks in chunk_blocks[worker::workers]:
-            for block in blocks:
-                n = sizes[block]
-                y = sample_exponential(substream(seed, block), 1.0, (k, n),
-                                       space.draws[:k * n].reshape(k, n))
-                np.maximum(y, 1e-300, out=y)
-                # near the smallest normal alpha, 1/mu and the kernels'
-                # sums overflow to inf, where every kernel takes its limit
-                with np.errstate(over="ignore"):
-                    for j, i in enumerate(points):
-                        values = _values(y[:counts[i]], alphas[i, :counts[i], None],
-                                         metrics, gamma_th, ber, space)
-                        for metric, v in values:
-                            partials[block, j, metrics.index(metric)] = _moments(v)[1:]
+    def run_block(block: int) -> tuple[int, np.ndarray]:
+        """n and the (point, metric) (mean, M2) of one block."""
+        n = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
+        partials = np.empty((*partials_shape, 2))
+        space = spaces.pop()
+        try:
+            y = sample_exponential(substream(seed, block), (k, n),
+                                   space.draws[:k * n].reshape(k, n))
+            np.maximum(y, 1e-300, out=y)
+            # near the smallest normal alpha, 1/mu and the kernels' sums
+            # overflow to inf, where every kernel takes its limit
+            with np.errstate(over="ignore"):
+                for i, k_i in enumerate(counts):
+                    for metric, v in _values(y[:k_i], alphas[i, :k_i, None], metrics,
+                                             gamma_th, ber, space):
+                        partials[i, metrics.index(metric)] = _moments(v)
+        finally:
+            spaces.append(space)
+        return n, partials
 
-    # the points in groups; partials[block, point, metric]: (mean, M2)
-    group = max(1, _GROUP_PARTIALS // n_blocks)
-    groups = [range(first, min(first + group, len(counts)))
-              for first in range(0, len(counts), group)]
-    estimates: dict[str, list[McEstimate]] = {metric: [] for metric in metrics}
     pool = nullcontext()
     if workers > 1:  # only then is the pool's module imported
         from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=workers - 1)
+        pool = ThreadPoolExecutor(max_workers=workers)
     with pool:
-        for points in groups:
-            partials = np.empty((n_blocks, len(points), len(metrics), 2))
-            others = [pool.submit(run_chunks, w, points, partials) for w in range(1, workers)]
-            run_chunks(0, points, partials)
-            for future in others:
-                future.result()  # re-raises a worker's exception here
-            for j in range(len(points)):
-                for m, metric in enumerate(metrics):
-                    means, m2s = partials[:, j, m].T.tolist()
-                    estimates[metric].append(_estimate(zip(sizes, means, m2s), trials, seed))
-    return estimates
+        blocks = (map(run_block, range(n_blocks)) if workers == 1
+                  else _in_order(pool, run_block, n_blocks, 2 * workers))
+        # Chan, Golub & LeVeque's pairwise merge, a block at a time in
+        # block order: a scalar merge's float operations, element by
+        # element (every point has the same count, so n/total is a float)
+        count, mean, m2 = 0, np.zeros(partials_shape), np.zeros(partials_shape)
+        for n, partials in blocks:
+            total = count + n
+            delta = partials[..., 0] - mean
+            mean += delta * (n / total)
+            m2 += partials[..., 1] + delta * delta * (count * n / total)
+            count = total
+    var = (m2 / (trials - 1) if trials > 1 else np.zeros_like(m2)).tolist()
+    return {metric: [McEstimate(value=point_mean[m], std_error=math.sqrt(point_var[m] / trials),
+                                trials=trials, seed=seed)
+                     for point_mean, point_var in zip(mean.tolist(), var)]
+            for m, metric in enumerate(metrics)}
+
+
+def _in_order(pool, fn, n: int, ahead: int) -> Iterator:
+    """fn(0), ..., fn(n - 1) run on the pool, yielded in order, with at
+    most `ahead` of them submitted and not yet taken."""
+    pending: deque = deque()
+    for i in range(n):
+        pending.append(pool.submit(fn, i))
+        if len(pending) == ahead:
+            yield pending.popleft().result()  # re-raises a worker's exception here
+    while pending:
+        yield pending.popleft().result()
 
 
 def _at_scenario(scenario: Scenario, trials: int, seed: int, chunks: int, metric: str):
@@ -272,21 +280,6 @@ def _values(y, alpha, metrics, gamma_th, ber, space, top=_DRAW_MAX) -> Iterator:
         _exp_e1(rate, values, space.s.reshape(-1), space.low[:n])
         values *= 1.0 / (k * _LN2)
         yield "capacity", values
-
-
-def _kernel(metric: str, scenario: Scenario):
-    """The function from one block's (K, n) 1/mu to the metric's per-trial
-    values, as a pass computes them; 1/mu may be any value from 0 to inf."""
-    ber = _ber_terms(qam_constants(scenario.qam_order))
-
-    def kernel(inv_mu: np.ndarray) -> np.ndarray:
-        space = _Workspace(*inv_mu.shape)
-        ones = np.ones((len(inv_mu), 1))
-        for _, values in _values(inv_mu, ones, (metric,), scenario.gamma_th, ber, space,
-                                 top=math.inf):
-            return values.copy()
-
-    return kernel
 
 
 def _ber_terms(constants: QamConstants) -> tuple[list[tuple[float, float]], float]:
@@ -420,8 +413,8 @@ def _exp_e1_fraction(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, f, out=f)
 
 
-def _moments(values: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, M2) of one block: two passes over the values less
+def _moments(values: np.ndarray) -> tuple[float, float]:
+    """(mean, M2) of one block: two passes over the values less
     the first one, so a constant block has M2 exactly 0.  The values are
     overwritten."""
     first = values[0]
@@ -429,23 +422,4 @@ def _moments(values: np.ndarray) -> tuple[int, float, float]:
     shift = values.sum() / values.size
     values -= shift
     np.multiply(values, values, out=values)
-    return values.size, float(first + shift), float(values.sum())
-
-
-def _estimate(partials, trials: int, seed: int) -> McEstimate:
-    """Mean and standard error from per-block (count, mean, M2), merged
-    pairwise in block order (Chan, Golub & LeVeque 1983)."""
-    count, mean, m2 = 0, 0.0, 0.0
-    for n, block_mean, block_m2 in partials:  # fixed block order
-        total = count + n
-        delta = block_mean - mean
-        mean += delta * (n / total)
-        m2 += block_m2 + delta * delta * (count * n / total)
-        count = total
-    var = m2 / (trials - 1) if trials > 1 else 0.0
-    return McEstimate(
-        value=mean,
-        std_error=math.sqrt(var / trials),
-        trials=trials,
-        seed=seed,
-    )
+    return float(first + shift), float(values.sum())

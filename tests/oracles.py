@@ -4,11 +4,14 @@ The per-hop SNR law, the weakest-hop density, the identical-hop closed
 forms, an adaptive semi-infinite quadrature, a grid search of the
 placement objective, the raw Monte-Carlo estimator and the chain
 recursion in four calls a hop: independent routes to the quantities the
-library computes, kept out of its public API.
+library computes, kept out of its public API.  Besides them, a Monte-
+Carlo pass's kernels on a given 1/mu and the block merge it replaces
+with running sums, as references for the pass.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Callable, Sequence
 
@@ -29,7 +32,7 @@ from cogrelay import (
     substream,
 )
 from cogrelay.channel import sample_exponential
-from cogrelay.montecarlo import BLOCK_TRIALS
+from cogrelay.montecarlo import BLOCK_TRIALS, _ber_terms, _values, _Workspace
 
 _D_MIN = 1e-6  # smallest hop length grid_search considers
 
@@ -221,7 +224,7 @@ def raw_monte_carlo(
     values: dict[str, list] = {m: [] for m in metrics}
     for block in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
         n = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
-        draws = sample_exponential(substream(seed, block), 1.0, (2, n, k))
+        draws = sample_exponential(substream(seed, block), (2, n, k))
         snr = alpha * draws[0].T / np.maximum(draws[1].T, 1e-300)
         weakest = snr.min(axis=0)
         if "op" in values:
@@ -266,3 +269,37 @@ def ber_chain(hop: np.ndarray) -> np.ndarray:
         step *= out
         np.add(row, step, out=out)
     return out
+
+
+def mc_kernel(metric: str, scenario: Scenario):
+    """The function from one block's (K, n) 1/mu to the metric's per-trial
+    values, as a pass computes them; 1/mu may be any value from 0 to inf."""
+    ber = _ber_terms(qam_constants(scenario.qam_order))
+
+    def kernel(inv_mu: np.ndarray) -> np.ndarray:
+        space = _Workspace(*inv_mu.shape)
+        ones = np.ones((len(inv_mu), 1))
+        for _, values in _values(inv_mu, ones, (metric,), scenario.gamma_th, ber, space,
+                                 top=math.inf):
+            return values.copy()
+
+    return kernel
+
+
+def chan_estimate(partials, trials: int, seed: int) -> McEstimate:
+    """Mean and standard error from per-block (count, mean, M2), merged
+    pairwise in block order (Chan, Golub & LeVeque 1983)."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for n, block_mean, block_m2 in partials:  # fixed block order
+        total = count + n
+        delta = block_mean - mean
+        mean += delta * (n / total)
+        m2 += block_m2 + delta * delta * (count * n / total)
+        count = total
+    var = m2 / (trials - 1) if trials > 1 else 0.0
+    return McEstimate(
+        value=mean,
+        std_error=math.sqrt(var / trials),
+        trials=trials,
+        seed=seed,
+    )

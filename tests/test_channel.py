@@ -10,7 +10,7 @@ def _hop_snr(rng, lambda_d, lambda_i, ip_over_n0, size):
     """Per-hop SNR draws (I_p/N_0) * X/Y the way the raw Monte-Carlo
     oracle's blocks make them: one call draws the X then the Y
     exponentials."""
-    x, y = sample_exponential(rng, 1.0, (2, size))
+    x, y = sample_exponential(rng, (2, size))
     return ip_over_n0 * (x * lambda_d) / np.maximum(y * lambda_i, 1e-300)
 
 
@@ -82,7 +82,7 @@ def test_helper_draws_what_a_monte_carlo_block_draws():
     draws = _hop_snr(substream(31, 0), lam_d, lam_i, ip, 50_000)
     raw = raw_monte_carlo(scn, 50_000, 31, ("op",))["op"]
     assert raw.value == np.count_nonzero(draws < t) / 50_000
-    y = sample_exponential(substream(31, 0), 1.0, (2, 50_000))[0]
+    y = sample_exponential(substream(31, 0), (2, 50_000))[0]
     conditional = -np.expm1(-t * y / (lam_d / lam_i * ip))
     assert mc_outage(scn, 50_000, 31).value == pytest.approx(conditional.mean(), rel=1e-14)
 

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -683,7 +684,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("cogrelay.cli.solve_equal_ratio", explode)
     assert main(["optimize", "--config", cfg]) == 2
     # a numeric failure inside a Monte-Carlo worker thread exits 2 as well
-    # (4 blocks in 2 chunks: blocks 2 and 3 are the worker's)
+    # (at --chunks 2 the pool's threads run all 4 blocks)
     substream = montecarlo.substream
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(
@@ -817,6 +818,37 @@ def test_a_long_output_into_a_full_device_exits_1_with_one_error_line(tmp_path):
                            "--sweep", "ip_over_n0_db=0:100:0.01"], stdout=full)
     assert result.returncode == 1
     assert result.stderr.decode() == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("module, name", [
+    (montecarlo, "_Workspace"),  # the block arrays, made by the caller
+    (montecarlo, "sample_exponential"),  # a block's draw, on a pool thread at --chunks 2
+    (cli, "derive_hop_statistics"),
+])
+@pytest.mark.parametrize("argv", [
+    ["mc", "--trials", "200000", "--chunks", "1"],
+    ["mc", "--trials", "200000", "--chunks", "2"],
+    ["analyze", "--outputs", "op_exact,mc_op", "--trials", "200000", "--chunks", "2"],
+])
+def test_out_of_memory_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, module, name,
+                                                   argv):
+    # the allocation fails without allocating: the patched call raises
+    raised_in = []
+
+    def exhausted(*args, **kwargs):
+        raised_in.append(threading.get_ident())
+        raise MemoryError
+
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(module, name, exhausted)
+    assert main(argv + ["--config", _write_config(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: out of memory")
+    assert "Traceback" not in captured.err
+    if name == "sample_exponential" and argv[-1] == "2":
+        assert raised_in and threading.get_ident() not in raised_in
 
 
 @pytest.mark.parametrize("argv", [

@@ -27,7 +27,7 @@ from cogrelay import (
     qam_constants,
 )
 from cogrelay import ber
-from oracles import ber_chain, raw_monte_carlo
+from oracles import ber_chain, chan_estimate, mc_kernel, raw_monte_carlo
 
 
 def _override_scenario(alphas, gamma_th=1.0, qam_order=4):
@@ -170,8 +170,11 @@ def test_worker_threads_capped_by_cpu_and_chunk_count(monkeypatch, cpus, chunks,
     before = threading.active_count()
     mc_capacity(Scenario(hop_count=2, ip_over_n0=10.0), 6 * montecarlo.BLOCK_TRIALS, 3, chunks)
     assert len(idents) == 6
-    assert len(set(idents)) <= threads
-    assert threading.get_ident() in idents  # the caller runs blocks too
+    if threads == 1:  # one worker: the caller draws every block
+        assert set(idents) == {threading.get_ident()}
+    else:  # more: the pool's threads draw them all
+        assert threading.get_ident() not in idents
+        assert len(set(idents)) <= threads
     assert threading.active_count() == before  # every worker has exited
 
 
@@ -198,7 +201,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     substream = montecarlo.substream
 
     def failing(seed, index):
-        if index == 3:  # the second chunk's first block, run by the worker
+        if index == 3:  # run by a pool thread, like every block at chunks 2
             raised_in.append(threading.get_ident())
             raise NumericError("synthetic worker failure")
         return substream(seed, index)
@@ -273,8 +276,8 @@ def test_conditional_outage_has_a_twentieth_of_the_raw_std_error():
 
 def test_constant_values_have_zero_std_error():
     sizes = [montecarlo.BLOCK_TRIALS] * 4 + [37_857]
-    partials = [montecarlo._moments(np.full(n, 0.1)) for n in sizes]
-    est = montecarlo._estimate(partials, sum(sizes), 0)
+    partials = [(n, *montecarlo._moments(np.full(n, 0.1))) for n in sizes]
+    est = chan_estimate(partials, sum(sizes), 0)
     assert est.value == 0.1
     assert est.std_error == 0.0
 
@@ -353,7 +356,7 @@ def test_ber_cap_changes_no_bit_where_one_over_mu_is_finite():
     # kernel caps, gives the bits of the same slice with 1/mu at the cap
     constants = qam_constants(64)
     cap = 2.0 ** 110 * max(term[3] for term in constants.terms)
-    kernel = montecarlo._kernel("ber", _override_scenario([1.0] * 3, qam_order=64))
+    kernel = mc_kernel("ber", _override_scenario([1.0] * 3, qam_order=64))
     inv_mu = np.exp(np.random.default_rng(5).uniform(-50.0, 50.0, size=(3, 20_000)))
     above, at = inv_mu.copy(), inv_mu.copy()
     above[0, ::3], at[0, ::3] = 1e300, cap
@@ -374,21 +377,21 @@ def test_pass_caps_one_over_mu_where_its_alphas_can_reach_the_cap(alpha):
     # kernel caps wherever 1/mu does: the bits are the same either way
     scn = _override_scenario([1.0, alpha, 1.0], qam_order=64)
     trials = 5000
-    draws = montecarlo.sample_exponential(montecarlo.substream(7, 0), 1.0, (3, trials))
+    draws = montecarlo.sample_exponential(montecarlo.substream(7, 0), (3, trials))
     with np.errstate(over="ignore"):
         inv_mu = np.maximum(draws, 1e-300) / np.array([[1.0], [alpha], [1.0]])
-        values = montecarlo._kernel("ber", scn)(inv_mu)
-        reference = montecarlo._estimate([montecarlo._moments(values)], trials, 7)
+        values = mc_kernel("ber", scn)(inv_mu)
+        reference = chan_estimate([(trials, *montecarlo._moments(values))], trials, 7)
         assert mc_ber(scn, trials, 7) == reference
     assert math.isfinite(reference.value)
 
 
-def test_points_in_groups_and_threads_give_the_estimates_of_one_serial_pass(monkeypatch):
+def test_points_and_threads_give_the_estimates_of_one_serial_pass(monkeypatch):
     alphas = np.array([[3.0, 40.0, np.inf], [0.5, 2.0, 9.0], [7.0, np.inf, np.inf]])
     args = (alphas, [2, 3, 1], 1.0, qam_constants(16), 3 * montecarlo.BLOCK_TRIALS + 1, 4)
     together = monte_carlo(*args, 1)
-    # eight workers switching every microsecond write one partials array:
-    # a lost or misplaced partial would change an estimate
+    # eight workers switching every microsecond: a lost or misplaced
+    # block partial would change an estimate
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -396,12 +399,67 @@ def test_points_in_groups_and_threads_give_the_estimates_of_one_serial_pass(monk
         assert monte_carlo(*args, 9) == together
     finally:
         sys.setswitchinterval(interval)
-    # one point of 4 blocks per group
-    monkeypatch.setattr(montecarlo, "_GROUP_PARTIALS", 5)
-    assert monte_carlo(*args, 2) == together
     for i, k in enumerate([2, 3, 1]):
         alone = monte_carlo(alphas[i:i + 1, :k], [k], *args[2:], 2)
         assert {m: [e[i]] for m, e in together.items()} == alone
+
+
+def test_each_block_is_drawn_once_per_pass(monkeypatch):
+    # 257 points of 256 blocks: more (point, block) pairs than 65,536
+    monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 16)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    n_points, trials = 257, 256 * 16
+    counts = [1 + i % 3 for i in range(n_points)]
+    alphas = np.geomspace(1e-3, 1e4, 3 * n_points).reshape(n_points, 3)
+    args = (1.0, qam_constants(16), trials, 9)
+    drawn = []
+    substream = montecarlo.substream
+
+    def recording(seed, index):
+        drawn.append(index)
+        return substream(seed, index)
+
+    monkeypatch.setattr(montecarlo, "substream", recording)
+    together = monte_carlo(alphas, counts, *args, 2, ("op",))["op"]
+    assert sorted(drawn) == list(range(256))
+    # every 16th point, each of 256 blocks on its own (its own calls for
+    # all 257 would take seconds)
+    for i in range(0, n_points, 16):
+        k = counts[i]
+        assert monte_carlo(alphas[i:i + 1, :k], [k], *args, 1, ("op",))["op"] == [together[i]], i
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_running_merge_equals_the_reference_merge(monkeypatch, chunks):
+    # each block's (mean, M2) in the order the pass takes them: point by
+    # point, and each point's metrics in the order _values yields them
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    current = threading.local()
+    blocks: dict[int, list] = {}
+    substream, moments = montecarlo.substream, montecarlo._moments
+
+    def drawing(seed, index):
+        current.block = index
+        blocks[index] = []
+        return substream(seed, index)
+
+    def recording(values):
+        n = values.size
+        blocks[current.block].append((n, *moments(values)))
+        return blocks[current.block][-1][1:]
+
+    monkeypatch.setattr(montecarlo, "substream", drawing)
+    monkeypatch.setattr(montecarlo, "_moments", recording)
+    alphas = np.array([[3.0, 40.0, np.inf], [0.5, 2.0, 9.0], [7.0, np.inf, np.inf]])
+    counts, trials, seed = [2, 3, 1], 5 * montecarlo.BLOCK_TRIALS + 7, 6
+    metrics = ("capacity", "op", "ber")
+    estimates = monte_carlo(alphas, counts, 1.0, qam_constants(16), trials, seed, chunks, metrics)
+    assert sorted(blocks) == list(range(6))
+    order = [m for m in ("ber", "op", "capacity") if m in metrics]
+    for i in range(len(counts)):
+        for j, metric in enumerate(order):
+            partials = [blocks[b][i * len(order) + j] for b in range(6)]
+            assert estimates[metric][i] == chan_estimate(partials, trials, seed), (i, metric)
 
 
 def _serial_pass_peak(k: int, trials: int) -> int:
@@ -490,7 +548,7 @@ def test_kernel_ber_is_within_2e_15_of_a_50_digit_reference(trial):
     qam_order, inv_mu = trial
     constants = qam_constants(qam_order)
     k = len(inv_mu)
-    ours = montecarlo._kernel("ber", _override_scenario([1.0] * k, qam_order=qam_order))(inv_mu)
+    ours = mc_kernel("ber", _override_scenario([1.0] * k, qam_order=qam_order))(inv_mu)
     for column, value in zip(inv_mu.T, ours):
         reference = _ber_reference(column.tolist(), constants)
         assert abs(mp.mpf(value) - reference) <= 2e-15 * reference, (column, value)
@@ -502,5 +560,5 @@ def test_kernel_ber_lies_in_0_to_one_half(trial):
     # from 1/mu = cap/3e5 on, a hop's BER rounded up to 5.6e-16 above 1/2
     qam_order, inv_mu = trial
     scn = _override_scenario([1.0] * len(inv_mu), qam_order=qam_order)
-    values = montecarlo._kernel("ber", scn)(inv_mu)
+    values = mc_kernel("ber", scn)(inv_mu)
     assert np.all((0.0 <= values) & (values <= 0.5)), (inv_mu, values)
