@@ -213,14 +213,17 @@ def per_hop_capacity(alpha_k, hop_count):
     end-to-end capacity from above.  At one hop it is
     ergodic_capacity_ind([alpha]) bit for bit.  At alpha = +inf, the
     padding past a chain's hops, it is +inf, the limit: a pad bounds
-    nothing."""
+    nothing, and no logarithm is taken there."""
     al = np.asarray(alpha_k, dtype=float)
     if np.any(al <= 0):
         raise ValueError("alpha must be positive")
     k = np.asarray(hop_count)
     if np.any(k < 1):
         raise ValueError("hop_count must be >= 1")
-    value = np.where(al < math.inf, al * _log_ratio(al), math.inf) / (k * _LN2)
+    value = np.full(al.shape, math.inf)
+    finite = al < math.inf
+    value[finite] = al[finite] * _log_ratio(al[finite])
+    value = value / (k * _LN2)
     return float(value) if np.ndim(value) == 0 else value
 
 

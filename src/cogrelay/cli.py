@@ -16,10 +16,11 @@ bounded on long sweeps.  A block of an ip_over_n0_db, eta, pu_x or
 pu_y sweep carries its (P, 1) slice of the swept value; a block of a
 hop_count sweep pads each chain with alpha = +inf to its longest
 chain, which no closed form counts as a hop (per_hop_capacity is +inf
-there and bounds nothing).  The mc_* outputs are evaluated the same
-way: the first of them a block reaches runs one monte_carlo pass over
-the block's points for every mc_* output asked for, and the others
-read it; mc runs monte_carlo on its one point.
+there and bounds nothing).  Where mc_* outputs are asked for,
+evaluate_block runs one monte_carlo pass over the block's points for
+all of them and hands its estimates to every evaluator: the mc_*
+outputs read their metric, the closed forms ignore them.  mc runs
+monte_carlo on its one point.
 
 optimize's op_min and ber_min are the outage and BER asymptotes on the
 alphas of the balanced layout's hop lengths (with_performance), and
@@ -44,7 +45,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -208,17 +209,6 @@ class _Sweep:
     seed: int = 0
     chunks: int = 1
     mc_metrics: tuple[str, ...] = ()  # the monte_carlo metrics of the mc_* outputs asked for
-    # [block, its estimates] of the last monte_carlo pass
-    _last: list = field(default_factory=lambda: [None, None], compare=False, repr=False)
-
-    def estimates(self, points: _Points) -> dict:
-        """Estimates of every metric in mc_metrics at the block's points,
-        from the one monte_carlo pass that the block's mc_* evaluators share."""
-        if self._last[0] is not points:
-            self._last[:] = points, monte_carlo(
-                points.alphas, points.hop_counts, self.base.gamma_th, self.constants,
-                self.trials, self.seed, self.chunks, self.mc_metrics)
-        return self._last[1]
 
 
 def _without_overrides(scenario: Scenario, use: str) -> None:
@@ -263,34 +253,27 @@ def sweep_blocks(base: Scenario, variable: str, values: Sequence) -> Iterator[tu
         yield index, counts[index], stats
 
 
-def _mc_output(metric: str):
-    """The evaluator of the mc_* output of a monte_carlo metric: its value
-    and std_error columns."""
-    def evaluate(pts: _Points, sw: _Sweep):
-        estimates = sw.estimates(pts)[metric]
-        return [e.value for e in estimates], [e.std_error for e in estimates]
-
-    return evaluate
-
-
-# output name -> (its columns, the evaluator that returns them over points);
-# the evaluators look the library functions up by name when they run
+# output name -> (its columns, the evaluator that returns them from a
+# block's points, the sweep and the block's Monte-Carlo estimates, which
+# only the mc_* evaluators read); the evaluators look the library
+# functions up by name when they run
 OUTPUTS = {
-    "op_exact": (("op_exact",), lambda pts, sw: (
+    "op_exact": (("op_exact",), lambda pts, sw, mc: (
         outage_exact(pts.alphas, sw.base.gamma_th),)),
-    "op_asymptotic": (("op_asymptotic",), lambda pts, sw: (
+    "op_asymptotic": (("op_asymptotic",), lambda pts, sw, mc: (
         outage_asymptotic(pts.alphas, sw.base.gamma_th),)),
-    "ber_exact": (("ber_exact",), lambda pts, sw: (
+    "ber_exact": (("ber_exact",), lambda pts, sw, mc: (
         e2e_ber(hop_ber(pts.alphas, sw.constants)),)),
-    "ber_asymptotic": (("ber_asymptotic",), lambda pts, sw: (
+    "ber_asymptotic": (("ber_asymptotic",), lambda pts, sw, mc: (
         e2e_ber_asymptotic(pts.alphas, sw.constants),)),
-    "capacity": (("capacity",), lambda pts, sw: (
+    "capacity": (("capacity",), lambda pts, sw, mc: (
         ergodic_capacity_ind(pts.alphas, pts.hop_counts),)),
-    "per_hop_capacity_min": (("per_hop_capacity_min",), lambda pts, sw: (
+    "per_hop_capacity_min": (("per_hop_capacity_min",), lambda pts, sw, mc: (
         per_hop_capacity(pts.alphas, pts.hop_counts[:, None]).min(axis=1),)),
 }
-OUTPUTS.update({name: ((name, f"{name}_std_error"), _mc_output(metric))
-                for name, metric in MC_OUTPUTS.items()})
+OUTPUTS.update({name: ((name, f"{name}_std_error"), lambda pts, sw, mc, metric=metric: (
+    [e.value for e in mc[metric]], [e.std_error for e in mc[metric]]))
+    for name, metric in MC_OUTPUTS.items()})
 OUTPUT_ORDER = tuple(OUTPUTS)
 
 
@@ -298,10 +281,15 @@ def evaluate_block(sweep: _Sweep, points: _Points, outputs: Sequence[str],
                    columns: dict, size: int) -> None:
     """Every column of the outputs at a block's points, one call per
     output, into columns: name -> its array over the sweep's `size`
-    points, made when the first block reaches it."""
+    points, made when the first block reaches it.  The block's one
+    monte_carlo pass, where the sweep asks for mc_* outputs, serves all
+    of them."""
+    estimates = monte_carlo(
+        points.alphas, points.hop_counts, sweep.base.gamma_th, sweep.constants,
+        sweep.trials, sweep.seed, sweep.chunks, sweep.mc_metrics) if sweep.mc_metrics else None
     for name in outputs:
         names, evaluate = OUTPUTS[name]
-        for column, cells in zip(names, evaluate(points, sweep)):
+        for column, cells in zip(names, evaluate(points, sweep, estimates)):
             if column not in columns:
                 columns[column] = np.empty(size)
             columns[column][points.index] = cells
@@ -403,7 +391,7 @@ def cmd_optimize(args) -> int:
         "objective_equal_ratio": _fmt(balanced_obj),
     }
     try:
-        d_search, obj_search = direct_search(k, scenario.pu_coord, eta)
+        d_search, obj_search = direct_search(k, scenario.pu_coord, eta, placement.ratio)
     except ConvergenceError as exc:
         meta["objective_direct_search"] = f"not found ({exc})"
     else:

@@ -22,13 +22,17 @@ def outage_exact(alphas, gamma_th: float):
     relative accuracy where the product is close to 1 (high SNR) and
     cannot underflow for long chains.  alphas of shape (K,) give a
     float, (P, K) a (P,) array.  An alpha of +inf is no hop: its term
-    log1p(gamma_th/inf) is 0, so a chain padded with +inf keeps its bits.
+    log1p(gamma_th/inf) is exactly 0, so it is left at 0 without a
+    log1p, and a chain padded with +inf keeps its bits.
     """
     al = checked_alphas(alphas)
     if gamma_th < 0:
         raise ValueError("gamma_th must be non-negative")
+    terms = np.zeros(al.shape)
+    finite = al < math.inf
     with np.errstate(over="ignore"):  # gamma_th/alpha beyond the double range: outage 1
-        value = -libm(math.expm1, -row_fsum(libm(math.log1p, gamma_th / al)))
+        terms[finite] = libm(math.log1p, gamma_th / al[finite])
+    value = -libm(math.expm1, -row_fsum(terms))
     return float(value) if value.ndim == 0 else value
 
 

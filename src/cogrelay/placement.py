@@ -7,7 +7,7 @@ can be slightly better.  Both walk the chain from the source and solve
 for one scalar by Newton's method: solve_equal_ratio for the ratio rho
 of many receiver positions at once, in one walk over numpy arrays, and
 direct_search for the first hop's ratio of one position, with
-newton_system.
+newton_system, from the balanced ratio its caller has solved.
 
 Only positions are solved here.  A layout's outage and BER minima are
 the high-SNR asymptotes outage_asymptotic and e2e_ber_asymptotic on its
@@ -311,7 +311,8 @@ def _hop_ratio(c: float, log_t: float, eta: float):
     return (r, slope) if slope > 0 else None
 
 
-def direct_search(hop_count: int, pu_coord, eta: float) -> tuple[tuple[float, ...], float]:
+def direct_search(hop_count: int, pu_coord, eta: float,
+                  start: float) -> tuple[tuple[float, ...], float]:
     """Minimize the placement objective over the simplex directly.
 
     With r_k = d_k/h_k, h_k = hypot(x_p - pos_k, y_p) and
@@ -321,10 +322,11 @@ def direct_search(hop_count: int, pu_coord, eta: float) -> tuple[tuple[float, ..
         r_{k+1}^(eta-1)/h_{k+1} * (1 + c_{k+1} r_{k+1}) = r_k^(eta-1)/h_k,
 
     a forward recursion in r_1: each hop takes the smallest positive root
-    (_hop_ratio), and newton_system shoots on r_1, from the balanced
-    layout's ratio, until the hop lengths sum to one.  The shot stops
-    where its step halvings run out with the sum within 1e-10 of one: no
-    step can then lower its rounding error.
+    (_hop_ratio), and newton_system shoots on r_1 from start, the
+    balanced layout's ratio solve_equal_ratio(hop_count, pu_coord).ratio
+    that the caller has solved, until the hop lengths sum to one.  The
+    shot stops where its step halvings run out with the sum within 1e-10
+    of one: no step can then lower its rounding error.
 
     Second order: the Hessian in the free positions pos_2..pos_K is
     tridiagonal with negative off-diagonals (_hop_ratio's slope is
@@ -370,7 +372,6 @@ def direct_search(hop_count: int, pu_coord, eta: float) -> tuple[tuple[float, ..
         return d, miss, dpos, rising
 
     try:
-        start = solve_equal_ratio(hop_count, (px, py)).ratio
         r = newton_system(lambda r: walk(r)[1:3], start, floor=_RESIDUAL_TOL)[0]
     except NumericError as exc:
         raise ConvergenceError(f"direct search: {exc}") from exc

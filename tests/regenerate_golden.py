@@ -6,10 +6,13 @@ its config as config.json, with --no-timestamp, so the output carries
 no path and no time.  tests/golden/cli.json keeps each case with its
 exit code, stdout and stderr, split into lines so that a diff shows
 the lines that moved; tests/test_golden.py reruns every case and
-compares them byte for byte.
+compares them byte for byte.  tests/golden/snr_dense.json.gz keeps, in
+the same form and gzipped, one dense SNR sweep of every closed form:
+its 23,100 cells are enough for %.12g to show a one-ulp move of the
+alphas, which the few cells of cli.json hide.
 
-Run this file to rewrite tests/golden/cli.json from the cogrelay that
-is importable:
+Run this file to rewrite both files from the cogrelay that is
+importable:
 
     PYTHONPATH=src python3 tests/regenerate_golden.py
 
@@ -20,6 +23,7 @@ cause where the change is described.
 from __future__ import annotations
 
 import contextlib
+import gzip
 import io
 import json
 import os
@@ -33,6 +37,7 @@ import numpy as np
 from cogrelay.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+DENSE = GOLDEN.with_name("snr_dense.json.gz")
 
 _MC_ANALYZE = "op_exact,ber_exact,capacity,mc_op,mc_ber,mc_capacity"
 _CLOSED_FORMS = "op_exact,op_asymptotic,ber_exact,ber_asymptotic,capacity,per_hop_capacity_min"
@@ -74,6 +79,14 @@ CASES: tuple[tuple[str, list[str], dict], ...] = (
     ("config_error_exit_1", ["analyze"], {"hop_count": 3.7}),
     ("numeric_error_exit_2", ["optimize"], {"hop_count": 3, "pu_coord": [0.0, 1e-300]}),
 )
+# nextafter of every alpha, up or down, moves a few of its cells
+DENSE_CASES = (
+    ("analyze_snr_dense",
+     ["analyze", "--sweep", "ip_over_n0_db=-30:300:0.1", "--outputs", _CLOSED_FORMS],
+     {"hop_count": 3, "qam_order": 16}),
+)
+# golden file -> its cases
+FILES = {GOLDEN: CASES, DENSE: DENSE_CASES}
 
 
 def run(argv: list[str], config: dict) -> tuple[int, str, str]:
@@ -92,19 +105,30 @@ def run(argv: list[str], config: dict) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
+def load(path: Path) -> list[dict]:
+    """The committed cases of a golden file."""
+    data = path.read_bytes()
+    return json.loads(gzip.decompress(data) if path.suffix == ".gz" else data)["cases"]
+
+
 def rewrite() -> None:
-    cases = []
-    for name, argv, config in CASES:
-        rc, stdout, stderr = run(argv, config)
-        cases.append({"id": name, "argv": argv, "config": config, "rc": rc,
-                      "stdout": stdout.splitlines(keepends=True),
-                      "stderr": stderr.splitlines(keepends=True)})
     made_on = {"machine": platform.machine(), "python": platform.python_version(),
                "numpy": np.__version__}
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({"made_on": made_on, "cases": cases}, indent=1) + "\n")
+    for path, file_cases in FILES.items():
+        cases = []
+        for name, argv, config in file_cases:
+            rc, stdout, stderr = run(argv, config)
+            cases.append({"id": name, "argv": argv, "config": config, "rc": rc,
+                          "stdout": stdout.splitlines(keepends=True),
+                          "stderr": stderr.splitlines(keepends=True)})
+        text = json.dumps({"made_on": made_on, "cases": cases}, indent=1) + "\n"
+        # mtime 0: the same cases give the same bytes
+        path.write_bytes(gzip.compress(text.encode(), mtime=0) if path.suffix == ".gz"
+                         else text.encode())
 
 
 if __name__ == "__main__":
     rewrite()
-    print(f"wrote {len(CASES)} cases to {GOLDEN}", file=sys.stderr)
+    for path, file_cases in FILES.items():
+        print(f"wrote {len(file_cases)} cases to {path}", file=sys.stderr)

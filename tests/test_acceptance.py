@@ -267,7 +267,7 @@ def test_criterion_7_profile_comparison():
                 assert outage_exact(optimized, 1.0) < outage_exact(uniform, 1.0), (
                     f"K={k} {db} dB"
                 )
-            d_free, obj_free = direct_search(k, PU, 4.0)
+            d_free, obj_free = direct_search(k, PU, 4.0, balanced.ratio)
             obj_balanced = placement_objective(balanced.d_data, PU, 4.0)
             assert obj_free <= obj_balanced + 1e-9
             print(
@@ -312,7 +312,8 @@ def test_criterion_9_placement_gain_over_uniform():
         for (eta, k), expected in _PLACEMENT_GAINS_DB.items():
             scenario = Scenario(hop_count=k, pu_coord=PU, path_loss_exponent=eta)
             uniform = outage_asymptotic(derive_hop_statistics(scenario), 1.0)
-            layouts = (solve_equal_ratio(k, PU).d_data, direct_search(k, PU, eta)[0])
+            balanced = solve_equal_ratio(k, PU)
+            layouts = (balanced.d_data, direct_search(k, PU, eta, balanced.ratio)[0])
             gains = tuple(
                 round(10.0 * np.log10(
                     uniform / outage_asymptotic(derive_hop_statistics(scenario, d), 1.0)

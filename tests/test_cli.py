@@ -32,7 +32,7 @@ from cogrelay import (
     qam_constants,
     solve_equal_ratio,
 )
-from cogrelay import cli
+from cogrelay import cli, placement
 from cogrelay.cli import (
     MAX_SWEEP_POINTS,
     MAX_TRIALS,
@@ -315,6 +315,23 @@ def test_optimize_minima_are_the_asymptotes_at_the_layout(tmp_path, capsys, ip_d
     assert f"op_min={op_min:.6g} ber_min={ber_min:.6g}" in err
     if ip_db > 0:  # at 30 dB the QPSK asymptote is within 1% of the exact BER
         assert ber_min == pytest.approx(e2e_ber(hop_ber(a, qam_constants(4))), rel=1e-2)
+
+
+def test_optimize_solves_the_balanced_layout_once(tmp_path, capsys, monkeypatch):
+    # direct_search shoots from the ratio optimize has solved, not from
+    # a balanced layout of its own
+    calls = []
+
+    def counted(*args, original=placement.solve_equal_ratio):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "solve_equal_ratio", counted)
+    monkeypatch.setattr(placement, "solve_equal_ratio", counted)
+    cfg = _write_config(tmp_path, hop_count=3, pu_coord=[0.6, 0.25])
+    assert main(["optimize", "--config", cfg, "--no-timestamp"]) == 0
+    assert "objective_direct_search" in _meta(capsys.readouterr().out)
+    assert len(calls) == 1
 
 
 def test_optimize_single_hop_zero_gap(tmp_path, capsys):
@@ -984,12 +1001,17 @@ def test_mc_samples_each_block_once_for_all_three_metrics(tmp_path, capsys, monk
 
 def test_analyze_samples_each_point_once_for_all_mc_outputs(tmp_path, capsys, monkeypatch):
     calls = _count_samplings(monkeypatch)
-    assert main([
-        "analyze", "--config", _write_config(tmp_path), "--sweep", "ip_over_n0_db=10:20:10",
-        "--outputs", "mc_op,mc_ber,mc_capacity", "--trials", "200000",
-    ]) == 0
+    argv = ["analyze", "--config", _write_config(tmp_path), "--sweep", "ip_over_n0_db=10:20:10",
+            "--outputs", "mc_op,mc_ber,mc_capacity", "--trials", "200000"]
+    assert main(argv) == 0
     # both points read the same 4 blocks
     assert len(calls) == 4
+    # with 3 alphas a block, each K = 3 point is a sweep block of its own,
+    # which reads the 4 blocks once for all three outputs
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 3)
+    calls.clear()
+    assert main(argv) == 0
+    assert len(calls) == 8
 
 
 def test_analyze_draws_each_block_once_for_every_point(tmp_path, capsys, monkeypatch):

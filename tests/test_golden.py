@@ -1,10 +1,10 @@
 """The CLI's committed outputs, byte for byte: every case of
-tests/golden/cli.json rerun in process (see regenerate_golden.py)."""
+tests/golden/cli.json and tests/golden/snr_dense.json.gz rerun in
+process (see regenerate_golden.py)."""
 
-import json
 import math
 
-from regenerate_golden import GOLDEN, run
+from regenerate_golden import DENSE, GOLDEN, load, run
 
 
 def _cells(lines: list[str]) -> dict:
@@ -51,11 +51,21 @@ def _differences(case: dict, rc: int, stdout: str, stderr: str) -> list[str]:
     return found
 
 
-def test_every_golden_case_prints_its_committed_output():
-    cases = json.loads(GOLDEN.read_text())["cases"]
+def _failures(cases: list[dict]) -> list[str]:
     assert cases
     failures = []
     for case in cases:
         for line in _differences(case, *run(case["argv"], case["config"])):
             failures.append(f"{case['id']}: {line}")
+    return failures
+
+
+def test_every_golden_case_prints_its_committed_output():
+    failures = _failures(load(GOLDEN))
+    assert not failures, "\n".join(failures)
+
+
+def test_dense_snr_sweep_prints_its_committed_output():
+    # a one-ulp move of the alphas moves a few of its cells
+    failures = _failures(load(DENSE))
     assert not failures, "\n".join(failures)

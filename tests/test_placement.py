@@ -175,7 +175,7 @@ def test_direct_search_backtracks_through_module_newton(monkeypatch):
         return rho, iterations
 
     monkeypatch.setattr(placement, "newton_system", counting)
-    direct_search(8, (0.5, 1e-3), 4.0)
+    direct_search(8, (0.5, 1e-3), 4.0, solve_equal_ratio(8, (0.5, 1e-3)).ratio)
     [(evaluations, iterations)] = shots
     # one evaluation at the start and one per iteration without halving
     assert evaluations > iterations + 1
@@ -301,32 +301,33 @@ def test_direct_search_two_hops():
     balanced_obj = placement_objective(balanced.d_data, PU, 4.0)
     assert balanced_obj == pytest.approx(3.0684, abs=1e-3)
     assert obj <= balanced_obj + 1e-9
-    d_exact, obj_exact = direct_search(2, PU, 4.0)
+    d_exact, obj_exact = direct_search(2, PU, 4.0, balanced.ratio)
     assert d_exact[0] == pytest.approx(d[0], abs=1e-7)
     assert obj_exact <= obj * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_direct_search_never_worse_than_balanced(k):
-    d, obj = direct_search(k, PU, 4.0)
     balanced = solve_equal_ratio(k, PU)
+    d, obj = direct_search(k, PU, 4.0, balanced.ratio)
     assert obj <= placement_objective(balanced.d_data, PU, 4.0) + 1e-9
     assert sum(d) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_direct_search_far_primary_agrees_with_balanced():
-    d, _ = direct_search(3, (0.5, 1e6), 4.0)
     balanced = solve_equal_ratio(3, (0.5, 1e6))
+    d, _ = direct_search(3, (0.5, 1e6), 4.0, balanced.ratio)
     assert list(d) == pytest.approx(list(balanced.d_data), abs=1e-6)
 
 
 @pytest.mark.parametrize("k", [5, 8, 64])
 def test_direct_search_solves_long_chains(k):
-    d, obj = direct_search(k, PU, 4.0)
+    balanced = solve_equal_ratio(k, PU)
+    d, obj = direct_search(k, PU, 4.0, balanced.ratio)
     assert len(d) == k and all(v > 0 for v in d)
     assert abs(math.fsum(d) - 1.0) <= 1e-10
     assert obj == placement_objective(d, PU, 4.0)
-    assert obj <= placement_objective(solve_equal_ratio(k, PU).d_data, PU, 4.0)
+    assert obj <= placement_objective(balanced.d_data, PU, 4.0)
 
 
 def _geometries(seed, count, hop_counts, etas):
@@ -343,7 +344,7 @@ def test_direct_search_never_worse_than_the_grid_oracle():
     # searches, which reaches 4 hops at most
     worst = 0.0
     for k, pu, eta in _geometries(11, 300, (2, 3, 4), (2.0, 2.5, 3.0, 4.0)):
-        _, obj = direct_search(k, pu, eta)
+        _, obj = direct_search(k, pu, eta, solve_equal_ratio(k, pu).ratio)
         _, obj_grid = grid_search(k, pu, eta)
         worst = max(worst, obj / obj_grid - 1.0)
     assert worst <= 1e-12
@@ -354,7 +355,7 @@ def test_direct_search_no_feasible_perturbation_lowers_the_objective():
     geometries = _geometries(13, 60, (2, 3, 5, 8, 16, 32, 64), (2.0, 3.0, 4.0, 6.0, 8.0))
     geometries += [(64, PU, 4.0), (64, (1.0, 0.05), 2.0), (64, (-0.5, 0.1), 8.0)]
     for k, pu, eta in geometries:
-        d, obj = direct_search(k, pu, eta)
+        d, obj = direct_search(k, pu, eta, solve_equal_ratio(k, pu).ratio)
         for _ in range(20):
             # a direction along the simplex, scaled to keep every hop positive
             v = [rng.uniform(-1.0, 1.0) for _ in range(k)]
@@ -371,9 +372,10 @@ def test_direct_search_stops_its_shot_at_the_rounding_floor():
     # there, where it ran all 60 halvings in each of its 100 iterations
     # (3-6 s), and says why as before
     start = time.perf_counter()
+    ratio = solve_equal_ratio(64, (1.0, 1e-300)).ratio
     with pytest.raises(ConvergenceError,
                        match=r"^direct search: placement Newton: residual 1\.895e-16 after"):
-        direct_search(64, (1.0, 1e-300), 2.0)
+        direct_search(64, (1.0, 1e-300), 2.0, ratio)
     assert time.perf_counter() - start < 0.5
 
 
@@ -381,11 +383,16 @@ def test_direct_search_stops_its_shot_at_the_rounding_floor():
 @pytest.mark.parametrize("px", [-0.5, 0.0, 0.5, 1.0, 1.088])
 def test_direct_search_near_the_line_returns_or_raises_convergence_error(px, py):
     # receivers this close to the line are where no stationary minimum
-    # may exist or be reachable in double precision
+    # may exist or be reachable in double precision; where no balanced
+    # layout is found either, there is no start to shoot from
     for k in (2, 3, 8, 64):
+        try:
+            ratio = solve_equal_ratio(k, (px, py)).ratio
+        except NumericError:
+            continue
         for eta in (2.0, 4.0, 8.0):
             try:
-                d, obj = direct_search(k, (px, py), eta)
+                d, obj = direct_search(k, (px, py), eta, ratio)
             except ConvergenceError:
                 continue
             assert abs(math.fsum(d) - 1.0) <= 1e-9
